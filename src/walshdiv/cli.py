@@ -133,12 +133,15 @@ def _frac(v: Fraction) -> str:
 
 
 def _float(v) -> str:
-    return f"{float(v):.12g}"
+    try:
+        return f"{float(v):.12g}"
+    except OverflowError:  # finite, but beyond double range
+        v = Fraction(v)
+        with mpmath.workdps(20):
+            return mpmath.nstr(mpmath.mpf(v.numerator) / v.denominator, 12)
 
 
-def _mean_str(v) -> str:
-    if isinstance(v, float):
-        return "inf" if math.isinf(v) else f"{v:.12g}"
+def _mean_str(v: mpmath.mpf) -> str:
     return mpmath.nstr(v, 17)
 
 
@@ -327,7 +330,7 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
             mean = strong_mean(series, phi, N, s=center)
             density = exceed_density(series, threshold, N)
             lhs_hi = density * phi_hi
-            if isinstance(mean, float) and math.isinf(mean):
+            if mpmath.isinf(mean):
                 verdict = "pass"  # any finite lhs is below an infinite mean
             else:
                 mean_lo, mean_hi = strong_mean_bounds(series, phi, N, s=center)

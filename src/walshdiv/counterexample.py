@@ -33,12 +33,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import bounds
-from ._kernels import cell_scan
+from ._kernels import cell_scan, walsh_sign_row
 from .atoms import AtomSum, IndicatorAtom, KernelAtom, SpectralBlock
 from .dyadic import (
     DyadicInterval,
@@ -48,9 +48,8 @@ from .dyadic import (
     containing_interval,
     xor_add,
 )
-from .fourier import PhiSpec, phi_classify
+from .fourier import ExactSeries, PhiSpec
 from .walsh import GridVector, bit_reverse, dirichlet, dirichlet_star, fwht, walsh
-from ._kernels import walsh_sign_row
 
 __all__ = [
     "EmptySelectionError",
@@ -663,11 +662,15 @@ def _prepared_fn(params: ConstructionParams, grid_cap: int):
 
 
 def _partial_sums_scaled(coeffs: GridVector, x: DyadicPoint) -> np.ndarray:
-    """All S_l(x)·den for l = 1 … 2^K as an integer cumulative sum."""
+    """All S_l(x)·den for l = 1 … 2^K as an integer cumulative sum.
+
+    int64 coefficients satisfy peak·2^K < 2^62, which bounds every prefix;
+    object (big-int) coefficients keep the sum in object dtype.
+    """
     K = coeffs.resolution
     rx = bit_reverse(x.scaled_numerator(K), K)
     signs = walsh_sign_row(rx, 1 << K).astype(np.int64)
-    return np.cumsum(coeffs.numerators.astype(np.int64) * signs)
+    return np.cumsum(coeffs.numerators * signs)
 
 
 def partial_sum_series(
@@ -675,7 +678,7 @@ def partial_sum_series(
     x: DyadicPoint,
     count: int,
     grid_cap: int = GRID_CAP,
-) -> list[Fraction]:
+) -> ExactSeries:
     """S_l(x, f_n) for l = 1 … count.
 
     Grid-accelerated when q(n) is renderable (one transform, one cumulative
@@ -687,12 +690,9 @@ def partial_sum_series(
     fn, coeffs = _prepared_fn(params, grid_cap)
     if coeffs is not None and x.exponent <= coeffs.resolution:
         scaled = _partial_sums_scaled(coeffs, x)
-        den = coeffs.denominator
-        head = [Fraction(int(v), den) for v in scaled[:count]]
-        if count > len(scaled):
-            head.extend([head[-1]] * (count - len(scaled)))
-        return head
-    return [fn.partial_sum(l, x) for l in range(1, count + 1)]
+        tail = np.repeat(scaled[-1:], max(count - len(scaled), 0))
+        return ExactSeries(np.concatenate([scaled[:count], tail]), coeffs.denominator)
+    return ExactSeries.of([fn.partial_sum(l, x) for l in range(1, count + 1)])
 
 
 def verify_lemma1(

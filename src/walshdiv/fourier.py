@@ -4,32 +4,43 @@ Partial sums have two independent evaluation paths:
 
 - :func:`partial_sum_grid` — coefficient-prefix sums of a grid-resolved step
   function (the transform path);
-- :func:`partial_sum_symbolic` — per-atom closed forms on an
+- :meth:`~walshdiv.atoms.AtomSum.partial_sum` — per-atom closed forms on an
   :class:`~walshdiv.atoms.AtomSum` (no global grid).
 
-Strong means (1/N) Σ Φ(|S_k − s|) are evaluated in arbitrary-precision
-floating point (the partial sums themselves stay exact); a certified
-variant :func:`strong_mean_bounds` returns a rational enclosure suitable
-for sound comparisons.  Φ growth classification is symbolic, from the kind
-of the Φ specification, never from numeric limit probes.
+A run of partial sums S_1 … S_N travels as one :class:`ExactSeries`: an
+integer numerator array over a single common denominator (int64 while every
+numerator is below 2^62 in magnitude, Python big ints otherwise).  :func:`strong_mean`,
+:func:`strong_mean_bounds` and :func:`exceed_density` take a census of the
+first N numerators (``np.unique``); a series holds only a handful of distinct
+values, and only those become :class:`~fractions.Fraction` objects.
+
+Exact steps: the series, the census and its counts, the centering |S_k − s|,
+the strict threshold test, the exceedance density, and the rational
+enclosures of :func:`strong_mean_bounds` (one :meth:`PhiSpec.enclosure` per
+distinct magnitude), which carry every verdict.  In mpf: only Φ itself in
+:func:`strong_mean` (one :meth:`PhiSpec.value_mpf` per distinct magnitude),
+summed in order of first occurrence, for display.  Φ growth classification is
+symbolic, from the kind of the Φ specification, never from numeric limit
+probes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath
+import numpy as np
 
 from . import bounds
-from .atoms import AtomSum
 from .dyadic import DyadicPoint, Rat
-from .walsh import GridVector, fwht, walsh
+from .walsh import GridVector, _int_array, fwht, walsh
 
 __all__ = [
     "StepFunction",
+    "ExactSeries",
     "PhiSpec",
     "PhiClass",
     "SUBEXPONENTIAL",
@@ -37,7 +48,6 @@ __all__ = [
     "parse_phi",
     "coefficients",
     "partial_sum_grid",
-    "partial_sum_symbolic",
     "strong_mean",
     "strong_mean_bounds",
     "exceed_density",
@@ -107,14 +117,48 @@ def partial_sum_grid(f: StepFunction, l: int, x: DyadicPoint) -> Fraction:
     return total
 
 
-def partial_sum_symbolic(f: AtomSum, l: int, x: DyadicPoint) -> Fraction:
-    """Exact S_l(x, f) atom by atom, with no global grid.
+class ExactSeries:
+    """Exact rationals numerators[i] / denominator, i = 0 … len − 1.
 
-    Any nonnegative cut is accepted; a cut that splits an atom with no
-    closed form raises AtomSplitError (grid fallback needed).  Cuts at or
-    beyond the spectral bound return f(x) exactly.
+    ``numerators`` is an integer array: int64 when every entry is below 2^62
+    in magnitude, object (Python big ints) otherwise.  Indexing returns a
+    :class:`Fraction`.
     """
-    return f.partial_sum(l, x)
+
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, numerators: np.ndarray, denominator: int):
+        if denominator <= 0:
+            raise ValueError(f"denominator must be positive, got {denominator}")
+        self.numerators = numerators
+        self.denominator = int(denominator)
+
+    @classmethod
+    def of(cls, values: "ExactSeries | Sequence[Rat]") -> "ExactSeries":
+        """``values`` itself if already a series, else one conversion over the lcm."""
+        if isinstance(values, ExactSeries):
+            return values
+        fracs = [Fraction(v) for v in values]
+        den = math.lcm(*(v.denominator for v in fracs))
+        nums = [v.numerator * (den // v.denominator) for v in fracs]
+        return cls(_int_array(nums, 0), den)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(int(self.numerators[i]), self.denominator)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExactSeries):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        a = self.numerators.astype(object) * other.denominator
+        b = other.numerators.astype(object) * self.denominator
+        return bool(np.all(a == b))
+
+    __hash__ = None  # unhashable: array-backed value container
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +301,32 @@ def _cap_overflow(v: mpmath.mpf) -> mpmath.mpf:
     return v
 
 
+def _census(sums: ExactSeries | Sequence[Rat], N: int) -> list[tuple[Fraction, int]]:
+    """Distinct values of S_1 … S_N with their counts, in order of first occurrence."""
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    series = ExactSeries.of(sums)
+    if len(series) < N:
+        raise ValueError(f"need at least {N} partial sums, got {len(series)}")
+    values, first, counts = np.unique(
+        series.numerators[:N], return_index=True, return_counts=True
+    )
+    den = series.denominator
+    return [(Fraction(int(values[i]), den), int(counts[i])) for i in np.argsort(first)]
+
+
+def _magnitudes(sums: ExactSeries | Sequence[Rat], N: int, s: Rat) -> dict[Fraction, int]:
+    """Counts of |S_k − s| for k ≤ N, keyed in order of first occurrence."""
+    s = Fraction(s)
+    out: dict[Fraction, int] = {}
+    for v, count in _census(sums, N):
+        magnitude = abs(v - s)
+        out[magnitude] = out.get(magnitude, 0) + count
+    return out
+
+
 def strong_mean(
-    sums: Sequence[Rat],
+    sums: ExactSeries | Sequence[Rat],
     phi: PhiSpec,
     N: int,
     s: Rat = 0,
@@ -268,14 +336,10 @@ def strong_mean(
 
     ``sums`` holds S_1 … S_N (at least N entries); ``s`` is the optional
     centering constant (0 for the uncentered mean).  Partial sums stay exact;
-    only Φ is evaluated in floating point.  Returns +inf on overflow.
+    only Φ is evaluated in floating point, once per distinct magnitude.
+    Returns +inf on overflow.
     """
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    if len(sums) < N:
-        raise ValueError(f"need at least {N} partial sums, got {len(sums)}")
-    s = Fraction(s)
-    magnitudes = Counter(abs(Fraction(v) - s) for v in sums[:N])
+    magnitudes = _magnitudes(sums, N, s)
     with mpmath.workdps(dps):
         total = mpmath.mpf(0)
         for magnitude, count in magnitudes.items():
@@ -287,34 +351,26 @@ def strong_mean(
 
 
 def strong_mean_bounds(
-    sums: Sequence[Rat],
+    sums: ExactSeries | Sequence[Rat],
     phi: PhiSpec,
     N: int,
     s: Rat = 0,
     prec: int = 96,
 ) -> bounds.Enclosure:
     """Certified rational enclosure of the strong mean (for sound verdicts)."""
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    if len(sums) < N:
-        raise ValueError(f"need at least {N} partial sums, got {len(sums)}")
-    s = Fraction(s)
-    magnitudes = Counter(abs(Fraction(v) - s) for v in sums[:N])
     lo_total = Fraction(0)
     hi_total = Fraction(0)
-    for magnitude, count in magnitudes.items():
+    for magnitude, count in _magnitudes(sums, N, s).items():
         lo, hi = phi.enclosure(magnitude, prec)
         lo_total += count * lo
         hi_total += count * hi
     return (lo_total / N, hi_total / N)
 
 
-def exceed_density(sums: Sequence[Rat], threshold: Rat, N: int) -> Fraction:
+def exceed_density(
+    sums: ExactSeries | Sequence[Rat], threshold: Rat, N: int
+) -> Fraction:
     """Exact #{k ≤ N : |S_k| > threshold} / N."""
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    if len(sums) < N:
-        raise ValueError(f"need at least {N} partial sums, got {len(sums)}")
     threshold = Fraction(threshold)
-    count = sum(1 for v in sums[:N] if abs(Fraction(v)) > threshold)
+    count = sum(c for v, c in _census(sums, N) if abs(v) > threshold)
     return Fraction(count, N)

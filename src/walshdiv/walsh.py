@@ -321,16 +321,18 @@ def _int_array(nums: list[int], resolution: int) -> np.ndarray:
 
 
 def _normalized(resolution: int, nums: np.ndarray, den: int) -> GridVector:
-    """Reduce the common denominator and re-pick the array dtype."""
-    g = den
-    for v in nums:
-        g = math.gcd(g, int(v))
-        if g == 1:
-            break
+    """Reduce the common denominator and re-pick the array dtype.
+
+    Same dtype rule as :func:`_int_array`; an all-zero vector reduces to
+    denominator 1.
+    """
+    g = math.gcd(den, int(np.gcd.reduce(nums)))
     if g > 1:
         nums = nums // g
         den //= g
-    return GridVector(resolution, _int_array([int(v) for v in nums], resolution), den)
+    peak = int(np.max(np.abs(nums)))
+    dtype = np.int64 if peak << resolution < _INT64_SAFE else object
+    return GridVector(resolution, nums.astype(dtype, copy=False), den)
 
 
 def _fraction_text(v: Fraction) -> str:

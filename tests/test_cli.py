@@ -172,6 +172,20 @@ class TestStrongMeanCommand:
         with pytest.raises(SystemExit, match="bad N list"):
             main(["strong-mean", "--x", "1/2^2", "--N-list", "0,4"])
 
+    def test_values_beyond_double_range_render(self, capsys):
+        # Φ = e^{100000 t} − 1 at the desk witness: exact means and Markov
+        # bounds far past 1e308 must print, not raise OverflowError
+        code = main(["strong-mean", "--n", "2", "--c", "3", "--x", "7/2^5",
+                     "--phi", "exp:100000"])
+        assert code == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+                if l.startswith("exp:100000,")]
+        assert [r[1] for r in rows] == ["16", "256", "4096"]
+        for r in rows:
+            mantissa, _, exponent = r[5].partition("e+")
+            assert int(exponent) > 308
+            assert len(mantissa.replace(".", "")) <= 12
+
 
 class TestChainCheckCommand:
     def test_pass_and_fail_codes(self, capsys):

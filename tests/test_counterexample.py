@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from walshdiv.counterexample import (
@@ -18,6 +19,7 @@ from walshdiv.counterexample import (
     EmptySelectionError,
     InfeasibleParameters,
     LemmaReport,
+    _partial_sums_scaled,
     assemble_f,
     build_En,
     build_fn,
@@ -41,7 +43,7 @@ from walshdiv.counterexample import (
 )
 from walshdiv.dyadic import DyadicPoint, xor_add
 from walshdiv.fourier import PhiSpec
-from walshdiv.walsh import dirichlet, walsh
+from walshdiv.walsh import GridVector, dirichlet, walsh
 
 EXP_POW_2 = PhiSpec.exp_power(2)
 
@@ -374,13 +376,13 @@ class TestPartialSumSeries:
         f = build_fn(p)
         x = DyadicPoint(11, 6)
         series = partial_sum_series(p, x, 40)
-        assert series == [f.partial_sum(l, x) for l in range(1, 41)]
+        assert list(series) == [f.partial_sum(l, x) for l in range(1, 41)]
 
     def test_constant_beyond_the_spectrum(self):
         p = ConstructionParams(2, 2)
         x = DyadicPoint(3, 4)
         series = partial_sum_series(p, x, p.q + 5)
-        assert series[-6:] == [series[p.q - 1]] * 6
+        assert list(series)[-6:] == [series[p.q - 1]] * 6
         assert series[p.q - 1] == build_fn(p).value(x)
 
     def test_symbolic_only_path_agrees(self):
@@ -394,13 +396,21 @@ class TestPartialSumSeries:
         p = ConstructionParams(2, 2)
         f = build_fn(p)
         x = DyadicPoint((1 << 20) - 1, 20)
-        assert partial_sum_series(p, x, 10) == [
+        assert list(partial_sum_series(p, x, 10)) == [
             f.partial_sum(l, x) for l in range(1, 11)
         ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             partial_sum_series(ConstructionParams(2, 2), DyadicPoint.zero(), 0)
+
+    def test_big_int_coefficients_do_not_wrap(self):
+        # object-dtype coefficients whose exact prefix sums pass 2^63: the
+        # cumulative sum must stay in Python ints
+        coeffs = GridVector(2, np.array([1 << 62] * 4, dtype=object), 1)
+        sums = _partial_sums_scaled(coeffs, DyadicPoint.zero())
+        assert sums.dtype == object
+        assert list(sums) == [k << 62 for k in range(1, 5)]
 
 
 class TestVerifyLemma1:

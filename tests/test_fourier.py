@@ -2,21 +2,25 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walshdiv.atoms import AtomSum, KernelAtom
 from walshdiv.dyadic import DyadicPoint, xor_add
 from walshdiv.fourier import (
+    ExactSeries,
+    _cap_overflow,
     PhiSpec,
     StepFunction,
     coefficients,
     exceed_density,
     parse_phi,
     partial_sum_grid,
-    partial_sum_symbolic,
     phi_classify,
     strong_mean,
     strong_mean_bounds,
@@ -99,9 +103,9 @@ class TestPartialSums:
         s = AtomSum([KernelAtom(1, 2 * u, theta), KernelAtom(-1, u, theta)])
         x = DyadicPoint(9, 5)
         for l in range(0, u + 1):
-            assert partial_sum_symbolic(s, l, x) == 0
+            assert s.partial_sum(l, x) == 0
         for l in range(2 * u, 3 * u):
-            assert partial_sum_symbolic(s, l, x) == s.value(x)
+            assert s.partial_sum(l, x) == s.value(x)
 
     def test_symbolic_equals_grid(self):
         theta = DyadicPoint(5, 4)
@@ -109,7 +113,7 @@ class TestPartialSums:
         f = StepFunction(s.render(6))
         x = DyadicPoint(13, 6)
         for l in range(0, 65):
-            assert partial_sum_symbolic(s, l, x) == partial_sum_grid(f, l, x)
+            assert s.partial_sum(l, x) == partial_sum_grid(f, l, x)
 
 
 class TestPhiSpec:
@@ -227,3 +231,74 @@ class TestExceedDensity:
                 _, mean_hi = strong_mean_bounds(sums, phi, n)
                 tau_lo, _ = phi.enclosure(tau)
                 assert density * tau_lo <= mean_hi
+
+
+# -- the series type against the per-element definitions -----------------------
+
+
+def mean_by_counter(sums, phi, N, s, dps=30):
+    magnitudes = Counter(abs(Fraction(v) - s) for v in sums[:N])
+    with mpmath.workdps(dps):
+        total = mpmath.mpf(0)
+        for magnitude, count in magnitudes.items():
+            term = phi.value_mpf(magnitude)
+            if mpmath.isinf(term):
+                return mpmath.mpf("+inf")
+            total += count * term
+        return _cap_overflow(total / N)
+
+
+def bounds_by_counter(sums, phi, N, s):
+    magnitudes = Counter(abs(Fraction(v) - s) for v in sums[:N])
+    lo = sum(count * phi.enclosure(m)[0] for m, count in magnitudes.items())
+    hi = sum(count * phi.enclosure(m)[1] for m, count in magnitudes.items())
+    return (Fraction(lo) / N, Fraction(hi) / N)
+
+
+def density_by_count(sums, threshold, N):
+    return Fraction(sum(1 for v in sums[:N] if abs(Fraction(v)) > threshold), N)
+
+
+# numerators up to 2^70 (past int64), denominators up to 48; few distinct
+# values so the census merges repeats as the real series does
+values = st.builds(
+    Fraction, st.integers(-(1 << 70), 1 << 70), st.integers(1, 48)
+) | st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3)])
+
+
+@st.composite
+def series_and_cut(draw):
+    xs = draw(st.lists(values, min_size=1, max_size=40))
+    N = draw(st.integers(1, len(xs)))
+    # denominator 101 never divides the lcm of denominators up to 48
+    s = Fraction(draw(st.integers(-(1 << 72), 1 << 72).filter(lambda a: a % 101)), 101)
+    return xs, N, draw(st.sampled_from([Fraction(0), s]))
+
+
+class TestExactSeries:
+    def test_of_is_exact_and_idempotent(self):
+        xs = [Fraction(1, 6), Fraction(-(1 << 80), 4), 3]
+        series = ExactSeries.of(xs)
+        assert list(series) == xs
+        assert series.numerators.dtype == object
+        assert ExactSeries.of(series) is series
+        small = ExactSeries.of([Fraction(1, 2), Fraction(1, 3)])
+        assert small.numerators.dtype == np.int64
+        assert small.denominator == 6
+
+    def test_value_equality_across_denominators(self):
+        a = ExactSeries(np.array([2, 4, -6]), 4)
+        b = ExactSeries.of([Fraction(1, 2), 1, Fraction(-3, 2)])
+        assert a == b
+        assert a != ExactSeries.of([Fraction(1, 2), 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_and_cut(), st.fractions(min_value=0, max_denominator=60))
+    def test_consumers_match_per_element_definitions(self, case, threshold):
+        xs, N, s = case
+        series = ExactSeries.of(xs)
+        for phi in (PhiSpec.power(2), PhiSpec.power(Fraction(3, 2)), PhiSpec.exp_linear(1)):
+            assert strong_mean(series, phi, N, s=s) == mean_by_counter(xs, phi, N, s)
+        square = PhiSpec.power(2)
+        assert strong_mean_bounds(series, square, N, s=s) == bounds_by_counter(xs, square, N, s)
+        assert exceed_density(series, threshold, N) == density_by_count(xs, threshold, N)

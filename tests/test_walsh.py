@@ -9,6 +9,7 @@ Oracles are deliberately independent of the implementation:
 - kernels are checked against term-by-term character sums.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from walshdiv.dyadic import DyadicPoint, xor_add
 from walshdiv.walsh import (
     DyadicExpansion,
     GridVector,
+    _normalized,
     bit_reverse,
     dirichlet,
     dirichlet_pow2,
@@ -251,6 +253,39 @@ class TestGridVector:
         assert lines[0] == "# k=v"
         assert lines[1].startswith("index,")
         assert "1/3" in lines[2]
+
+
+def normalized_by_loop(resolution, nums, den):
+    """Element-by-element reduction: gcd loop, then re-boxed Python ints."""
+    g = den
+    for v in nums:
+        g = math.gcd(g, int(v))
+    out = [int(v) // g for v in nums]
+    peak = max(abs(v) for v in out)
+    dtype = np.int64 if peak << resolution < 1 << 62 else object
+    return out, den // g, dtype
+
+
+class TestNormalized:
+    @pytest.mark.parametrize(
+        "nums, den",
+        [
+            (np.array([6, -12, 18, 0], dtype=np.int64), 24),  # int64 in, int64 out
+            (np.array([3, 5, 7, 9], dtype=np.int64), 4),  # already reduced
+            (np.array([3 << 90, -(6 << 90), 0, 9 << 90], dtype=object), 3 << 80),
+            (np.array([3 << 70, 6 << 70, 0, 9], dtype=object), 3 << 70),
+            (np.array([1 << 61, 0, 0, 0], dtype=np.int64), 1),  # 2^61 << 2 overflows
+            (np.zeros(4, dtype=np.int64), 7),  # all zero: denominator 1
+            (np.zeros(4, dtype=object), 1 << 80),
+        ],
+    )
+    def test_matches_elementwise_reduction(self, nums, den):
+        want_nums, want_den, want_dtype = normalized_by_loop(2, nums, den)
+        g = _normalized(2, nums.copy(), den)
+        assert [int(v) for v in g.numerators] == want_nums
+        assert g.denominator == want_den
+        assert g.numerators.dtype == want_dtype
+        assert all(type(v) is int for v in g.numerators if want_dtype is object)
 
 
 # -- transform ----------------------------------------------------------------
