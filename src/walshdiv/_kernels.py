@@ -1,21 +1,9 @@
-"""Hot integer kernels with a numba JIT path and a pure-numpy fallback.
-
-Backend selection
------------------
-The environment variable ``WALSHDIV_NUMBA`` picks the backend at import time:
-
-- ``auto`` (default, or unset): use numba when importable, else numpy;
-- ``1``: require numba (ImportError if unavailable);
-- ``0``: force the pure-numpy path.
-
-Both paths compute identical exact int64 results; the switch affects speed
-only.  ``WALSHDIV_WORKERS`` (a positive integer) caps the numba thread count.
-
-Tests and benchmarks can force a backend for a block via :func:`use_backend`.
+"""Hot integer kernels, vectorized over whole arrays with numpy.
 
 Kernels
 -------
-- in-place Hadamard butterflies on int64 (the core of the exact fwht);
+- in-place Hadamard butterflies (the core of the exact fwht), on int64 or
+  on object-dtype Python big ints;
 - bit-reversal index tables;
 - Walsh sign rows (w_m(x) for every m below a power of two);
 - the exhaustive cell scan behind the sign-change-set verification:
@@ -25,131 +13,25 @@ Kernels
 
 from __future__ import annotations
 
-import contextlib
-import os
-
 import numpy as np
 
 __all__ = [
-    "backend",
-    "use_backend",
     "hadamard_inplace",
     "bit_reversal_table",
     "walsh_sign_row",
     "cell_scan",
 ]
 
-_ENV_FLAG = os.environ.get("WALSHDIV_NUMBA", "auto").strip().lower()
 
-try:
-    import numba as _nb
+def hadamard_inplace(a: np.ndarray) -> None:
+    """In-place unnormalized Hadamard butterflies on a length-2**K vector.
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via WALSHDIV_NUMBA=0 tests
-    _nb = None
-    _HAVE_NUMBA = False
-
-if _ENV_FLAG == "1" and not _HAVE_NUMBA:
-    raise ImportError("WALSHDIV_NUMBA=1 but numba is not importable")
-
-_BACKEND = "numba" if (_HAVE_NUMBA and _ENV_FLAG != "0") else "numpy"
-
-_workers = os.environ.get("WALSHDIV_WORKERS")
-if _workers and _HAVE_NUMBA:
-    _nb.set_num_threads(max(1, int(_workers)))
-
-
-def backend() -> str:
-    """The active backend name: ``"numba"`` or ``"numpy"``."""
-    return _BACKEND
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    """Temporarily force a backend (``"numba"`` or ``"numpy"``)."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    previous = _BACKEND
-    _BACKEND = name
-    try:
-        yield
-    finally:
-        _BACKEND = previous
-
-
-# -- numba path --------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @_nb.njit(cache=True, parallel=True)
-    def _hadamard_numba(a):  # pragma: no cover - compiled
-        n = a.shape[0]
-        h = 1
-        while h < n:
-            step = 2 * h
-            nblocks = n // step
-            for b in _nb.prange(nblocks):
-                base = b * step
-                for i in range(base, base + h):
-                    x = a[i]
-                    y = a[i + h]
-                    a[i] = x + y
-                    a[i + h] = x - y
-            h = step
-
-    @_nb.njit(cache=True, parallel=True)
-    def _walsh_sign_row_numba(rx, size):  # pragma: no cover - compiled
-        out = np.empty(size, dtype=np.int64)
-        for m in _nb.prange(size):
-            v = m & rx
-            parity = 0
-            while v:
-                v &= v - 1
-                parity ^= 1
-            out[m] = 1 - 2 * parity
-        return out
-
-    @_nb.njit(cache=True, parallel=True)
-    def _cell_scan_numba(n):  # pragma: no cover - compiled
-        ncells = 1 << (n + 2)
-        changes_mask = (1 << n) - 1
-        member = np.empty(ncells, dtype=np.bool_)
-        m_vals = np.zeros(ncells, dtype=np.int64)
-        nu = np.zeros(ncells, dtype=np.int64)
-        integral_num = np.zeros(ncells, dtype=np.int64)
-        for j in _nb.prange(ncells):
-            d = (j ^ (j >> 1)) & changes_mask
-            c = 0
-            v = d
-            while v:
-                v &= v - 1
-                c += 1
-            member[j] = 3 * abs(n - 2 * c) < n
-            m = 0
-            cnt = 0
-            acc = 0
-            for k in range(1, n):
-                hi = (j >> (n + 1 - k)) & 1  # digit x_{k+1}
-                lo = (j >> (n - k)) & 1  # digit x_{k+2}
-                if hi == 0 and lo == 1:
-                    m += 1 << k
-                    cnt += 1
-                    # scaled T_k = frac(2^k x) * 2^(n+2), with x_{k+1} = 0
-                    acc += (j & ((1 << (n + 2 - k)) - 1)) << k
-            m_vals[j] = m
-            nu[j] = cnt
-            integral_num[j] = acc
-        return member, m_vals, nu, integral_num
-
-
-# -- numpy path ---------------------------------------------------------------
-
-
-def _hadamard_numpy(a: np.ndarray) -> None:
+    For int64 input the caller must guarantee 2**K * max|a| fits in int64;
+    object-dtype (Python big-int) input cannot overflow.
+    """
     n = a.shape[0]
+    if n & (n - 1):
+        raise ValueError(f"length must be a power of two, got {n}")
     h = 1
     while h < n:
         view = a.reshape(-1, 2, h)
@@ -158,50 +40,6 @@ def _hadamard_numpy(a: np.ndarray) -> None:
         view[:, 0, :] = x + y
         view[:, 1, :] = x - y
         h *= 2
-
-
-def _walsh_sign_row_numpy(rx: int, size: int) -> np.ndarray:
-    masked = np.arange(size, dtype=np.int64) & np.int64(rx)
-    parity = (np.bitwise_count(masked) & 1).astype(np.int64)
-    return 1 - 2 * parity
-
-
-def _cell_scan_numpy(n: int):
-    ncells = 1 << (n + 2)
-    j = np.arange(ncells, dtype=np.int64)
-    changes = (j ^ (j >> 1)) & np.int64((1 << n) - 1)
-    c = np.bitwise_count(changes).astype(np.int64)
-    member = 3 * np.abs(n - 2 * c) < n
-    m_vals = np.zeros(ncells, dtype=np.int64)
-    nu = np.zeros(ncells, dtype=np.int64)
-    integral_num = np.zeros(ncells, dtype=np.int64)
-    for k in range(1, n):
-        hi = (j >> (n + 1 - k)) & 1
-        lo = (j >> (n - k)) & 1
-        descent = (hi == 0) & (lo == 1)
-        m_vals += descent * (np.int64(1) << k)
-        nu += descent
-        t_num = (j & np.int64((1 << (n + 2 - k)) - 1)) << k
-        integral_num += np.where(descent, t_num, 0)
-    return member, m_vals, nu, integral_num
-
-
-# -- public dispatchers -------------------------------------------------------
-
-
-def hadamard_inplace(a: np.ndarray) -> None:
-    """In-place unnormalized Hadamard butterflies on a length-2**K vector.
-
-    For int64 input the caller must guarantee 2**K * max|a| fits in int64;
-    object-dtype (Python big-int) input always takes the numpy path.
-    """
-    n = a.shape[0]
-    if n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
-    if _BACKEND == "numba" and a.dtype == np.int64:
-        _hadamard_numba(a)
-    else:
-        _hadamard_numpy(a)
 
 
 def bit_reversal_table(k: int) -> np.ndarray:
@@ -217,9 +55,9 @@ def walsh_sign_row(rx: int, size: int) -> np.ndarray:
 
     With ``rx`` the bit-reversed grid index of a point x, entry m is w_m(x).
     """
-    if _BACKEND == "numba":
-        return _walsh_sign_row_numba(np.int64(rx), np.int64(size))
-    return _walsh_sign_row_numpy(rx, size)
+    masked = np.arange(size, dtype=np.int64) & np.int64(rx)
+    parity = (np.bitwise_count(masked) & 1).astype(np.int64)
+    return 1 - 2 * parity
 
 
 def cell_scan(n: int):
@@ -238,6 +76,21 @@ def cell_scan(n: int):
     """
     if not 1 <= n <= 40:
         raise ValueError(f"cell_scan supports 1 <= n <= 40, got {n}")
-    if _BACKEND == "numba":
-        return _cell_scan_numba(n)
-    return _cell_scan_numpy(n)
+    ncells = 1 << (n + 2)
+    j = np.arange(ncells, dtype=np.int64)
+    changes = (j ^ (j >> 1)) & np.int64((1 << n) - 1)
+    c = np.bitwise_count(changes).astype(np.int64)
+    member = 3 * np.abs(n - 2 * c) < n
+    m_vals = np.zeros(ncells, dtype=np.int64)
+    nu = np.zeros(ncells, dtype=np.int64)
+    integral_num = np.zeros(ncells, dtype=np.int64)
+    for k in range(1, n):
+        hi = (j >> (n + 1 - k)) & 1  # digit x_{k+1}
+        lo = (j >> (n - k)) & 1  # digit x_{k+2}
+        descent = (hi == 0) & (lo == 1)
+        m_vals += descent * (np.int64(1) << k)
+        nu += descent
+        # scaled T_k = frac(2^k x) * 2^(n+2), with x_{k+1} = 0
+        t_num = (j & np.int64((1 << (n + 2 - k)) - 1)) << k
+        integral_num += np.where(descent, t_num, 0)
+    return member, m_vals, nu, integral_num

@@ -260,10 +260,6 @@ class AtomSum:
     def value(self, x: DyadicPoint) -> Fraction:
         return sum((a.value(x) for a in self.atoms), Fraction(0))
 
-    def support_contains(self, x: DyadicPoint) -> bool:
-        """Whether x lies in the support (step-function sense: value ≠ 0)."""
-        return self.value(x) != 0
-
     def partial_sum(self, cut: int, x: DyadicPoint) -> Fraction:
         """Exact S_cut(x) = Σ_{m<cut} f̂(m) w_m(x), atom by atom.
 

@@ -14,8 +14,8 @@ Subcommands
 Conventions: every output starts with ``#`` comment lines echoing the
 subcommand, seed, and effective parameters; identical invocations produce
 byte-identical output.  The exit status is 0 exactly when no asserted row
-failed.  ``WALSHDIV_WORKERS`` caps worker threads used by the library's
-parallel scans.
+failed, 1 when one did, and 2 when the library rejects the parameters (one
+``walshdiv: error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def _cmd_measure_en(ns: argparse.Namespace) -> int:
             verdict = "pass"
         else:
             verdict = "fail"
-            failures.add(f"measure-en: |E_{n}| = {_frac(measure)} misses the bound")
+            failures.add(f"measure-en: |E_{n}| = {_float(measure)} misses the bound")
         lines.append(
             f"{n},{_frac(measure)},{_float(measure)},{_float(bound_hi)},"
             f"{_float(measure - bound_hi)},{verdict}"
@@ -521,8 +521,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="walshdiv",
         description="Exact verification tools for a Walsh-series divergence "
         "construction.",
-        epilog="Environment: WALSHDIV_WORKERS caps worker threads for "
-        "parallel scans.",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file (n, c, grid_cap, samples)")
@@ -607,8 +605,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
-    ns.config_values = _load_config(ns.config) if ns.config else {}
-    return ns.handler(ns)
+    try:
+        ns.config_values = _load_config(ns.config) if ns.config else {}
+        return ns.handler(ns)
+    except (ValueError, ArithmeticError) as exc:  # InfeasibleParameters too
+        print(f"walshdiv: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -214,6 +214,20 @@ def build_En(n: int) -> list[DyadicInterval]:
     return sorted(out, key=lambda iv: (iv.left, -iv.level))
 
 
+def _pascal_rows(n_max: int) -> Iterator[list[int]]:
+    """Rows 0..n_max of Pascal's triangle: entry b of row n is C(n, b)."""
+    row = [1]
+    yield row
+    for _ in range(n_max):
+        row = [a + b for a, b in zip([0] + row, row + [0])]
+        yield row
+
+
+def _en_hits(n: int, row: list[int]) -> int:
+    """Sign vectors in E_n, out of 2^n, given row n of the pair-sum DP."""
+    return sum(count for b, count in enumerate(row) if 3 * abs(n - 2 * b) < n)
+
+
 def pairsum_distribution(n: int) -> list[int]:
     """Counts of sign vectors by b = #{j ≤ n : s_j s_{j+1} = -1}.
 
@@ -222,37 +236,25 @@ def pairsum_distribution(n: int) -> list[int]:
     distribution is built by the Pascal-row dynamic program; entry b counts
     the φ-vectors with b negative products, out of 2^n.
     """
-    row = [1]
-    for _ in range(n):
-        row = [
-            (row[b - 1] if b else 0) + (row[b] if b < len(row) else 0)
-            for b in range(len(row) + 1)
-        ]
+    for row in _pascal_rows(n):
+        pass
     return row
 
 
 def measure_En(n: int) -> Fraction:
     """Exact |E_n| = P(|n - 2b| < n/3) with b the negative-product count."""
-    row = pairsum_distribution(n)
-    hits = sum(row[b] for b in range(n + 1) if 3 * abs(n - 2 * b) < n)
-    return Fraction(hits, 1 << n)
+    return Fraction(_en_hits(n, pairsum_distribution(n)), 1 << n)
 
 
 def measure_En_range(n_lo: int, n_hi: int) -> list[tuple[int, Fraction]]:
     """(n, |E_n|) for n_lo ≤ n ≤ n_hi in one incremental DP pass."""
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"bad range [{n_lo}, {n_hi}]")
-    out: list[tuple[int, Fraction]] = []
-    row = [1]
-    for n in range(1, n_hi + 1):
-        row = [
-            (row[b - 1] if b else 0) + (row[b] if b < len(row) else 0)
-            for b in range(len(row) + 1)
-        ]
-        if n >= n_lo:
-            hits = sum(row[b] for b in range(n + 1) if 3 * abs(n - 2 * b) < n)
-            out.append((n, Fraction(hits, 1 << n)))
-    return out
+    return [
+        (n, Fraction(_en_hits(n, row), 1 << n))
+        for n, row in enumerate(_pascal_rows(n_hi))
+        if n >= n_lo
+    ]
 
 
 def pairsum_tail_measure(n: int, lam: Rat) -> Fraction:

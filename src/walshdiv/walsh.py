@@ -377,19 +377,12 @@ def fwht_float(values: np.ndarray) -> np.ndarray:
     Same normalization as :func:`fwht`: returns 2**-K Σ v[i] w_m(i/2**K).
     """
     n = values.shape[0]
-    if n & (n - 1):
+    if n & (n - 1):  # before the gather, which would truncate a bad length
         raise ValueError(f"length must be a power of two, got {n}")
     k = n.bit_length() - 1
     rev = _kernels.bit_reversal_table(k)
-    a = np.asarray(values, dtype=np.float64)[rev].copy()
-    h = 1
-    while h < n:
-        view = a.reshape(-1, 2, h)
-        x = view[:, 0, :].copy()
-        y = view[:, 1, :]
-        view[:, 0, :] = x + y
-        view[:, 1, :] = x - y
-        h *= 2
+    a = np.asarray(values, dtype=np.float64)[rev]
+    _kernels.hadamard_inplace(a)
     return a / n
 
 

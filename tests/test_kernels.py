@@ -1,62 +1,31 @@
-"""Backend dispatch and the exhaustive cell-scan kernel.
+"""The integer kernels: butterflies, bit reversal, sign rows, cell scan.
 
 The cell scan is checked against an independent oracle that works from the
 definitions: Rademacher products for membership, digit descents for the
 selector, and exact Riemann sums for the kernel integral.
 """
 
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from walshdiv._kernels import (
-    backend,
     bit_reversal_table,
     cell_scan,
     hadamard_inplace,
-    use_backend,
     walsh_sign_row,
 )
 from walshdiv.dyadic import DyadicPoint, xor_add
 from walshdiv.walsh import dirichlet_star, rademacher, walsh
 
-BACKENDS = ("numpy", "numba")
-
-
-class TestBackendSelection:
-    def test_active_backend_is_known(self):
-        assert backend() in BACKENDS
-
-    def test_use_backend_switches_and_restores(self):
-        before = backend()
-        with use_backend("numpy"):
-            assert backend() == "numpy"
-        assert backend() == before
-
-    def test_use_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            with use_backend("cuda"):
-                pass
-
-    def test_use_backend_restores_on_exception(self):
-        before = backend()
-        with pytest.raises(KeyError):
-            with use_backend("numpy"):
-                raise KeyError("boom")
-        assert backend() == before
-
-
 class TestHadamard:
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_involution_up_to_scale(self, name):
+    def test_involution_up_to_scale(self):
         rng = np.random.default_rng(0)
         v = rng.integers(-50, 50, size=256).astype(np.int64)
         a = v.copy()
-        with use_backend(name):
-            hadamard_inplace(a)
-            hadamard_inplace(a)
+        hadamard_inplace(a)
+        hadamard_inplace(a)
         assert np.array_equal(a, 256 * v)
 
     def test_object_dtype_big_integers(self):
@@ -89,25 +58,13 @@ class TestBitReversal:
 
 
 class TestWalshSignRow:
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_matches_pointwise_walsh(self, name):
+    def test_matches_pointwise_walsh(self):
         k = 6
         rev = bit_reversal_table(k)
-        with use_backend(name):
-            for i in range(1 << k):
-                row = walsh_sign_row(int(rev[i]), 1 << k)
-                x = DyadicPoint(i, k)
-                assert all(row[m] == walsh(m, x) for m in range(1 << k))
-
-    def test_backend_parity_large(self):
-        rng = random.Random(1)
-        for _ in range(5):
-            rx = rng.randrange(0, 1 << 12)
-            with use_backend("numpy"):
-                a = walsh_sign_row(rx, 1 << 12)
-            with use_backend("numba"):
-                b = walsh_sign_row(rx, 1 << 12)
-            assert np.array_equal(a, b)
+        for i in range(1 << k):
+            row = walsh_sign_row(int(rev[i]), 1 << k)
+            x = DyadicPoint(i, k)
+            assert all(row[m] == walsh(m, x) for m in range(1 << k))
 
 
 def cell_scan_oracle(n: int):
@@ -134,24 +91,14 @@ def cell_scan_oracle(n: int):
 
 
 class TestCellScan:
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_matches_definition_oracle(self, name):
+    def test_matches_definition_oracle(self):
         n = 4
         want_member, want_m, want_nu, want_int = cell_scan_oracle(n)
-        with use_backend(name):
-            member, m_vals, nu, integral_num = cell_scan(n)
+        member, m_vals, nu, integral_num = cell_scan(n)
         assert list(member) == want_member
         assert list(m_vals) == want_m
         assert list(nu) == want_nu
         assert [Fraction(int(v)) for v in integral_num] == want_int
-
-    def test_backend_parity(self):
-        with use_backend("numpy"):
-            a = cell_scan(6)
-        with use_backend("numba"):
-            b = cell_scan(6)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
