@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import DyadicPoint, Rat, containing_interval, xor_add
-from .walsh import GridVector, dirichlet, fwht, walsh
+from .walsh import ExactSeries, GridVector, dirichlet, fwht, walsh
 
 __all__ = [
     "AtomSplitError",
@@ -171,7 +171,7 @@ class IndicatorAtom:
         if scale.denominator != 1:
             raise ValueError("common denominator does not clear the coefficient")
         sign_row = GridVector.sample_walsh(self.character, self.level).numerators
-        cellvals = np.where(self.mask, sign_row, 0).astype(object) * scale.numerator
+        cellvals = np.where(self.mask, sign_row, 0).astype(nums.dtype) * scale.numerator
         nums += np.repeat(cellvals, 1 << (resolution - self.level))
 
 
@@ -311,20 +311,19 @@ class AtomSum:
             raise ValueError(
                 f"atom at level {self.level} is finer than resolution {resolution}"
             )
-        den = 1
-        for a in self.atoms:
-            d = a.coefficient.denominator
-            if isinstance(a, KernelAtom):
-                # order · coefficient must clear (order is a power of two)
-                d = (a.coefficient * a.order).denominator
-            den = den * d // math.gcd(den, d)
-        nums = np.zeros(1 << resolution, dtype=object)
+        weights = [
+            a.coefficient * a.order if isinstance(a, KernelAtom) else a.coefficient
+            for a in self.atoms
+        ]
+        den = math.lcm(*(w.denominator for w in weights))
+        # a priori bound on every cell numerator; the series' own dtype rule
+        # at this peak picks the accumulator
+        peak = sum(abs(w.numerator) * (den // w.denominator) for w in weights)
+        dtype = ExactSeries([peak << resolution], 1).numerators.dtype
+        nums = np.zeros(1 << resolution, dtype=dtype)
         for a in self.atoms:
             a.render_into(nums, resolution, den)
-        ints = [int(v) for v in nums]
-        peak = max((abs(v) for v in ints), default=0)
-        dtype = np.int64 if peak << resolution < (1 << 62) else object
-        return GridVector(resolution, np.array(ints, dtype=dtype), den)
+        return GridVector(resolution, nums, den)
 
 
 def _default_blocks(atoms: tuple[Atom, ...]) -> list[SpectralBlock]:

@@ -188,7 +188,8 @@ def _cmd_measure_en(ns: argparse.Namespace) -> int:
             verdict = "pass"
         else:
             verdict = "fail"
-            failures.add(f"measure-en: |E_{n}| = {_float(measure)} misses the bound")
+            failures.add(f"measure-en: |E_{n}| is {_float(bound_hi - measure)} "
+                         f"below the bound {_float(bound_hi)}")
         lines.append(
             f"{n},{_frac(measure)},{_float(measure)},{_float(bound_hi)},"
             f"{_float(measure - bound_hi)},{verdict}"

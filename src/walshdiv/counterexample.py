@@ -666,13 +666,22 @@ def _prepared_fn(params: ConstructionParams, grid_cap: int):
 def _partial_sums_scaled(coeffs: GridVector, x: DyadicPoint) -> np.ndarray:
     """All S_l(x)·den for l = 1 … 2^K as an integer cumulative sum.
 
-    int64 coefficients satisfy peak·2^K < 2^62, which bounds every prefix;
-    object (big-int) coefficients keep the sum in object dtype.
+    A grid keeps int64 coefficients only while peak·2^K < 2^62, which bounds
+    every prefix; object (big-int) coefficients keep the sum in object dtype.
     """
     K = coeffs.resolution
     rx = bit_reverse(x.scaled_numerator(K), K)
-    signs = walsh_sign_row(rx, 1 << K).astype(np.int64)
+    signs = walsh_sign_row(rx, 1 << K)
     return np.cumsum(coeffs.numerators * signs)
+
+
+def _count_above(scaled_sums: np.ndarray, den: int, bound: Fraction) -> int:
+    """Exact #{l : |scaled_sums[l]| / den > bound}.
+
+    For integer |S| and bound = a/b, |S|·b > a·den iff |S| > ⌊a·den/b⌋.
+    """
+    cutoff = bound.numerator * den // bound.denominator
+    return int(np.count_nonzero(np.abs(scaled_sums) > cutoff))
 
 
 def partial_sum_series(
@@ -784,7 +793,7 @@ def verify_lemma1(
         # when |f(x)| clears the threshold; the grid adds the exact count for
         # cuts 1 … q when available.
         if grid_sums is not None:
-            low_count = int(np.count_nonzero(np.abs(grid_sums) * 40 > n * den))
+            low_count = _count_above(grid_sums, den, threshold)
             note = f"count={low_count + q * int(exceeds)} of {2 * q}"
         else:
             low_count = 0
@@ -905,8 +914,7 @@ def verify_lemma1(
     )
     if grid_sums is not None:
         bound = max(threshold, integral - 1)
-        scaled = np.abs(grid_sums).astype(object) * bound.denominator
-        count = int(np.count_nonzero(scaled > bound.numerator * den))
+        count = _count_above(grid_sums, den, bound)
         # Cuts beyond q contribute nothing: there S_l = f(x) = 0.
         rows.append(
             AssertionRecord(
@@ -977,6 +985,7 @@ def c3_holds(phi: PhiSpec, n: int, k: int, max_prec: int = 1 << 14) -> bool:
     )
 
 
+@lru_cache(maxsize=64)
 def minimal_n_for_c3(phi: PhiSpec, k: int) -> int:
     """Smallest n with Φ(n/(50·2^k)) > e^{2n}, when one exists.
 

@@ -7,9 +7,9 @@ Partial sums have two independent evaluation paths:
 - :meth:`~walshdiv.atoms.AtomSum.partial_sum` — per-atom closed forms on an
   :class:`~walshdiv.atoms.AtomSum` (no global grid).
 
-A run of partial sums S_1 … S_N travels as one :class:`ExactSeries`: an
-integer numerator array over a single common denominator (int64 while every
-numerator is below 2^62 in magnitude, Python big ints otherwise).  :func:`strong_mean`,
+A run of partial sums S_1 … S_N travels as one
+:class:`~walshdiv.walsh.ExactSeries` (integer numerators over one common
+denominator; :mod:`walshdiv.walsh` states its dtype rule).  :func:`strong_mean`,
 :func:`strong_mean_bounds` and :func:`exceed_density` take a census of the
 first N numerators (``np.unique``); a series holds only a handful of distinct
 values, and only those become :class:`~fractions.Fraction` objects.
@@ -26,7 +26,6 @@ probes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import bounds
 from .dyadic import DyadicPoint, Rat
-from .walsh import GridVector, _int_array, fwht, walsh
+from .walsh import ExactSeries, GridVector, fwht, walsh
 
 __all__ = [
     "StepFunction",
@@ -115,50 +114,6 @@ def partial_sum_grid(f: StepFunction, l: int, x: DyadicPoint) -> Fraction:
             break
         total += co[m] * walsh(m, x)
     return total
-
-
-class ExactSeries:
-    """Exact rationals numerators[i] / denominator, i = 0 … len − 1.
-
-    ``numerators`` is an integer array: int64 when every entry is below 2^62
-    in magnitude, object (Python big ints) otherwise.  Indexing returns a
-    :class:`Fraction`.
-    """
-
-    __slots__ = ("numerators", "denominator")
-
-    def __init__(self, numerators: np.ndarray, denominator: int):
-        if denominator <= 0:
-            raise ValueError(f"denominator must be positive, got {denominator}")
-        self.numerators = numerators
-        self.denominator = int(denominator)
-
-    @classmethod
-    def of(cls, values: "ExactSeries | Sequence[Rat]") -> "ExactSeries":
-        """``values`` itself if already a series, else one conversion over the lcm."""
-        if isinstance(values, ExactSeries):
-            return values
-        fracs = [Fraction(v) for v in values]
-        den = math.lcm(*(v.denominator for v in fracs))
-        nums = [v.numerator * (den // v.denominator) for v in fracs]
-        return cls(_int_array(nums, 0), den)
-
-    def __len__(self) -> int:
-        return len(self.numerators)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(int(self.numerators[i]), self.denominator)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactSeries):
-            return NotImplemented
-        if len(self) != len(other):
-            return False
-        a = self.numerators.astype(object) * other.denominator
-        b = other.numerators.astype(object) * self.denominator
-        return bool(np.all(a == b))
-
-    __hash__ = None  # unhashable: array-backed value container
 
 
 # ---------------------------------------------------------------------------

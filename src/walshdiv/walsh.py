@@ -10,14 +10,18 @@ Kernels:
 - the modified kernel D*_n = Σ_j ε_j r_j D_{2**j};
 - the Dirichlet kernel D_n = w_n · D*_n = Σ_{k<n} w_k.
 
-:class:`GridVector` carries a step function on the 2**-K grid as 2**K exact
-rational values (stored over a common denominator so the transform runs on
-integer arrays).  :func:`fwht` computes the Walsh-Fourier coefficients
-f̂(m) = 2**-K Σ_i v[i] w_m(i/2**K) exactly in K·2**K butterfly operations,
-dispatching to the int64 hot path when safe and to big-int arrays otherwise.
-:func:`fwht_float` is the flagged approximate float64 path.
+:class:`ExactSeries` is the one exact carrier: integer numerators over a
+single common denominator.  Its constructor picks the array dtype by one
+rule: int64 while 2**headroom · max|numerator| < 2**62, object (Python big
+ints) otherwise.  The headroom is 0 for a series and K for a
+:class:`GridVector`, the series of 2**K cell values of a step function on
+the 2**-K grid, because the K butterfly stages of :func:`fwht` double the
+peak K times.  :func:`fwht` computes the Walsh-Fourier coefficients
+f̂(m) = 2**-K Σ_i v[i] w_m(i/2**K) exactly in K·2**K butterfly operations
+on those numerators.  :func:`fwht_float` is the flagged approximate float64
+path.
 
-All functions are pure; GridVector is immutable after construction.
+All functions are pure; series are immutable after construction.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .dyadic import DyadicPoint, Rat, bit
 
 __all__ = [
     "DyadicExpansion",
+    "ExactSeries",
     "GridVector",
     "rademacher",
     "walsh",
@@ -47,9 +52,6 @@ __all__ = [
     "fwht_float",
     "bit_reverse",
 ]
-
-#: int64 butterflies are safe while 2**K * max|numerator| stays below this.
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -145,47 +147,101 @@ def dirichlet(n: int, x: DyadicPoint) -> Rat:
     return walsh(n, x) * dirichlet_star(n, x)
 
 
-# -- grid carrier -------------------------------------------------------------
+# -- exact integer vectors ----------------------------------------------------
 
 
-class GridVector:
-    """2**K exact rational values, one per cell [i/2**K, (i+1)/2**K).
+def _exact_array(nums: np.ndarray | Sequence[int], headroom: int) -> np.ndarray:
+    """The one dtype rule: int64 while 2**headroom · max|numerator| < 2**62.
 
-    Values are stored as an integer numerator array over a single common
-    denominator; the array dtype is int64 when the whole transform pipeline
-    provably fits, and object (Python big ints) otherwise.
+    Otherwise object (Python big ints).  Only :class:`ExactSeries` calls this.
+    """
+    if isinstance(nums, np.ndarray) and nums.dtype != object:
+        a = nums.astype(np.int64, copy=False)
+    else:
+        a = np.asarray(nums, dtype=object)
+    peak = max(int(a.max()), -int(a.min())) if a.size else 0
+    return a.astype(np.int64 if peak << headroom < 1 << 62 else object, copy=False)
+
+
+class ExactSeries:
+    """Exact rationals numerators[i] / denominator, i = 0 … len − 1.
+
+    ``numerators`` is a read-only integer array whose dtype the constructor
+    picks by the module's one rule (int64 while safe, Python big ints
+    otherwise).  Indexing returns a :class:`Fraction`.
     """
 
-    __slots__ = ("resolution", "_num", "_den")
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, numerators: np.ndarray | Sequence[int], denominator: int):
+        if denominator <= 0:
+            raise ValueError(f"denominator must be positive, got {denominator}")
+        self.numerators = _exact_array(numerators, self._headroom())
+        self.numerators.setflags(write=False)
+        self.denominator = int(denominator)
+
+    def _headroom(self) -> int:
+        """Doublings the numerators must survive in int64 (none for a series)."""
+        return 0
+
+    @classmethod
+    def of(cls, values: "ExactSeries | Sequence[Rat]") -> "ExactSeries":
+        """``values`` itself if already a series, else one conversion over the lcm."""
+        if isinstance(values, ExactSeries):
+            return values
+        fracs = [Fraction(v) for v in values]
+        den = math.lcm(*(v.denominator for v in fracs))
+        return ExactSeries([v.numerator * (den // v.denominator) for v in fracs], den)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(int(self.numerators[i]), self.denominator)
+
+    def values(self) -> list[Fraction]:
+        return [Fraction(int(v), self.denominator) for v in self.numerators]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExactSeries):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        a = self.numerators.astype(object) * other.denominator
+        b = other.numerators.astype(object) * self.denominator
+        return bool(np.all(a == b))
+
+    __hash__ = None  # unhashable: array-backed value container
+
+
+class GridVector(ExactSeries):
+    """2**K exact rational values, one per cell [i/2**K, (i+1)/2**K).
+
+    An :class:`ExactSeries` of length 2**K whose int64 numerators also
+    survive the K butterfly stages of :func:`fwht`.
+    """
+
+    __slots__ = ("resolution",)
 
     def __init__(self, resolution: int, numerators: np.ndarray, denominator: int):
         if resolution < 0:
             raise ValueError(f"resolution must be nonnegative, got {resolution}")
-        if denominator <= 0:
-            raise ValueError(f"denominator must be positive, got {denominator}")
-        if numerators.shape != (1 << resolution,):
-            raise ValueError(
-                f"expected {1 << resolution} values, got {numerators.shape}"
-            )
         self.resolution = resolution
-        self._num = numerators
-        self._den = int(denominator)
-        numerators.setflags(write=False)
+        super().__init__(numerators, denominator)
+        if self.numerators.shape != (1 << resolution,):
+            raise ValueError(
+                f"expected {1 << resolution} values, got {self.numerators.shape}"
+            )
+
+    def _headroom(self) -> int:
+        return self.resolution
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_values(cls, resolution: int, values: Iterable[Fraction | int]) -> "GridVector":
-        vals = [Fraction(v) for v in values]
-        if len(vals) != 1 << resolution:
-            raise ValueError(
-                f"expected {1 << resolution} values, got {len(vals)}"
-            )
-        den = 1
-        for v in vals:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        nums = [v.numerator * (den // v.denominator) for v in vals]
-        return cls(resolution, _int_array(nums, resolution), den)
+        series = ExactSeries.of(list(values))
+        return cls(resolution, series.numerators, series.denominator)
 
     @classmethod
     def constant(cls, resolution: int, value: Fraction | int) -> "GridVector":
@@ -226,29 +282,10 @@ class GridVector:
     def sample_dirichlet(cls, n: int, resolution: int) -> "GridVector":
         """D_n = w_n · D*_n sampled on the 2**-K grid (aliasing-guarded)."""
         star = cls.sample_dirichlet_star(n, resolution)
-        rev = _kernels.bit_reversal_table(resolution)
-        parity = (np.bitwise_count(np.int64(n) & rev) & 1).astype(np.int64)
-        return cls(resolution, (1 - 2 * parity) * star.numerators, 1)
+        signs = cls.sample_walsh(n, resolution)
+        return cls(resolution, signs.numerators * star.numerators, 1)
 
     # -- access ---------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return 1 << self.resolution
-
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(int(self._num[i]), self._den)
-
-    def values(self) -> list[Fraction]:
-        return [Fraction(int(v), self._den) for v in self._num]
-
-    @property
-    def numerators(self) -> np.ndarray:
-        """Read-only numerator array over :attr:`denominator`."""
-        return self._num
-
-    @property
-    def denominator(self) -> int:
-        return self._den
 
     def value_at(self, x: DyadicPoint) -> Fraction:
         """Value on the cell containing x (x may be deeper than the grid)."""
@@ -259,43 +296,32 @@ class GridVector:
             i = x.numerator >> (x.exponent - k)
         return self[i]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GridVector):
-            return NotImplemented
-        if self.resolution != other.resolution:
-            return False
-        a = self._num.astype(object) * other._den
-        b = other._num.astype(object) * self._den
-        return bool(np.all(a == b))
-
-    __hash__ = None  # unhashable: array-backed value container
-
     # -- arithmetic helpers (exact) -------------------------------------------
 
     def scaled(self, factor: Fraction | int) -> "GridVector":
         factor = Fraction(factor)
-        nums = self._num.astype(object) * factor.numerator
-        return _normalized(self.resolution, nums, self._den * factor.denominator)
+        nums = self.numerators.astype(object) * factor.numerator
+        return _normalized(self.resolution, nums, self.denominator * factor.denominator)
 
     def __add__(self, other: "GridVector") -> "GridVector":
         if self.resolution != other.resolution:
             raise ValueError("resolution mismatch")
-        den = self._den * other._den // math.gcd(self._den, other._den)
-        a = self._num.astype(object) * (den // self._den)
-        b = other._num.astype(object) * (den // other._den)
+        den = math.lcm(self.denominator, other.denominator)
+        a = self.numerators.astype(object) * (den // self.denominator)
+        b = other.numerators.astype(object) * (den // other.denominator)
         return _normalized(self.resolution, a + b, den)
 
     def norm1(self) -> Fraction:
         """Exact L1 norm 2**-K Σ |values|."""
-        total = int(np.sum(np.abs(self._num.astype(object))))
-        return Fraction(total, self._den << self.resolution)
+        total = int(np.sum(np.abs(self.numerators.astype(object))))
+        return Fraction(total, self.denominator << self.resolution)
 
     def mean(self) -> Fraction:
-        total = int(np.sum(self._num.astype(object)))
-        return Fraction(total, self._den << self.resolution)
+        total = int(np.sum(self.numerators.astype(object)))
+        return Fraction(total, self.denominator << self.resolution)
 
     def nonzero_indices(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self._num)[0]]
+        return [int(i) for i in np.nonzero(self.numerators)[0]]
 
     # -- serialization ---------------------------------------------------------
 
@@ -312,27 +338,13 @@ class GridVector:
         return buf.getvalue()
 
 
-def _int_array(nums: list[int], resolution: int) -> np.ndarray:
-    """int64 array when the downstream transform is provably safe, else object."""
-    peak = max((abs(n) for n in nums), default=0)
-    if peak << resolution < _INT64_SAFE:
-        return np.array(nums, dtype=np.int64)
-    return np.array(nums, dtype=object)
-
-
 def _normalized(resolution: int, nums: np.ndarray, den: int) -> GridVector:
-    """Reduce the common denominator and re-pick the array dtype.
-
-    Same dtype rule as :func:`_int_array`; an all-zero vector reduces to
-    denominator 1.
-    """
+    """Reduce the common denominator; an all-zero vector reduces to 1."""
     g = math.gcd(den, int(np.gcd.reduce(nums)))
     if g > 1:
         nums = nums // g
         den //= g
-    peak = int(np.max(np.abs(nums)))
-    dtype = np.int64 if peak << resolution < _INT64_SAFE else object
-    return GridVector(resolution, nums.astype(dtype, copy=False), den)
+    return GridVector(resolution, nums, den)
 
 
 def _fraction_text(v: Fraction) -> str:
@@ -352,7 +364,6 @@ def fwht(v: GridVector) -> GridVector:
     k = v.resolution
     rev = _kernels.bit_reversal_table(k)
     nums = v.numerators[rev].copy()
-    nums = _transform_safe_copy(nums, k)
     _kernels.hadamard_inplace(nums)
     return _normalized(k, nums, v.denominator << k)
 
@@ -363,7 +374,7 @@ def fwht_inverse(coeffs: GridVector) -> GridVector:
     Un-normalized inverse: ``fwht_inverse(fwht(v)) == v`` exactly.
     """
     k = coeffs.resolution
-    nums = _transform_safe_copy(coeffs.numerators.copy(), k)
+    nums = coeffs.numerators.copy()
     _kernels.hadamard_inplace(nums)
     rev = _kernels.bit_reversal_table(k)
     out = np.empty_like(nums)
@@ -384,13 +395,3 @@ def fwht_float(values: np.ndarray) -> np.ndarray:
     a = np.asarray(values, dtype=np.float64)[rev]
     _kernels.hadamard_inplace(a)
     return a / n
-
-
-def _transform_safe_copy(nums: np.ndarray, k: int) -> np.ndarray:
-    """Ensure butterflies cannot overflow: upgrade to object dtype if needed."""
-    if nums.dtype == np.int64:
-        peak = int(np.max(np.abs(nums))) if nums.size else 0
-        if peak << k >= _INT64_SAFE:
-            return nums.astype(object)
-        return nums
-    return nums

@@ -136,8 +136,13 @@ class TestAtomSum:
 
     def test_render_matches_pointwise_values(self):
         rng = random.Random(22)
-        for _ in range(10):
-            s = random_atom_sum(rng)
+        sums = [random_atom_sum(rng) for _ in range(10)]
+        # a coefficient >= 2^62 takes render's big-int accumulator
+        sums.append(AtomSum([
+            KernelAtom(Fraction(1 << 62, 3), 4, DyadicPoint(5, 6)),
+            IndicatorAtom(-1, 2, np.array([True, False, True, True]), 3),
+        ]))
+        for s in sums:
             g = s.render(8)
             for i in (0, 1, 17, 100, 255):
                 assert g[i] == s.value(DyadicPoint(i, 8))

@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, headers, tables, config, and plots."""
 
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,13 @@ from walshdiv.walsh import fwht
 
 def run_main(argv):
     return main(argv)
+
+
+def checkout_env():
+    """Environment for a child interpreter that imports this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 class TestLemma2Command:
@@ -67,6 +76,11 @@ class TestMeasureEnCommand:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1
         assert len(captured.err) < 200
+        # the shortfall, not a rounded measure, is what the line reports
+        assert "measure-en: |E_2304| is " in captured.err
+        shortfall, bound = captured.err.split(" is ")[1].split(" below the bound ")
+        assert 0 < float(shortfall) < 1e-50
+        assert float(bound) == 1
         row = captured.out.splitlines()[-1]
         assert Fraction(row.split(",")[1]) == measure_En(2304)
 
@@ -313,7 +327,7 @@ class TestDeterminism:
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "walshdiv.cli", *args, "--out", str(out)],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=checkout_env(),
         )
         return out.read_bytes(), proc.stdout
 
@@ -330,7 +344,7 @@ class TestDeterminism:
 ])
 def test_rejected_parameters_end_in_one_stderr_line(args):
     proc = subprocess.run([sys.executable, "-m", "walshdiv.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("walshdiv: error: ")

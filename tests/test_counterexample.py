@@ -405,12 +405,17 @@ class TestPartialSumSeries:
             partial_sum_series(ConstructionParams(2, 2), DyadicPoint.zero(), 0)
 
     def test_big_int_coefficients_do_not_wrap(self):
-        # object-dtype coefficients whose exact prefix sums pass 2^63: the
-        # cumulative sum must stay in Python ints
-        coeffs = GridVector(2, np.array([1 << 62] * 4, dtype=object), 1)
-        sums = _partial_sums_scaled(coeffs, DyadicPoint.zero())
-        assert sums.dtype == object
-        assert list(sums) == [k << 62 for k in range(1, 5)]
+        # coefficients whose exact prefix sums pass 2^63: the cumulative sum
+        # must stay in Python ints, also for int64 input (2^61·2^2 >= 2^62)
+        for numerators in (
+            np.array([1 << 62] * 4, dtype=object),
+            np.array([1 << 61] * 4, dtype=np.int64),
+        ):
+            peak = int(numerators[0])
+            coeffs = GridVector(2, numerators, 1)
+            sums = _partial_sums_scaled(coeffs, DyadicPoint.zero())
+            assert sums.dtype == object
+            assert list(sums) == [k * peak for k in range(1, 5)]
 
 
 class TestVerifyLemma1:

@@ -285,6 +285,9 @@ class TestExactSeries:
         small = ExactSeries.of([Fraction(1, 2), Fraction(1, 3)])
         assert small.numerators.dtype == np.int64
         assert small.denominator == 6
+        fits = ExactSeries(np.array([1 << 61, -(1 << 61), 3], dtype=object), 5)
+        assert fits.numerators.dtype == np.int64
+        assert not fits.numerators.flags.writeable
 
     def test_value_equality_across_denominators(self):
         a = ExactSeries(np.array([2, 4, -6]), 4)
