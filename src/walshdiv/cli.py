@@ -29,6 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 
 from . import bounds
 from .counterexample import (
@@ -38,6 +39,7 @@ from .counterexample import (
     LemmaReport,
     build_fn,
     chain_check,
+    check_lemma1_order,
     measure_En_range,
     partial_sum_series,
     verify_lemma1,
@@ -45,7 +47,7 @@ from .counterexample import (
 )
 from .dyadic import DyadicPoint, parse_point
 from .fourier import exceed_density, parse_phi, strong_mean, strong_mean_bounds
-from .walsh import fwht
+from .walsh import GridVector, fwht
 
 __all__ = ["RunConfig", "main"]
 
@@ -141,6 +143,20 @@ def _float(v) -> str:
             return mpmath.nstr(mpmath.mpf(v.numerator) / v.denominator, 12)
 
 
+def _coefficient_rows(co: GridVector) -> list[str]:
+    """``m,exact,float`` for every nonzero coefficient m, in index order.
+
+    The construction's spectrum takes few distinct values (4 at n = 2, c = 3;
+    10 at n = 3, c = 2), so each distinct value is formatted once, exactly as
+    _frac and _float format it, and each row only joins an index to its text.
+    """
+    index = np.nonzero(co.numerators)[0]
+    values, which = np.unique(co.numerators[index], return_inverse=True)
+    fracs = (Fraction(int(v), co.denominator) for v in values)
+    text = [f"{_frac(v)},{_float(v)}" for v in fracs]
+    return [f"{m},{text[j]}" for m, j in zip(index.tolist(), which.tolist())]
+
+
 def _mean_str(v: mpmath.mpf) -> str:
     return mpmath.nstr(v, 17)
 
@@ -229,10 +245,7 @@ def _cmd_build_fn(ns: argparse.Namespace) -> int:
                 f"coefficient dump needs q = 2^{params.q_exponent} <= 2^{grid_cap}"
             )
         co = fwht(fn.render(params.q_exponent, cap=grid_cap))
-        lines = ["index,value_exact,value_float"]
-        for m in co.nonzero_indices():
-            v = co[m]
-            lines.append(f"{m},{_frac(v)},{_float(v)}")
+        lines = ["index,value_exact,value_float", *_coefficient_rows(co)]
         _emit(ns, config, "\n".join(lines) + "\n")
         if ns.out:
             print(f"wrote {ns.out}")
@@ -251,15 +264,15 @@ def _cmd_lemma1(ns: argparse.Namespace) -> int:
     c = _resolve(ns, "c", 3)
     grid_cap = _resolve(ns, "grid_cap", GRID_CAP)
     params = ConstructionParams(n, c)
+    check_lemma1_order(n)  # before any of the 2^(n+2) points exists
     if ns.x is not None:
-        points = [parse_point(ns.x)]
+        points, count = [parse_point(ns.x)], 1
     else:
         # one representative per level-(n+2) cell, dodging kernel supports
-        points = [DyadicPoint(2 * i + 1, n + 3) for i in range(1 << (n + 2))]
+        count = 1 << (n + 2)
+        points = (DyadicPoint(2 * i + 1, n + 3) for i in range(count))
     config = RunConfig(
-        "lemma1",
-        (("n", str(n)), ("c", str(c)), ("points", str(len(points)))),
-        ns.seed,
+        "lemma1", (("n", str(n)), ("c", str(c)), ("points", str(count))), ns.seed
     )
     print("\n".join(config.header_lines()))
     failures = _Failure()

@@ -71,6 +71,7 @@ __all__ = [
     "build_fn",
     "progression_L",
     "partial_sum_series",
+    "check_lemma1_order",
     "verify_lemma1",
     "chain_check",
     "c3_holds",
@@ -334,11 +335,10 @@ def integral_Dstar_grid(m: int, x: DyadicPoint, K: int) -> Fraction:
         raise ValueError(
             f"resolution 2^{K} cannot resolve m={m} and x={x.to_text()}"
         )
+    # x ⊕ j/2^K lies in cell top ^ j, on which the sampled D*_m is exact.
     top = x.scaled_numerator(K)
-    total = sum(
-        dirichlet_star(m, xor_add(x, DyadicPoint(j, K))) for j in range(top)
-    )
-    return Fraction(total, 1 << K)
+    star = GridVector.sample_dirichlet_star(m, K).numerators
+    return Fraction(int(star[np.arange(top) ^ top].sum()), 1 << K)
 
 
 # ---------------------------------------------------------------------------
@@ -666,22 +666,31 @@ def _prepared_fn(params: ConstructionParams, grid_cap: int):
 def _partial_sums_scaled(coeffs: GridVector, x: DyadicPoint) -> np.ndarray:
     """All S_l(x)·den for l = 1 … 2^K as an integer cumulative sum.
 
+    For x = a/2^e with e ≤ K (every caller checks this), r_k(x) = 1 for
+    every k ≥ e, so w_m(x) depends only on m mod 2^e.  One sign row of
+    length 2^e, broadcast over the 2^(K-e) blocks of the coefficients, gives
+    every term f̂(m)·w_m(x); that product is the one 2^K array allocated, and
+    the prefix sum runs in place on it.
+
     A grid keeps int64 coefficients only while peak·2^K < 2^62, which bounds
     every prefix; object (big-int) coefficients keep the sum in object dtype.
     """
-    K = coeffs.resolution
-    rx = bit_reverse(x.scaled_numerator(K), K)
-    signs = walsh_sign_row(rx, 1 << K)
-    return np.cumsum(coeffs.numerators * signs)
+    period = 1 << x.exponent
+    signs = walsh_sign_row(bit_reverse(x.numerator, x.exponent), period)
+    terms = (coeffs.numerators.reshape(-1, period) * signs).reshape(-1)
+    return np.cumsum(terms, out=terms)
 
 
 def _count_above(scaled_sums: np.ndarray, den: int, bound: Fraction) -> int:
     """Exact #{l : |scaled_sums[l]| / den > bound}.
 
-    For integer |S| and bound = a/b, |S|·b > a·den iff |S| > ⌊a·den/b⌋.
+    For integer |S| and bound = a/b ≥ 0, |S|·b > a·den iff |S| > ⌊a·den/b⌋,
+    counted as S > cutoff plus S < -cutoff.  ``cutoff`` stays a Python int,
+    which numpy compares exactly against int64 even past 2^63.
     """
     cutoff = bound.numerator * den // bound.denominator
-    return int(np.count_nonzero(np.abs(scaled_sums) > cutoff))
+    above = np.count_nonzero(scaled_sums > cutoff)
+    return int(above + np.count_nonzero(scaled_sums < -cutoff))
 
 
 def partial_sum_series(
@@ -706,6 +715,15 @@ def partial_sum_series(
     return ExactSeries.of([fn.partial_sum(l, x) for l in range(1, count + 1)])
 
 
+def check_lemma1_order(n: int) -> None:
+    """Raise :class:`InfeasibleParameters` unless Lemma 1 is checkable at n."""
+    if n + 2 > GRID_CAP:
+        raise InfeasibleParameters(
+            f"n={n} admits neither branch: the indicator mask alone needs "
+            f"2^{n + 2} cells; use chain_check for threshold inequalities"
+        )
+
+
 def verify_lemma1(
     params: ConstructionParams,
     x: DyadicPoint,
@@ -724,11 +742,7 @@ def verify_lemma1(
     at N = 2q against max(n/40, integral - 1) is reported.
     """
     n = params.n
-    if n + 2 > GRID_CAP:
-        raise InfeasibleParameters(
-            f"n={n} admits neither branch: the indicator mask alone needs "
-            f"2^{n + 2} cells; use chain_check for threshold inequalities"
-        )
+    check_lemma1_order(n)
     fn, coeffs = _prepared_fn(params, grid_cap)
     rows: list[AssertionRecord] = []
     parameters = [

@@ -246,7 +246,8 @@ class GridVector(ExactSeries):
     @classmethod
     def constant(cls, resolution: int, value: Fraction | int) -> "GridVector":
         value = Fraction(value)
-        nums = np.full(1 << resolution, value.numerator, dtype=np.int64)
+        dtype = np.int64 if abs(value.numerator) < 1 << 63 else object
+        nums = np.full(1 << resolution, value.numerator, dtype=dtype)
         return cls(resolution, nums, value.denominator)
 
     @classmethod

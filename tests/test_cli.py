@@ -3,15 +3,17 @@
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from walshdiv.cli import main
+from walshdiv.cli import _coefficient_rows, _float, _frac, main
 from walshdiv.counterexample import ConstructionParams, build_fn, measure_En
-from walshdiv.walsh import fwht
+from walshdiv.walsh import GridVector, fwht
 
 
 def run_main(argv):
@@ -110,6 +112,19 @@ class TestBuildFnCommand:
         assert [int(r[0]) for r in rows] == list(co.nonzero_indices())
         for r in rows:
             assert Fraction(r[1]) == co[int(r[0])]
+
+    @pytest.mark.parametrize("make", [
+        lambda: fwht(build_fn(ConstructionParams(2, 2)).render(14)),
+        lambda: GridVector(2, np.array([4, -2, 0, 3]), 1),
+        lambda: GridVector(3, np.array([1, -3, 0, 1 << 55, 5, 0, -(1 << 53), 7]), 3),
+        lambda: GridVector(2, np.array([1, 0, -6, 2]), 3 ** 40),
+        lambda: GridVector(2, np.array([1 << 70, 0, -3, 9], dtype=object), 6),
+    ], ids=["transform", "integers", "past-2^53", "big-denominator", "big-int"])
+    def test_coefficient_rows_match_fraction_formatting(self, make):
+        co = make()
+        expected = [f"{m},{_frac(co[m])},{_float(co[m])}"
+                    for m in co.nonzero_indices()]
+        assert _coefficient_rows(co) == expected
 
     def test_dump_requires_renderable_spectrum(self, capsys):
         with pytest.raises(SystemExit, match="coefficient dump"):
@@ -345,6 +360,19 @@ class TestDeterminism:
 def test_rejected_parameters_end_in_one_stderr_line(args):
     proc = subprocess.run([sys.executable, "-m", "walshdiv.cli", *args],
                           capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("walshdiv: error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_lemma1_over_all_cells_rejects_a_huge_order_before_allocating():
+    # without --x, n = 30 would mean 2^32 points: rejected up front instead
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "walshdiv.cli", "lemma1", "--n", "30"],
+                          capture_output=True, text=True, env=checkout_env(),
+                          timeout=10)
+    assert time.perf_counter() - start < 10
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("walshdiv: error: ")

@@ -11,7 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from walshdiv._kernels import walsh_sign_row
 from walshdiv.counterexample import (
     Assembly,
     AssertionRecord,
@@ -19,6 +21,7 @@ from walshdiv.counterexample import (
     EmptySelectionError,
     InfeasibleParameters,
     LemmaReport,
+    _count_above,
     _partial_sums_scaled,
     assemble_f,
     build_En,
@@ -43,7 +46,7 @@ from walshdiv.counterexample import (
 )
 from walshdiv.dyadic import DyadicPoint, xor_add
 from walshdiv.fourier import PhiSpec
-from walshdiv.walsh import GridVector, dirichlet, walsh
+from walshdiv.walsh import GridVector, bit_reverse, dirichlet, walsh
 
 EXP_POW_2 = PhiSpec.exp_power(2)
 
@@ -416,6 +419,57 @@ class TestPartialSumSeries:
             sums = _partial_sums_scaled(coeffs, DyadicPoint.zero())
             assert sums.dtype == object
             assert list(sums) == [k * peak for k in range(1, 5)]
+
+
+@st.composite
+def grid_and_point(draw):
+    """A GridVector (int64 or big-int numerators) and a point x with e ≤ K."""
+    K = draw(st.integers(min_value=0, max_value=10))
+    e = draw(st.integers(min_value=0, max_value=K))
+    a = draw(st.integers(min_value=0, max_value=(1 << e) - 1))
+    peak = draw(st.sampled_from([1 << 20, 1 << 80]))  # int64 / object grid
+    nums = draw(st.lists(st.integers(-peak, peak), min_size=1 << K, max_size=1 << K))
+    den = draw(st.integers(min_value=1, max_value=1 << 40))
+    return GridVector(K, np.array(nums, dtype=object), den), DyadicPoint(a, e)
+
+
+class TestPartialSumFastPaths:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_and_point())
+    def test_period_row_matches_full_length_row(self, case):
+        coeffs, x = case
+        K = coeffs.resolution
+        full = walsh_sign_row(bit_reverse(x.scaled_numerator(K), K), 1 << K)
+        expected = np.cumsum(coeffs.numerators * full)
+        sums = _partial_sums_scaled(coeffs, x)
+        assert sums.dtype == coeffs.numerators.dtype
+        assert sums.shape == (1 << K,)
+        assert [int(v) for v in sums] == [int(v) for v in expected]
+
+    def test_every_exponent_at_k10(self):
+        rng = np.random.default_rng(3)
+        nums = rng.integers(-(1 << 40), 1 << 40, size=1 << 10)
+        for coeffs in (GridVector(10, nums, 7),
+                       GridVector(10, nums.astype(object) << 30, 7)):
+            for e in range(11):
+                x = DyadicPoint(int(rng.integers(0, 1 << e)) | (e > 0), e)
+                rx = bit_reverse(x.scaled_numerator(10), 10)
+                expected = np.cumsum(coeffs.numerators * walsh_sign_row(rx, 1 << 10))
+                assert np.array_equal(_partial_sums_scaled(coeffs, x), expected)
+
+    def test_count_above_past_int64_cutoff(self):
+        # cutoff ≥ 2^63: the two one-sided counts must agree with |S| > cutoff
+        big = Fraction((1 << 65) + 1, 3)
+        for sums, at_den_1 in (
+            (np.array([0, -1, 1 << 62, -(1 << 62), (1 << 63) - 1]), 0),
+            (np.array([1 << 70, -(1 << 70), 1 << 64, -(1 << 64), 5], dtype=object), 4),
+        ):
+            for den in (1, 3, 1 << 10):
+                cutoff = big.numerator * den // big.denominator
+                assert cutoff >= 1 << 63
+                expected = int(np.count_nonzero(np.abs(sums) > cutoff))
+                assert _count_above(sums, den, big) == expected
+            assert _count_above(sums, 1, big) == at_den_1
 
 
 class TestVerifyLemma1:

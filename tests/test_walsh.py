@@ -298,6 +298,11 @@ class TestTransform:
         assert c[0] == Fraction(3, 7)
         assert c.nonzero_indices() == [0]
 
+    def test_big_constant_transforms_to_delta(self):
+        c = fwht(GridVector.constant(2, 1 << 70))
+        assert c[0] == 1 << 70
+        assert c.nonzero_indices() == [0]
+
     def test_character_transforms_to_unit(self):
         for m in (0, 1, 6, 15):
             c = fwht(GridVector.sample_walsh(m, 4))
