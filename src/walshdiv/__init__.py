@@ -2,9 +2,10 @@
 
 Subpackages:
 
-- :mod:`walshdiv.dyadic` — dyadic rationals, intervals, and the group ⊕;
+- :mod:`walshdiv.dyadic` — dyadic rationals, dyadic cells, and the group ⊕;
 - :mod:`walshdiv.walsh` — Walsh system, Dirichlet kernels, exact FWHT;
-- :mod:`walshdiv.fourier` — coefficients, partial sums, strong Φ-means;
+- :mod:`walshdiv.fourier` — growth functions Φ, strong Φ-means, exceedance
+  densities;
 - :mod:`walshdiv.counterexample` — the divergence construction and its
   lemma-level machine checks;
 - :mod:`walshdiv.cli` — verification command line (CSV reports, SVG plots).

@@ -276,25 +276,6 @@ class AtomSum:
         """Triangle-inequality upper bound Σ |coef_a| · ||atom_a||_1, exact."""
         return sum((a.norm1() for a in self.atoms), Fraction(0))
 
-    def scaled(self, factor: Fraction | int) -> "AtomSum":
-        factor = Fraction(factor)
-        scaled_atoms: list[Atom] = []
-        for a in self.atoms:
-            if isinstance(a, IndicatorAtom):
-                scaled_atoms.append(
-                    IndicatorAtom(a.coefficient * factor, a.level, a.mask, a.character)
-                )
-            else:
-                scaled_atoms.append(
-                    KernelAtom(a.coefficient * factor, a.order, a.shift)
-                )
-        return AtomSum(scaled_atoms, self.spectral_blocks)
-
-    def __add__(self, other: "AtomSum") -> "AtomSum":
-        return AtomSum(
-            self.atoms + other.atoms, self.spectral_blocks + other.spectral_blocks
-        )
-
     # -- rendering ---------------------------------------------------------------
 
     def render(self, resolution: int, cap: int = 26) -> GridVector:

@@ -14,8 +14,8 @@ Subcommands
 Conventions: every output starts with ``#`` comment lines echoing the
 subcommand, seed, and effective parameters; identical invocations produce
 byte-identical output.  The exit status is 0 exactly when no asserted row
-failed, 1 when one did, and 2 when the library rejects the parameters (one
-``walshdiv: error:`` line on stderr).
+failed, 1 when one did, and 2 when the parameters are rejected or a file
+cannot be read or written (one ``walshdiv: error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _load_config(path: str) -> dict[str, int]:
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or key not in _CONFIG_KEYS:
-            raise SystemExit(f"{path}:{lineno}: expected one of "
+            raise ValueError(f"{path}:{lineno}: expected one of "
                              f"{sorted(_CONFIG_KEYS)} as 'key=value', got {raw!r}")
         values[key] = _CONFIG_KEYS[key](value)
     return values
@@ -241,7 +241,7 @@ def _cmd_build_fn(ns: argparse.Namespace) -> int:
           f"span [{fn.spectral_blocks[0].lo}, {fn.max_spectral_index})")
     if ns.dump_coefficients:
         if params.q_exponent > grid_cap:
-            raise SystemExit(
+            raise ValueError(
                 f"coefficient dump needs q = 2^{params.q_exponent} <= 2^{grid_cap}"
             )
         co = fwht(fn.render(params.q_exponent, cap=grid_cap))
@@ -294,7 +294,7 @@ def _cmd_partial_sums(ns: argparse.Namespace) -> int:
     params = ConstructionParams(n, c)
     x = parse_point(ns.x)
     if ns.l_max < ns.l_min or ns.l_min < 1:
-        raise SystemExit(f"bad cut range [{ns.l_min}, {ns.l_max}]")
+        raise ValueError(f"bad cut range [{ns.l_min}, {ns.l_max}]")
     series = partial_sum_series(params, x, ns.l_max, grid_cap=grid_cap)
     grid = params.q_exponent if params.q_exponent <= grid_cap else "symbolic"
     config = RunConfig(
@@ -323,7 +323,7 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
     phis = [parse_phi(text) for text in (ns.phi or ["exppow:2"])]
     n_list = sorted({int(tok) for tok in ns.n_list.split(",") if tok})
     if not n_list or n_list[0] < 1:
-        raise SystemExit(f"bad N list {ns.n_list!r}")
+        raise ValueError(f"bad N list {ns.n_list!r}")
     threshold = Fraction(ns.threshold) if ns.threshold else Fraction(n, 40)
     center = Fraction(ns.center)
     series = partial_sum_series(params, x, n_list[-1], grid_cap=grid_cap)
@@ -396,7 +396,7 @@ def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if not data_lines:
-        raise SystemExit(f"{path}: no table found")
+        raise ValueError(f"{path}: no table found")
     parsed = list(csv.reader(data_lines))
     header = [c.strip() for c in parsed[0]]
     rows = [[c.strip() for c in row] for row in parsed[1:]]
@@ -407,19 +407,19 @@ def _column(header: list[str], rows: list[list[str]], spec: str) -> list[float]:
     if spec.isdigit():
         idx = int(spec)
         if idx >= len(header):
-            raise SystemExit(f"column index {idx} out of range for {header}")
+            raise ValueError(f"column index {idx} out of range for {header}")
     else:
         try:
             idx = header.index(spec)
         except ValueError:
-            raise SystemExit(f"no column {spec!r} in {header}") from None
+            raise ValueError(f"no column {spec!r} in {header}") from None
     out = []
     for row in rows:
         cell = row[idx]
         try:
             out.append(float(Fraction(cell)))
         except (ValueError, ZeroDivisionError):
-            raise SystemExit(f"column {spec!r}: non-numeric cell {cell!r}") from None
+            raise ValueError(f"column {spec!r}: non-numeric cell {cell!r}") from None
     return out
 
 
@@ -439,7 +439,7 @@ def _svg_polyline(
     width, height, margin = 640.0, 420.0, 56.0
     if log_y:
         if min(ys) <= 0:
-            raise SystemExit("log scale requires strictly positive y values")
+            raise ValueError("log scale requires strictly positive y values")
         ys = [math.log10(v) for v in ys]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
@@ -515,7 +515,7 @@ def _xml_escape(text: str) -> str:
 def _cmd_plot(ns: argparse.Namespace) -> int:
     header, rows = _read_table(ns.table)
     if not rows:
-        raise SystemExit(f"{ns.table}: table has no data rows")
+        raise ValueError(f"{ns.table}: table has no data rows")
     xs = _column(header, rows, ns.x_col)
     ys = _column(header, rows, ns.y_col)
     title = ns.title or f"{ns.y_col} vs {ns.x_col}"
@@ -622,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns.config_values = _load_config(ns.config) if ns.config else {}
         return ns.handler(ns)
-    except (ValueError, ArithmeticError) as exc:  # InfeasibleParameters too
+    except (ValueError, ArithmeticError, OSError) as exc:  # InfeasibleParameters too
         print(f"walshdiv: error: {exc}", file=sys.stderr)
         return 2
 

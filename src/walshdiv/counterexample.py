@@ -16,9 +16,7 @@ Pieces, bottom-up:
   a :class:`LemmaReport`;
 - scalar chain checks (:func:`chain_check`) for the threshold inequalities
   that only make sense at parameter scales where f_n cannot be materialized,
-  using certified directed rounding throughout; and
-- the staged assembly :func:`assemble_f` combining several f_{n_k} with
-  weights 2^{-k}.
+  using certified directed rounding throughout.
 
 Selector positions run over [1, n-1] (not [1, n]): position n would
 contribute 2^n to m and break the m < 2^n contract that every spectral
@@ -30,24 +28,17 @@ membership forces more than n/3 sign changes, descents make up at least
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from . import bounds
 from ._kernels import cell_scan, walsh_sign_row
 from .atoms import AtomSum, IndicatorAtom, KernelAtom, SpectralBlock
-from .dyadic import (
-    DyadicInterval,
-    DyadicPoint,
-    Rat,
-    bit,
-    containing_interval,
-    xor_add,
-)
+from .dyadic import DyadicPoint, bit, containing_interval, xor_add
 from .fourier import ExactSeries, PhiSpec
 from .walsh import GridVector, bit_reverse, dirichlet, dirichlet_star, fwht, walsh
 
@@ -58,12 +49,9 @@ __all__ = [
     "SelectorResult",
     "AssertionRecord",
     "LemmaReport",
-    "build_En",
     "en_cell_mask",
     "measure_En",
     "measure_En_range",
-    "pairsum_distribution",
-    "pairsum_tail_measure",
     "select_m",
     "integral_Dstar_closed",
     "integral_Dstar_grid",
@@ -76,11 +64,6 @@ __all__ = [
     "chain_check",
     "c3_holds",
     "minimal_n_for_c3",
-    "check_c2",
-    "check_c4",
-    "StageRecord",
-    "Assembly",
-    "assemble_f",
 ]
 
 #: Default cap on exhaustive cell enumeration (2^(cap+2) cells).
@@ -174,10 +157,6 @@ class ConstructionParams:
     def thetas(self) -> tuple[DyadicPoint, ...]:
         return tuple(self.theta(k) for k in range(1, (1 << self.n) + 1))
 
-    def base_cell(self, k: int) -> DyadicInterval:
-        """Δ_k = [(k-1)/2^n, k/2^n)."""
-        return DyadicInterval(self.n, k - 1)
-
 
 # ---------------------------------------------------------------------------
 # the set E_n
@@ -188,31 +167,6 @@ def en_cell_mask(n: int) -> np.ndarray:
     """Boolean membership mask over the 2^(n+2) level-(n+2) cells of E_n."""
     member, _, _, _ = cell_scan(n)
     return member
-
-
-def build_En(n: int) -> list[DyadicInterval]:
-    """E_n = {x : |Σ_{j=1}^n r_j(x) r_{j+1}(x)| < n/3} as merged intervals.
-
-    The defining sum reads bits 2 … n+2 only, so the set is a union of
-    level-(n+2) cells; the return value merges sibling cells into maximal
-    dyadic intervals (canonical form).
-    """
-    if n + 2 > GRID_CAP:
-        raise ValueError(f"cell enumeration for n={n} exceeds the grid cap")
-    cells = np.flatnonzero(en_cell_mask(n)).astype(np.int64)
-    out: list[DyadicInterval] = []
-    level = n + 2
-    while level > 0 and cells.size:
-        evens = cells[cells % 2 == 0] >> 1
-        odds = cells[cells % 2 == 1] >> 1
-        parents = np.intersect1d(evens, odds)
-        lone = np.setdiff1d(cells, np.concatenate([parents * 2, parents * 2 + 1]))
-        out.extend(DyadicInterval(level, int(i)) for i in lone)
-        cells = parents
-        level -= 1
-    if cells.size:  # the whole of [0, 1)
-        out.append(DyadicInterval(0, 0))
-    return sorted(out, key=lambda iv: (iv.left, -iv.level))
 
 
 def _pascal_rows(n_max: int) -> Iterator[list[int]]:
@@ -229,22 +183,16 @@ def _en_hits(n: int, row: list[int]) -> int:
     return sum(count for b, count in enumerate(row) if 3 * abs(n - 2 * b) < n)
 
 
-def pairsum_distribution(n: int) -> list[int]:
-    """Counts of sign vectors by b = #{j ≤ n : s_j s_{j+1} = -1}.
+def measure_En(n: int) -> Fraction:
+    """Exact |E_n| = P(|n - 2b| < n/3) with b the negative-product count.
 
     The products of consecutive signs are themselves independent fair signs
-    (the map (s_1, products) ↔ (s_1, …, s_{n+1}) is a bijection), so the
-    distribution is built by the Pascal-row dynamic program; entry b counts
-    the φ-vectors with b negative products, out of 2^n.
+    (the map (s_1, products) ↔ (s_1, …, s_{n+1}) is a bijection), so b has
+    the binomial distribution: row n of Pascal's triangle, out of 2^n.
     """
     for row in _pascal_rows(n):
         pass
-    return row
-
-
-def measure_En(n: int) -> Fraction:
-    """Exact |E_n| = P(|n - 2b| < n/3) with b the negative-product count."""
-    return Fraction(_en_hits(n, pairsum_distribution(n)), 1 << n)
+    return Fraction(_en_hits(n, row), 1 << n)
 
 
 def measure_En_range(n_lo: int, n_hi: int) -> list[tuple[int, Fraction]]:
@@ -256,14 +204,6 @@ def measure_En_range(n_lo: int, n_hi: int) -> list[tuple[int, Fraction]]:
         for n, row in enumerate(_pascal_rows(n_hi))
         if n >= n_lo
     ]
-
-
-def pairsum_tail_measure(n: int, lam: Rat) -> Fraction:
-    """Exact P(|Σ_{j≤n} s_j s_{j+1}| ≤ λ) for the concentration bound."""
-    lam = Fraction(lam)
-    row = pairsum_distribution(n)
-    hits = sum(row[b] for b in range(n + 1) if abs(n - 2 * b) <= lam)
-    return Fraction(hits, 1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +218,6 @@ class SelectorResult:
     positions: tuple[int, ...]
     m: int
     p: int
-
-    @property
-    def nu(self) -> int:
-        return len(self.positions)
 
 
 def select_m(x: DyadicPoint, n: int) -> SelectorResult:
@@ -703,10 +639,13 @@ def partial_sum_series(
 
     Grid-accelerated when q(n) is renderable (one transform, one cumulative
     sum; S_l is constant at f(x) beyond the spectral ceiling); otherwise each
-    cut is evaluated symbolically.
+    cut is evaluated symbolically.  Either way the series holds ``count``
+    values, so a count above 2^grid_cap is rejected before anything is built.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
+    if count > 1 << grid_cap:
+        raise ValueError(f"count {count} exceeds the grid cap 2^{grid_cap}")
     fn, coeffs = _prepared_fn(params, grid_cap)
     if coeffs is not None and x.exponent <= coeffs.resolution:
         scaled = _partial_sums_scaled(coeffs, x)
@@ -1181,100 +1120,3 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
         tuple(rows),
         (("lemma", "chains"), ("n", str(n)), ("k", str(k)), ("phi", phi.to_text())),
     )
-
-
-# ---------------------------------------------------------------------------
-# staged assembly
-# ---------------------------------------------------------------------------
-
-
-def check_c2(prev: ConstructionParams, nxt: ConstructionParams) -> bool:
-    """Spectral disjointness p(n_{k+1}) > 2 q(n_k), compared by exponents."""
-    return nxt.n > 1 + prev.q_exponent
-
-
-def check_c4(prev: ConstructionParams, nxt: ConstructionParams, k: int) -> bool:
-    """Stage-growth condition n_{k+1} > 800·k·2^k·q(n_k), exact.
-
-    q(n_k) is astronomically large in general, so the comparison shifts
-    n_{k+1} down by q's exponent instead of materializing q.
-    """
-    factor = 800 * k << k
-    shifted = nxt.n >> prev.q_exponent
-    if shifted > factor:
-        return True
-    if shifted < factor:
-        return False
-    return (nxt.n & ((1 << prev.q_exponent) - 1)) > 0
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    """Bookkeeping for one stage of the assembly."""
-
-    k: int
-    params: ConstructionParams
-    weight: Fraction
-    spectral_lo: int  # p(n_k) = 2^{n_k}
-    q_exponent: int  # q(n_k) = 2^{q_exponent}
-    interference_factor: int  # bound 4(k-1)·2^{prev q_exponent}
-    interference_exponent: int
-    c2_ok: bool  # against the previous stage (True for the first)
-    c4_ok: bool
-
-
-@dataclass(frozen=True)
-class Assembly:
-    """Weighted sum Σ 2^{-k} f_{n_k} with per-stage records."""
-
-    atom_sum: AtomSum
-    stages: tuple[StageRecord, ...]
-
-    def value(self, x: DyadicPoint) -> Fraction:
-        return self.atom_sum.value(x)
-
-    def partial_sum(self, cut: int, x: DyadicPoint) -> Fraction:
-        return self.atom_sum.partial_sum(cut, x)
-
-
-def assemble_f(stages: Sequence[tuple[int, int]], strict: bool = True) -> Assembly:
-    """Combine stages (n_k, c_k) into Σ_k 2^{-k} f_{n_k}.
-
-    strict=True enforces the spectral-disjointness condition between
-    consecutive stages (each stage's lower edge above twice the previous
-    upper edge) and rejects violating lists.  strict=False builds the sum
-    anyway (structural mode: per-atom partial sums remain exact by linearity)
-    and records the violated conditions in the stage records.
-    """
-    if not stages:
-        raise ValueError("need at least one stage")
-    records: list[StageRecord] = []
-    total: AtomSum | None = None
-    prev: ConstructionParams | None = None
-    for k, (n, c) in enumerate(stages, start=1):
-        params = ConstructionParams(n, c)
-        c2 = True if prev is None else check_c2(prev, params)
-        c4 = True if prev is None else check_c4(prev, params, k - 1)
-        if strict and not c2:
-            raise ValueError(
-                f"stage {k} violates spectral disjointness: "
-                f"2^{params.n} <= 2*2^{prev.q_exponent}"
-            )
-        weight = Fraction(1, 1 << k)
-        part = build_fn(params).scaled(weight)
-        total = part if total is None else total + part
-        records.append(
-            StageRecord(
-                k=k,
-                params=params,
-                weight=weight,
-                spectral_lo=params.p,
-                q_exponent=params.q_exponent,
-                interference_factor=4 * (k - 1),
-                interference_exponent=prev.q_exponent if prev else 0,
-                c2_ok=c2,
-                c4_ok=c4,
-            )
-        )
-        prev = params
-    return Assembly(total, tuple(records))

@@ -1,4 +1,4 @@
-"""Exact dyadic rationals in [0, 1), dyadic intervals, and the dyadic group.
+"""Exact dyadic rationals in [0, 1), dyadic cells, and the dyadic group.
 
 Every evaluation point in this package is a dyadic rational a / 2**e with a
 finite binary expansion.  This module provides:
@@ -6,7 +6,7 @@ finite binary expansion.  This module provides:
 - :class:`DyadicPoint` — canonical exact point, with digit access;
 - :class:`DyadicInterval` — half-open interval [k/2**j, (k+1)/2**j);
 - the group operation :func:`xor_add` (digitwise XOR, no carries);
-- :func:`containing_interval` and :func:`half` for dyadic cell geometry.
+- :func:`containing_interval`, the level-j cell of a point.
 
 Conventions
 -----------
@@ -36,16 +36,13 @@ __all__ = [
     "bit",
     "xor_add",
     "containing_interval",
-    "half",
     "parse_point",
-    "parse_interval",
 ]
 
 #: Exact rational scalar type (always reduced; exact arithmetic, no rounding).
 Rat = Fraction
 
 _POINT_RE = re.compile(r"^\s*(\d+)\s*/\s*2\^(\d+)\s*$")
-_INTERVAL_RE = re.compile(r"^\s*(\d+)\s*:\s*(\d+)\s*$")
 
 
 @total_ordering
@@ -85,24 +82,7 @@ class DyadicPoint:
     def zero(cls) -> "DyadicPoint":
         return cls(0, 0)
 
-    @classmethod
-    def from_fraction(cls, value: Fraction | int) -> "DyadicPoint":
-        """Build from an exact value; the denominator must be a power of two."""
-        value = Fraction(value)
-        den = value.denominator
-        if den & (den - 1):
-            raise ValueError(f"{value} is not a dyadic rational")
-        return cls(value.numerator, den.bit_length() - 1)
-
-    # -- value access ------------------------------------------------------
-
-    @property
-    def value(self) -> Fraction:
-        """The exact value as a Fraction in [0, 1)."""
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    def is_zero(self) -> bool:
-        return self.numerator == 0
+    # -- order -------------------------------------------------------------
 
     def __lt__(self, other: "DyadicPoint") -> bool:
         """Numeric order (canonical form makes equality structural)."""
@@ -127,7 +107,7 @@ class DyadicPoint:
         return self.to_text()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class DyadicInterval:
     """Half-open dyadic interval [index/2**level, (index+1)/2**level)."""
 
@@ -141,33 +121,6 @@ class DyadicInterval:
             raise ValueError(
                 f"index {self.index} out of range at level {self.level}"
             )
-
-    @property
-    def left(self) -> Fraction:
-        return Fraction(self.index, 1 << self.level)
-
-    @property
-    def right(self) -> Fraction:
-        return Fraction(self.index + 1, 1 << self.level)
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(1, 1 << self.level)
-
-    @property
-    def left_point(self) -> DyadicPoint:
-        """The left endpoint (the interval's representative point)."""
-        return DyadicPoint(self.index, self.level)
-
-    def contains(self, x: DyadicPoint) -> bool:
-        return containing_interval(x, self.level).index == self.index
-
-    def to_text(self) -> str:
-        """Canonical text form ``level:index``."""
-        return f"{self.level}:{self.index}"
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 # -- operations ------------------------------------------------------------
@@ -204,19 +157,6 @@ def containing_interval(x: DyadicPoint, level: int) -> DyadicInterval:
     return DyadicInterval(level, index)
 
 
-def half(delta: DyadicInterval, side: str) -> DyadicInterval:
-    """Left ("plus") or right ("minus") half of a dyadic interval.
-
-    The "+" half is the left one and the "-" half the right one, matching the
-    digit test: x lies in the "+" half of its level-j cell iff x_{j+1} = 0.
-    """
-    if side == "plus":
-        return DyadicInterval(delta.level + 1, 2 * delta.index)
-    if side == "minus":
-        return DyadicInterval(delta.level + 1, 2 * delta.index + 1)
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-
-
 # -- parsing ---------------------------------------------------------------
 
 
@@ -229,10 +169,3 @@ def parse_point(text: str) -> DyadicPoint:
         raise ValueError(f"expected 'a/2^e', got {text!r}")
     return DyadicPoint(int(match.group(1)), int(match.group(2)))
 
-
-def parse_interval(text: str) -> DyadicInterval:
-    """Parse the text form ``level:index``."""
-    match = _INTERVAL_RE.match(text)
-    if match is None:
-        raise ValueError(f"expected 'level:index', got {text!r}")
-    return DyadicInterval(int(match.group(1)), int(match.group(2)))

@@ -1,11 +1,4 @@
-"""Walsh–Fourier coefficients, partial sums, strong Φ-means, and Φ classes.
-
-Partial sums have two independent evaluation paths:
-
-- :func:`partial_sum_grid` — coefficient-prefix sums of a grid-resolved step
-  function (the transform path);
-- :meth:`~walshdiv.atoms.AtomSum.partial_sum` — per-atom closed forms on an
-  :class:`~walshdiv.atoms.AtomSum` (no global grid).
+"""Growth functions Φ, strong Φ-means, and exceedance densities.
 
 A run of partial sums S_1 … S_N travels as one
 :class:`~walshdiv.walsh.ExactSeries` (integer numerators over one common
@@ -19,9 +12,7 @@ the strict threshold test, the exceedance density, and the rational
 enclosures of :func:`strong_mean_bounds` (one :meth:`PhiSpec.enclosure` per
 distinct magnitude), which carry every verdict.  In mpf: only Φ itself in
 :func:`strong_mean` (one :meth:`PhiSpec.value_mpf` per distinct magnitude),
-summed in order of first occurrence, for display.  Φ growth classification is
-symbolic, from the kind of the Φ specification, never from numeric limit
-probes.
+summed in order of first occurrence, for display.
 """
 
 from __future__ import annotations
@@ -34,106 +25,25 @@ import mpmath
 import numpy as np
 
 from . import bounds
-from .dyadic import DyadicPoint, Rat
-from .walsh import ExactSeries, GridVector, fwht, walsh
+from .dyadic import Rat
+from .walsh import ExactSeries
 
 __all__ = [
-    "StepFunction",
     "ExactSeries",
     "PhiSpec",
-    "PhiClass",
-    "SUBEXPONENTIAL",
-    "SUPEREXPONENTIAL",
     "parse_phi",
-    "coefficients",
-    "partial_sum_grid",
     "strong_mean",
     "strong_mean_bounds",
     "exceed_density",
-    "phi_classify",
 ]
 
 #: mpf exponents beyond this magnitude report as +inf (overflow marker).
 _EXPONENT_CAP = 10**15
 
 
-class StepFunction:
-    """A function on [0,1) constant on each dyadic cell of width 2^-K."""
-
-    __slots__ = ("grid", "_coeffs")
-
-    def __init__(self, grid: GridVector):
-        self.grid = grid
-        self._coeffs: GridVector | None = None
-
-    @classmethod
-    def from_values(cls, resolution: int, values: Sequence[Rat]) -> "StepFunction":
-        return cls(GridVector.from_values(resolution, values))
-
-    @property
-    def resolution(self) -> int:
-        return self.grid.resolution
-
-    def value_at(self, x: DyadicPoint) -> Fraction:
-        return self.grid.value_at(x)
-
-    def norm1(self) -> Fraction:
-        return self.grid.norm1()
-
-    def mean(self) -> Fraction:
-        return self.grid.mean()
-
-
-def coefficients(f: StepFunction) -> GridVector:
-    """Exact Walsh coefficients f̂(m), 0 ≤ m < 2^K (cached on f)."""
-    if f._coeffs is None:
-        f._coeffs = fwht(f.grid)
-    return f._coeffs
-
-
-def partial_sum_grid(f: StepFunction, l: int, x: DyadicPoint) -> Fraction:
-    """Exact S_l(x, f) = Σ_{m<l} f̂(m) w_m(x) from the coefficient prefix.
-
-    Valid for 0 ≤ l ≤ 2^K; beyond that the spectrum of a 2^-K step function
-    is not representable and the cut is rejected.
-    """
-    size = 1 << f.resolution
-    if not 0 <= l <= size:
-        raise ValueError(
-            f"cut {l} outside the representable range [0, {size}] "
-            f"at resolution {f.resolution}"
-        )
-    if l == 0:
-        return Fraction(0)
-    if l == size:
-        return f.value_at(x)  # full inversion of a step function
-    co = coefficients(f)
-    total = Fraction(0)
-    for m in co.nonzero_indices():
-        if m >= l:
-            break
-        total += co[m] * walsh(m, x)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Φ growth functions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhiClass:
-    """Growth class of Φ: is limsup log Φ(t) / t finite or infinite?"""
-
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.tag not in ("subexponential", "superexponential"):
-            raise ValueError(f"unknown growth class {self.tag!r}")
-
-
-SUBEXPONENTIAL = PhiClass("subexponential")
-SUPEREXPONENTIAL = PhiClass("superexponential")
 
 
 @dataclass(frozen=True)
@@ -232,13 +142,6 @@ def parse_phi(text: str) -> PhiSpec:
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"bad parameter {arg!r}: {err}") from None
     return PhiSpec(kinds[head], parameter)
-
-
-def phi_classify(phi: PhiSpec) -> PhiClass:
-    """Symbolic growth class: superexponential iff kind=exp_power with α > 1."""
-    if phi.kind == "exp_power" and phi.parameter > 1:
-        return SUPEREXPONENTIAL
-    return SUBEXPONENTIAL
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,13 @@ ints) otherwise.  The headroom is 0 for a series and K for a
 the 2**-K grid, because the K butterfly stages of :func:`fwht` double the
 peak K times.  :func:`fwht` computes the Walsh-Fourier coefficients
 f̂(m) = 2**-K Σ_i v[i] w_m(i/2**K) exactly in K·2**K butterfly operations
-on those numerators.  :func:`fwht_float` is the flagged approximate float64
-path.
+on those numerators.
 
 All functions are pure; series are immutable after construction.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +46,6 @@ __all__ = [
     "dirichlet",
     "fwht",
     "fwht_inverse",
-    "fwht_float",
     "bit_reverse",
 ]
 
@@ -72,10 +68,6 @@ class DyadicExpansion:
             bits.append(n & 1)
             n >>= 1
         return cls(tuple(bits))
-
-    @property
-    def index(self) -> int:
-        return sum(b << j for j, b in enumerate(self.bits))
 
     def set_positions(self) -> list[int]:
         """Positions j with ε_j = 1, ascending."""
@@ -244,13 +236,6 @@ class GridVector(ExactSeries):
         return cls(resolution, series.numerators, series.denominator)
 
     @classmethod
-    def constant(cls, resolution: int, value: Fraction | int) -> "GridVector":
-        value = Fraction(value)
-        dtype = np.int64 if abs(value.numerator) < 1 << 63 else object
-        nums = np.full(1 << resolution, value.numerator, dtype=dtype)
-        return cls(resolution, nums, value.denominator)
-
-    @classmethod
     def sample_walsh(cls, n: int, resolution: int) -> "GridVector":
         """w_n sampled on the 2**-K grid (requires n < 2**K: no aliasing)."""
         if n >= 1 << resolution:
@@ -286,17 +271,6 @@ class GridVector(ExactSeries):
         signs = cls.sample_walsh(n, resolution)
         return cls(resolution, signs.numerators * star.numerators, 1)
 
-    # -- access ---------------------------------------------------------------
-
-    def value_at(self, x: DyadicPoint) -> Fraction:
-        """Value on the cell containing x (x may be deeper than the grid)."""
-        k = self.resolution
-        if x.exponent <= k:
-            i = x.numerator << (k - x.exponent)
-        else:
-            i = x.numerator >> (x.exponent - k)
-        return self[i]
-
     # -- arithmetic helpers (exact) -------------------------------------------
 
     def scaled(self, factor: Fraction | int) -> "GridVector":
@@ -304,39 +278,13 @@ class GridVector(ExactSeries):
         nums = self.numerators.astype(object) * factor.numerator
         return _normalized(self.resolution, nums, self.denominator * factor.denominator)
 
-    def __add__(self, other: "GridVector") -> "GridVector":
-        if self.resolution != other.resolution:
-            raise ValueError("resolution mismatch")
-        den = math.lcm(self.denominator, other.denominator)
-        a = self.numerators.astype(object) * (den // self.denominator)
-        b = other.numerators.astype(object) * (den // other.denominator)
-        return _normalized(self.resolution, a + b, den)
-
     def norm1(self) -> Fraction:
         """Exact L1 norm 2**-K Σ |values|."""
         total = int(np.sum(np.abs(self.numerators.astype(object))))
         return Fraction(total, self.denominator << self.resolution)
 
-    def mean(self) -> Fraction:
-        total = int(np.sum(self.numerators.astype(object)))
-        return Fraction(total, self.denominator << self.resolution)
-
     def nonzero_indices(self) -> list[int]:
         return [int(i) for i in np.nonzero(self.numerators)[0]]
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_csv(self, header_comments: Sequence[str] = ()) -> str:
-        """CSV text ``index,value_exact,value_float`` with '#' comment lines."""
-        buf = io.StringIO()
-        for line in header_comments:
-            buf.write(f"# {line}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "value_exact", "value_float"])
-        for i in range(len(self)):
-            v = self[i]
-            writer.writerow([i, _fraction_text(v), repr(float(v))])
-        return buf.getvalue()
 
 
 def _normalized(resolution: int, nums: np.ndarray, den: int) -> GridVector:
@@ -346,10 +294,6 @@ def _normalized(resolution: int, nums: np.ndarray, den: int) -> GridVector:
         nums = nums // g
         den //= g
     return GridVector(resolution, nums, den)
-
-
-def _fraction_text(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
 
 
 # -- transforms ---------------------------------------------------------------
@@ -364,7 +308,7 @@ def fwht(v: GridVector) -> GridVector:
     """
     k = v.resolution
     rev = _kernels.bit_reversal_table(k)
-    nums = v.numerators[rev].copy()
+    nums = v.numerators[rev]
     _kernels.hadamard_inplace(nums)
     return _normalized(k, nums, v.denominator << k)
 
@@ -382,17 +326,3 @@ def fwht_inverse(coeffs: GridVector) -> GridVector:
     out[rev] = nums
     return _normalized(k, out, coeffs.denominator)
 
-
-def fwht_float(values: np.ndarray) -> np.ndarray:
-    """APPROXIMATE float64 transform (fast path; not for exact verdicts).
-
-    Same normalization as :func:`fwht`: returns 2**-K Σ v[i] w_m(i/2**K).
-    """
-    n = values.shape[0]
-    if n & (n - 1):  # before the gather, which would truncate a bad length
-        raise ValueError(f"length must be a power of two, got {n}")
-    k = n.bit_length() - 1
-    rev = _kernels.bit_reversal_table(k)
-    a = np.asarray(values, dtype=np.float64)[rev]
-    _kernels.hadamard_inplace(a)
-    return a / n

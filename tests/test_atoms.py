@@ -173,14 +173,6 @@ class TestAtomSum:
             s = random_atom_sum(rng)
             assert s.render(8).norm1() <= s.norm1_certificate()
 
-    def test_add_and_scale_are_pointwise(self):
-        rng = random.Random(26)
-        a, b = random_atom_sum(rng), random_atom_sum(rng)
-        x = DyadicPoint(9, 6)
-        assert (a + b).value(x) == a.value(x) + b.value(x)
-        assert a.scaled(Fraction(-2, 3)).value(x) == Fraction(-2, 3) * a.value(x)
-        assert a.scaled(Fraction(1, 2)).partial_sum(7, x) == Fraction(1, 2) * a.partial_sum(7, x)
-
     def test_level_and_spectral_bounds(self):
         s = AtomSum(
             [

@@ -20,6 +20,14 @@ def run_main(argv):
     return main(argv)
 
 
+def one_error_line(capsys) -> str:
+    """The single ``walshdiv: error:`` line a rejected invocation leaves on stderr."""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("walshdiv: error: ")
+    return err
+
+
 def checkout_env():
     """Environment for a child interpreter that imports this checkout's src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -127,9 +135,9 @@ class TestBuildFnCommand:
         assert _coefficient_rows(co) == expected
 
     def test_dump_requires_renderable_spectrum(self, capsys):
-        with pytest.raises(SystemExit, match="coefficient dump"):
-            main(["build-fn", "--n", "2", "--c", "3", "--grid-cap", "12",
-                  "--dump-coefficients"])
+        assert main(["build-fn", "--n", "2", "--c", "3", "--grid-cap", "12",
+                     "--dump-coefficients"]) == 2
+        assert "coefficient dump" in one_error_line(capsys)
 
     def test_block_table(self, tmp_path, capsys):
         out_file = tmp_path / "blocks.csv"
@@ -177,9 +185,9 @@ class TestPartialSumsCommand:
             l, exact, _ = line.split(",")
             assert Fraction(exact) == want
 
-    def test_rejects_bad_range(self):
-        with pytest.raises(SystemExit, match="bad cut range"):
-            main(["partial-sums", "--x", "1/2^2", "--l-min", "9", "--l-max", "5"])
+    def test_rejects_bad_range(self, capsys):
+        assert main(["partial-sums", "--x", "1/2^2", "--l-min", "9", "--l-max", "5"]) == 2
+        assert "bad cut range" in one_error_line(capsys)
 
 
 class TestStrongMeanCommand:
@@ -206,9 +214,9 @@ class TestStrongMeanCommand:
         ]
         assert all(r[-1] in ("pass", "reported") for r in data)
 
-    def test_rejects_bad_n_list(self):
-        with pytest.raises(SystemExit, match="bad N list"):
-            main(["strong-mean", "--x", "1/2^2", "--N-list", "0,4"])
+    def test_rejects_bad_n_list(self, capsys):
+        assert main(["strong-mean", "--x", "1/2^2", "--N-list", "0,4"]) == 2
+        assert "bad N list" in one_error_line(capsys)
 
     def test_values_beyond_double_range_render(self, capsys):
         # Φ = e^{100000 t} − 1 at the desk witness: exact means and Markov
@@ -257,17 +265,17 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert "construction n=3 c=2" in out
 
-    def test_rejects_unknown_keys(self, tmp_path):
+    def test_rejects_unknown_keys(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("resolution=9\n")
-        with pytest.raises(SystemExit, match="expected one of"):
-            main(["build-fn", "--config", str(cfg)])
+        assert main(["build-fn", "--config", str(cfg)]) == 2
+        assert "expected one of" in one_error_line(capsys)
 
-    def test_rejects_malformed_lines(self, tmp_path):
+    def test_rejects_malformed_lines(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n: 4\n")
-        with pytest.raises(SystemExit):
-            main(["build-fn", "--config", str(cfg)])
+        assert main(["build-fn", "--config", str(cfg)]) == 2
+        assert "run.cfg:1: expected one of" in one_error_line(capsys)
 
 
 class TestPlotCommand:
@@ -304,22 +312,24 @@ class TestPlotCommand:
         ) == 0
         assert svg.exists()
 
-    def test_log_scale_guard(self, tmp_path):
+    def test_log_scale_guard(self, tmp_path, capsys):
         table = self.make_table(tmp_path)
-        with pytest.raises(SystemExit, match="strictly positive"):
-            # |E_1| = 0, so a log-scale measure plot must be refused
-            main(["plot", "--table", str(table), "--x-col", "n",
-                  "--y-col", "measure_float", "--svg",
-                  str(tmp_path / "x.svg"), "--log-y"])
+        capsys.readouterr()
+        # |E_1| = 0, so a log-scale measure plot must be refused
+        assert main(["plot", "--table", str(table), "--x-col", "n",
+                     "--y-col", "measure_float", "--svg",
+                     str(tmp_path / "x.svg"), "--log-y"]) == 2
+        assert "strictly positive" in one_error_line(capsys)
 
-    def test_rejects_unknown_and_textual_columns(self, tmp_path):
+    def test_rejects_unknown_and_textual_columns(self, tmp_path, capsys):
         table = self.make_table(tmp_path)
-        with pytest.raises(SystemExit, match="no column"):
-            main(["plot", "--table", str(table), "--x-col", "nope",
-                  "--y-col", "n", "--svg", str(tmp_path / "x.svg")])
-        with pytest.raises(SystemExit, match="non-numeric"):
-            main(["plot", "--table", str(table), "--x-col", "n",
-                  "--y-col", "verdict", "--svg", str(tmp_path / "x.svg")])
+        capsys.readouterr()
+        assert main(["plot", "--table", str(table), "--x-col", "nope",
+                     "--y-col", "n", "--svg", str(tmp_path / "x.svg")]) == 2
+        assert "no column" in one_error_line(capsys)
+        assert main(["plot", "--table", str(table), "--x-col", "n",
+                     "--y-col", "verdict", "--svg", str(tmp_path / "x.svg")]) == 2
+        assert "non-numeric" in one_error_line(capsys)
 
     def test_svg_flag_is_required(self):
         with pytest.raises(SystemExit) as err:
@@ -356,10 +366,17 @@ class TestDeterminism:
     ["lemma2", "--n", "20"],
     ["build-fn", "--n", "0", "--c", "3"],
     ["lemma1", "--n", "30", "--x", "7/2^5"],
+    ["partial-sums", "--x", "1/2^2", "--l-min", "9", "--l-max", "5"],
+    ["lemma2", "--config", "missing.cfg"],
+    ["plot", "--table", "missing.csv", "--x-col", "0", "--y-col", "1", "--svg", "x.svg"],
+    # 10^12 cuts would need terabytes: rejected before the series is built
+    ["partial-sums", "--x", "7/2^5", "--l-max", "1000000000000"],
 ])
-def test_rejected_parameters_end_in_one_stderr_line(args):
+def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
+    # run in an empty directory, so the missing files really are missing
     proc = subprocess.run([sys.executable, "-m", "walshdiv.cli", *args],
-                          capture_output=True, text=True, env=checkout_env())
+                          capture_output=True, text=True, env=checkout_env(),
+                          cwd=tmp_path, timeout=10)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("walshdiv: error: ")

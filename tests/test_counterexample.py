@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from walshdiv._kernels import walsh_sign_row
 from walshdiv.counterexample import (
-    Assembly,
     AssertionRecord,
     ConstructionParams,
     EmptySelectionError,
@@ -23,28 +22,22 @@ from walshdiv.counterexample import (
     LemmaReport,
     _count_above,
     _partial_sums_scaled,
-    assemble_f,
-    build_En,
     build_fn,
     c3_holds,
     chain_check,
-    check_c2,
-    check_c4,
     en_cell_mask,
     integral_Dstar_closed,
     integral_Dstar_grid,
     measure_En,
     measure_En_range,
     minimal_n_for_c3,
-    pairsum_distribution,
-    pairsum_tail_measure,
     partial_sum_series,
     progression_L,
     select_m,
     verify_lemma1,
     verify_lemma2,
 )
-from walshdiv.dyadic import DyadicPoint, xor_add
+from walshdiv.dyadic import DyadicPoint, containing_interval, xor_add
 from walshdiv.fourier import PhiSpec
 from walshdiv.walsh import GridVector, bit_reverse, dirichlet, walsh
 
@@ -53,7 +46,7 @@ EXP_POW_2 = PhiSpec.exp_power(2)
 
 def digit(x: DyadicPoint, j: int) -> int:
     """j-th binary digit of x, read off the exact value (library-free)."""
-    v = x.value * (1 << j)
+    v = Fraction(x.numerator << j, 1 << x.exponent)
     return int(v - (v % 1)) % 2
 
 
@@ -89,14 +82,14 @@ class TestConstructionParams:
 
     def test_translations(self):
         p = ConstructionParams(2, 2)
-        assert [t.value for t in p.thetas()] == [
+        assert [Fraction(t.numerator, 1 << t.exponent) for t in p.thetas()] == [
             Fraction(0),
             Fraction(5, 16),
             Fraction(10, 16),
             Fraction(15, 16),
         ]
         for k in range(1, 5):
-            assert p.base_cell(k).contains(p.theta(k))
+            assert containing_interval(p.theta(k), 2).index == k - 1  # in Δ_k
         with pytest.raises(ValueError):
             p.theta(0)
         with pytest.raises(ValueError):
@@ -105,10 +98,8 @@ class TestConstructionParams:
 
 class TestSignChangeSet:
     def test_smallest_sets(self):
-        assert [iv.to_text() for iv in build_En(2)] == [
-            "4:1", "4:3", "4:4", "4:6", "4:9", "4:11", "4:12", "4:14",
-        ]
-        assert build_En(3) == []
+        assert np.flatnonzero(en_cell_mask(2)).tolist() == [1, 3, 4, 6, 9, 11, 12, 14]
+        assert not en_cell_mask(3).any()
 
     def test_frozen_measures(self):
         assert measure_En(1) == 0
@@ -124,26 +115,6 @@ class TestSignChangeSet:
             mask = en_cell_mask(n)
             assert measure_En(n) == Fraction(int(mask.sum()), mask.size)
 
-    def test_intervals_tile_the_mask(self):
-        for n in (2, 5, 8):
-            mask = en_cell_mask(n)
-            covered = [False] * mask.size
-            for iv in build_En(n):
-                width = 1 << (n + 2 - iv.level)
-                for j in range(iv.index * width, (iv.index + 1) * width):
-                    assert not covered[j], "intervals overlap"
-                    covered[j] = True
-            assert covered == list(mask)
-            assert sum(iv.measure for iv in build_En(n)) == measure_En(n)
-
-    def test_intervals_are_maximal_and_sorted(self):
-        for n in (5, 8):
-            ivs = build_En(n)
-            assert ivs == sorted(ivs, key=lambda iv: (iv.left, -iv.level))
-            starts = {(iv.level, iv.index) for iv in ivs}
-            for iv in ivs:  # no two siblings survive unmerged
-                assert (iv.level, iv.index ^ 1) not in starts
-
     def test_range_helper_consistent(self):
         assert measure_En_range(3, 9) == [(n, measure_En(n)) for n in range(3, 10)]
         with pytest.raises(ValueError):
@@ -151,15 +122,14 @@ class TestSignChangeSet:
         with pytest.raises(ValueError):
             measure_En_range(0, 4)
 
-    def test_build_En_rejects_beyond_cap(self):
-        with pytest.raises(ValueError):
-            build_En(25)
-
 
 class TestPairsumDistribution:
+    """|E_n| read through the distribution of b = #{j ≤ n : s_j s_{j+1} = -1}."""
+
     def test_is_the_binomial_row(self):
         for n in range(0, 12):
-            assert pairsum_distribution(n) == [math.comb(n, b) for b in range(n + 1)]
+            hits = sum(math.comb(n, b) for b in range(n + 1) if 3 * abs(n - 2 * b) < n)
+            assert measure_En(n) == Fraction(hits, 1 << n)
 
     def test_matches_sign_vector_enumeration(self):
         n = 8
@@ -167,18 +137,13 @@ class TestPairsumDistribution:
         for j in range(1 << (n + 1)):  # all sign vectors (s_1 ... s_{n+1})
             b = ((j ^ (j >> 1)) & ((1 << n) - 1)).bit_count()
             counts[b] += 1
-        assert counts == [2 * c for c in pairsum_distribution(n)]
-
-    def test_tail_measure(self):
-        assert pairsum_tail_measure(10, 10) == 1
-        assert pairsum_tail_measure(10, 0) == Fraction(math.comb(10, 5), 1 << 10)
-        values = [pairsum_tail_measure(9, lam) for lam in range(10)]
-        assert values == sorted(values)
+        hits = sum(c for b, c in enumerate(counts) if 3 * abs(n - 2 * b) < n)
+        assert measure_En(n) == Fraction(hits, 1 << (n + 1))
 
     def test_concentration_bound(self):
-        # P(|pair sum| > n/3) <= 2 exp(-n/18), with lots of slack
+        # P(|pair sum| >= n/3) <= 2 exp(-n/18) (Hoeffding), with lots of slack
         for n in (50, 100, 200):
-            outside = 1 - pairsum_tail_measure(n, Fraction(n, 3))
+            outside = 1 - measure_En(n)
             assert float(outside) <= 2 * math.exp(-n / 18)
 
 
@@ -199,7 +164,6 @@ class TestSelector:
             assert sel.positions == want
             assert sel.m == sum(1 << k for k in want)
             assert sel.p == sel.m * (1 + (1 << n))
-            assert sel.nu == len(want)
 
     def test_no_descents_at_zero(self):
         with pytest.raises(EmptySelectionError):
@@ -214,7 +178,7 @@ class TestSelector:
             if not mask[j]:
                 continue
             sel = select_m(DyadicPoint(j, n + 2), n)
-            assert 6 * sel.nu >= n - 6
+            assert 6 * len(sel.positions) >= n - 6
             assert sel.m % 2 == 0
             assert sel.m < 1 << n
             assert sel.p < 1 << (2 * n)
@@ -595,62 +559,6 @@ class TestGrowthThreshold:
             minimal_n_for_c3(PhiSpec.exp_power(1), 1)
         with pytest.raises(ValueError):
             minimal_n_for_c3(PhiSpec.exp_linear(200), 1)  # needs c > 100*2^k
-
-
-class TestStagedAssembly:
-    def test_single_stage_is_half_the_polynomial(self):
-        asm = assemble_f([(2, 2)])
-        f = build_fn(ConstructionParams(2, 2))
-        for j in range(0, 32, 3):
-            x = DyadicPoint(j, 5)
-            assert asm.value(x) == f.value(x) / 2
-            assert asm.partial_sum(20, x) == f.partial_sum(20, x) / 2
-
-    def test_strict_rejects_overlapping_spectra(self):
-        with pytest.raises(ValueError, match="spectral disjointness"):
-            assemble_f([(2, 2), (2, 3)])
-
-    def test_disjointness_boundary(self):
-        prev = ConstructionParams(2, 2)  # q = 2^12
-        assert not check_c2(prev, ConstructionParams(13))
-        assert check_c2(prev, ConstructionParams(14))
-
-    def test_growth_condition_exact_comparison(self):
-        prev = ConstructionParams(1, 2)  # q_exponent = 6
-        factor = 800 * 1 << 1  # 1600
-        assert not check_c4(prev, ConstructionParams(factor << 6), 1)  # exact tie
-        assert check_c4(prev, ConstructionParams((factor << 6) + 1), 1)
-        assert check_c4(prev, ConstructionParams((factor + 1) << 6), 1)
-
-    def test_smallest_strict_pair(self):
-        asm = assemble_f([(2, 2), (14, 2)])
-        assert [s.c2_ok for s in asm.stages] == [True, True]
-        assert [s.c4_ok for s in asm.stages] == [True, False]
-        assert [s.weight for s in asm.stages] == [Fraction(1, 2), Fraction(1, 4)]
-        assert [s.spectral_lo for s in asm.stages] == [1 << 2, 1 << 14]
-        assert [s.q_exponent for s in asm.stages] == [12, 2 * ((1 << 14) + 14)]
-        assert [s.interference_factor for s in asm.stages] == [0, 4]
-        assert [s.interference_exponent for s in asm.stages] == [0, 12]
-        f1 = build_fn(ConstructionParams(2, 2))
-        f2 = build_fn(ConstructionParams(14, 2))
-        x = DyadicPoint(9, 7)
-        assert asm.value(x) == f1.value(x) / 2 + f2.value(x) / 4
-
-    def test_structural_mode_keeps_linearity(self):
-        asm = assemble_f([(2, 2), (2, 3)], strict=False)
-        assert [s.c2_ok for s in asm.stages] == [True, False]
-        assert [s.c4_ok for s in asm.stages] == [True, False]
-        f1 = build_fn(ConstructionParams(2, 2))
-        f2 = build_fn(ConstructionParams(2, 3))
-        x = DyadicPoint(5, 6)
-        for l in (1 << 12, (1 << 12) + 10, 1 << 13):
-            # beyond stage 1's spectrum its partial sum is complete
-            want = f1.value(x) / 2 + f2.partial_sum(l, x) / 4
-            assert asm.partial_sum(l, x) == want
-
-    def test_needs_a_stage(self):
-        with pytest.raises(ValueError):
-            assemble_f([])
 
 
 class TestReports:

@@ -1,4 +1,4 @@
-"""Dyadic points, intervals, digitwise XOR addition, and halving."""
+"""Dyadic points, their cells, and digitwise XOR addition."""
 
 from fractions import Fraction
 
@@ -10,11 +10,13 @@ from walshdiv.dyadic import (
     DyadicPoint,
     bit,
     containing_interval,
-    half,
-    parse_interval,
     parse_point,
     xor_add,
 )
+
+
+def value(x: DyadicPoint) -> Fraction:
+    return Fraction(x.numerator, 1 << x.exponent)
 
 
 def digits_by_doubling(x: Fraction, count: int) -> list[int]:
@@ -51,22 +53,12 @@ class TestDyadicPoint:
     def test_zero_normalizes_exponent(self):
         assert DyadicPoint(0, 7) == DyadicPoint.zero()
         assert DyadicPoint.zero().exponent == 0
-        assert DyadicPoint.zero().is_zero()
+        assert DyadicPoint.zero().numerator == 0
 
     @pytest.mark.parametrize("num, exp", [(-1, 2), (4, 2), (1, -1), (16, 4)])
     def test_rejects_points_outside_unit_interval(self, num, exp):
         with pytest.raises(ValueError):
             DyadicPoint(num, exp)
-
-    def test_value_and_from_fraction_round_trip(self):
-        p = DyadicPoint(5, 4)
-        assert p.value == Fraction(5, 16)
-        assert DyadicPoint.from_fraction(Fraction(5, 16)) == p
-        assert DyadicPoint.from_fraction(0) == DyadicPoint.zero()
-
-    def test_from_fraction_rejects_non_dyadic(self):
-        with pytest.raises(ValueError):
-            DyadicPoint.from_fraction(Fraction(1, 3))
 
     def test_ordering_matches_values(self):
         pts = [DyadicPoint(i, 5) for i in range(32)]
@@ -90,7 +82,7 @@ class TestDyadicPoint:
 
     @given(points)
     def test_bit_matches_doubling_expansion(self, p):
-        want = digits_by_doubling(p.value, 14)
+        want = digits_by_doubling(value(p), 14)
         assert [bit(p, j) for j in range(1, 15)] == want
 
     def test_bits_beyond_exponent_are_zero(self):
@@ -126,19 +118,12 @@ class TestXorAdd:
 
 
 class TestDyadicInterval:
-    def test_endpoints_and_measure(self):
-        iv = DyadicInterval(3, 5)
-        assert iv.left == Fraction(5, 8)
-        assert iv.right == Fraction(6, 8)
-        assert iv.measure == Fraction(1, 8)
-        assert iv.left_point == DyadicPoint(5, 3)
-
     def test_contains_is_half_open(self):
         iv = DyadicInterval(2, 1)  # [1/4, 1/2)
-        assert iv.contains(DyadicPoint(1, 2))
-        assert iv.contains(DyadicPoint(7, 4))
-        assert not iv.contains(DyadicPoint(1, 1))
-        assert not iv.contains(DyadicPoint.zero())
+        assert containing_interval(DyadicPoint(1, 2), 2) == iv
+        assert containing_interval(DyadicPoint(7, 4), 2) == iv
+        assert containing_interval(DyadicPoint(1, 1), 2) != iv
+        assert containing_interval(DyadicPoint.zero(), 2) != iv
 
     def test_containing_interval(self):
         x = DyadicPoint(5, 4)  # 0.0101
@@ -151,19 +136,7 @@ class TestDyadicInterval:
     def test_containing_interval_contains_its_point(self, x, level):
         iv = containing_interval(x, level)
         assert iv.level == level
-        assert iv.contains(x)
-
-    def test_half_splits(self):
-        unit = DyadicInterval(0, 0)
-        assert half(unit, "plus") == DyadicInterval(1, 0)  # [0, 1/2)
-        assert half(unit, "minus") == DyadicInterval(1, 1)  # [1/2, 1)
-        # ((δ)^+)^- of [1/4, 1/2) is [5/16, 3/8)
-        quarter = DyadicInterval(2, 1)
-        nested = half(half(quarter, "plus"), "minus")
-        assert nested.left == Fraction(5, 16)
-        assert nested.right == Fraction(3, 8)
-        with pytest.raises(ValueError):
-            half(unit, "left")
+        assert Fraction(iv.index, 1 << level) <= value(x) < Fraction(iv.index + 1, 1 << level)
 
     def test_plus_half_membership_is_a_digit_test(self):
         # x lies in the plus-half of its level-j cell iff digit j+1 is 0
@@ -171,7 +144,8 @@ class TestDyadicInterval:
             x = DyadicPoint(i, 8)
             for j in range(0, 6):
                 cell = containing_interval(x, j)
-                in_plus = half(cell, "plus").contains(x)
+                # the plus half is the left child, index 2·cell.index
+                in_plus = containing_interval(x, j + 1).index == 2 * cell.index
                 assert in_plus == (bit(x, j + 1) == 0)
 
     def test_descent_quarter_is_a_two_digit_test(self):
@@ -181,15 +155,9 @@ class TestDyadicInterval:
             x = DyadicPoint(i, 8)
             for k in range(0, 5):
                 cell = containing_interval(x, k)
-                in_quarter = half(half(cell, "plus"), "minus").contains(x)
+                # the right child of the left child: index 4·cell.index + 1
+                in_quarter = containing_interval(x, k + 2).index == 4 * cell.index + 1
                 assert in_quarter == (bit(x, k + 1) == 0 and bit(x, k + 2) == 1)
-
-    def test_text_round_trip(self):
-        iv = DyadicInterval(4, 9)
-        assert iv.to_text() == "4:9"
-        assert parse_interval("4:9") == iv
-        with pytest.raises(ValueError):
-            parse_interval("4/9")
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):

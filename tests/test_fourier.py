@@ -1,4 +1,4 @@
-"""Step functions, partial sums, growth functions, and strong means."""
+"""Partial sums on the transform path, growth functions, and strong means."""
 
 import math
 import random
@@ -11,21 +11,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walshdiv.atoms import AtomSum, KernelAtom
-from walshdiv.dyadic import DyadicPoint, xor_add
+from walshdiv.counterexample import (
+    ConstructionParams,
+    _partial_sums_scaled,
+    partial_sum_series,
+)
+from walshdiv.dyadic import DyadicPoint, containing_interval, xor_add
 from walshdiv.fourier import (
     ExactSeries,
     _cap_overflow,
     PhiSpec,
-    StepFunction,
-    coefficients,
     exceed_density,
     parse_phi,
-    partial_sum_grid,
-    phi_classify,
     strong_mean,
     strong_mean_bounds,
 )
-from walshdiv.walsh import dirichlet, walsh
+from walshdiv.walsh import GridVector, dirichlet, fwht
 
 
 def exact_fraction(v: mpmath.mpf) -> Fraction:
@@ -35,23 +36,16 @@ def exact_fraction(v: mpmath.mpf) -> Fraction:
     return -out if sign else out
 
 
-def random_step_function(rng: random.Random, k: int) -> StepFunction:
-    return StepFunction.from_values(
+def random_step_function(rng: random.Random, k: int) -> GridVector:
+    return GridVector.from_values(
         k, [Fraction(rng.randrange(-20, 21), rng.randrange(1, 8)) for _ in range(1 << k)]
     )
 
 
-class TestStepFunction:
-    def test_value_norm_mean(self):
-        f = StepFunction.from_values(2, [1, -2, Fraction(1, 2), 0])
-        assert f.value_at(DyadicPoint(1, 2)) == -2
-        assert f.norm1() == Fraction(7, 8)
-        assert f.mean() == Fraction(-1, 8)
-        assert f.resolution == 2
-
-    def test_coefficients_are_cached(self):
-        f = random_step_function(random.Random(0), 4)
-        assert coefficients(f) is coefficients(f)
+def grid_partial_sums(f: GridVector, x: DyadicPoint) -> list[Fraction]:
+    """S_1(x) … S_{2^K}(x) along the transform path the verifiers run."""
+    coeffs = fwht(f)
+    return [Fraction(int(v), coeffs.denominator) for v in _partial_sums_scaled(coeffs, x)]
 
 
 class TestPartialSums:
@@ -60,41 +54,40 @@ class TestPartialSums:
         rng = random.Random(1)
         k = 5
         f = random_step_function(rng, k)
-        pts = [DyadicPoint(i, k) for i in range(1 << k)]
         for _ in range(12):
             x = DyadicPoint(rng.randrange(0, 1 << k), k)
+            sums = grid_partial_sums(f, x)
             for l in (1, 2, 7, 31, 32):
                 conv = sum(
-                    (f.value_at(t) * dirichlet(l, xor_add(x, t)) for t in pts),
+                    (f[i] * dirichlet(l, xor_add(x, DyadicPoint(i, k))) for i in range(1 << k)),
                     Fraction(0),
                 ) / (1 << k)
-                assert partial_sum_grid(f, l, x) == conv
+                assert sums[l - 1] == conv
 
-    def test_cut_zero_and_full_inversion(self):
+    def test_full_inversion(self):
         f = random_step_function(random.Random(2), 4)
-        x = DyadicPoint(5, 4)
-        assert partial_sum_grid(f, 0, x) == 0
-        assert partial_sum_grid(f, 16, x) == f.value_at(x)
+        for x in (DyadicPoint(5, 4), DyadicPoint(3, 2), DyadicPoint.zero()):
+            assert grid_partial_sums(f, x)[-1] == f[containing_interval(x, 4).index]
 
     def test_rejects_unrepresentable_cuts(self):
-        f = random_step_function(random.Random(3), 3)
+        # the series holds every cut up to count, so count is bounded first
+        params, x = ConstructionParams(2, 2), DyadicPoint(3, 4)
+        with pytest.raises(ValueError, match="grid cap"):
+            partial_sum_series(params, x, (1 << 12) + 1, grid_cap=12)
         with pytest.raises(ValueError):
-            partial_sum_grid(f, 9, DyadicPoint.zero())
-        with pytest.raises(ValueError):
-            partial_sum_grid(f, -1, DyadicPoint.zero())
+            partial_sum_series(params, x, 0)
+        assert len(partial_sum_series(params, x, 1 << 12, grid_cap=12)) == 1 << 12
 
     def test_linearity(self):
         rng = random.Random(4)
         xs = [Fraction(rng.randrange(-9, 10)) for _ in range(16)]
         ys = [Fraction(rng.randrange(-9, 10)) for _ in range(16)]
-        f = StepFunction.from_values(4, xs)
-        g = StepFunction.from_values(4, ys)
-        h = StepFunction.from_values(4, [3 * a - 2 * b for a, b in zip(xs, ys)])
+        f = GridVector.from_values(4, xs)
+        g = GridVector.from_values(4, ys)
+        h = GridVector.from_values(4, [3 * a - 2 * b for a, b in zip(xs, ys)])
         x = DyadicPoint(7, 4)
-        for l in range(17):
-            assert partial_sum_grid(h, l, x) == 3 * partial_sum_grid(
-                f, l, x
-            ) - 2 * partial_sum_grid(g, l, x)
+        for sh, sf, sg in zip(*(grid_partial_sums(v, x) for v in (h, f, g))):
+            assert sh == 3 * sf - 2 * sg
 
     def test_spectral_window(self):
         # spectrum in [u, 2u): prefix vanishes up to u, completes at 2u
@@ -110,10 +103,10 @@ class TestPartialSums:
     def test_symbolic_equals_grid(self):
         theta = DyadicPoint(5, 4)
         s = AtomSum([KernelAtom(Fraction(1, 3), 16, theta)])
-        f = StepFunction(s.render(6))
         x = DyadicPoint(13, 6)
-        for l in range(0, 65):
-            assert s.partial_sum(l, x) == partial_sum_grid(f, l, x)
+        sums = grid_partial_sums(s.render(6), x)
+        for l in range(1, 65):
+            assert s.partial_sum(l, x) == sums[l - 1]
 
 
 class TestPhiSpec:
@@ -125,13 +118,6 @@ class TestPhiSpec:
         for bad in ("pow", "gauss:2", "pow:zero", "exppow:0", "pow:-1"):
             with pytest.raises(ValueError):
                 parse_phi(bad)
-
-    def test_classification(self):
-        assert phi_classify(PhiSpec.power(17)).tag == "subexponential"
-        assert phi_classify(PhiSpec.exp_linear(3)).tag == "subexponential"
-        assert phi_classify(PhiSpec.exp_power(2)).tag == "superexponential"
-        assert phi_classify(PhiSpec.exp_power(1)).tag == "subexponential"
-        assert phi_classify(PhiSpec.exp_power(Fraction(3, 2))).tag == "superexponential"
 
     def test_value_mpf(self):
         phi = PhiSpec.power(2)
