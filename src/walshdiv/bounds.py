@@ -150,13 +150,9 @@ def ln_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
 def pow_enclosure(x: Fraction, p: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     """Enclosure of x**p for rational x >= 0 and rational p."""
     if p.denominator == 1:
-        e = p.numerator
-        if e >= 0:
-            v = x**e
-            return (v, v)
-        if x == 0:
+        if x == 0 and p < 0:
             raise ValueError("0 cannot be raised to a negative power")
-        v = x**e
+        v = x**p.numerator
         return (v, v)
     if x < 0:
         raise ValueError(f"fractional power of a negative base: {x}**{p}")

@@ -31,15 +31,16 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from . import bounds
 from .counterexample import (
     EXHAUSTIVE_CAP,
     GRID_CAP,
     ConstructionParams,
     LemmaReport,
+    _frac,
     build_fn,
     chain_check,
     check_lemma1_order,
+    measure_bound,
     measure_En_range,
     partial_sum_series,
     verify_lemma1,
@@ -120,6 +121,15 @@ def _resolve(ns: argparse.Namespace, key: str, default: int) -> int:
     return ns.config_values.get(key, default)
 
 
+def _construction(ns: argparse.Namespace) -> tuple[ConstructionParams, int]:
+    """(params, grid_cap) from --n/--c/--grid-cap; the cap must lie in 0..GRID_CAP."""
+    params = ConstructionParams(_resolve(ns, "n", 2), _resolve(ns, "c", 3))
+    grid_cap = _resolve(ns, "grid_cap", GRID_CAP)
+    if not 0 <= grid_cap <= GRID_CAP:
+        raise ValueError(f"grid cap {grid_cap} outside [0, {GRID_CAP}]")
+    return params, grid_cap
+
+
 def _emit(ns: argparse.Namespace, config: RunConfig, payload: str) -> None:
     """Write header + payload to --out (and stdout for table subcommands)."""
     text = "\n".join(config.header_lines()) + "\n" + payload
@@ -127,11 +137,6 @@ def _emit(ns: argparse.Namespace, config: RunConfig, payload: str) -> None:
         Path(ns.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _frac(v: Fraction) -> str:
-    v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def _float(v) -> str:
@@ -166,9 +171,15 @@ def _mean_str(v: mpmath.mpf) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _print_report(config: RunConfig, report: LemmaReport) -> None:
+def _finish_report(ns: argparse.Namespace, config: RunConfig, report: LemmaReport) -> int:
+    """Print the report, write its CSV to --out if given, and map it to an exit code."""
     print("\n".join(config.header_lines()))
     print(report.to_text(), end="")
+    if ns.out:
+        _emit(ns, config, report.to_csv())
+    failures = _Failure()
+    failures.absorb_report(report)
+    return failures.exit_code()
 
 
 def _cmd_lemma2(ns: argparse.Namespace) -> int:
@@ -179,13 +190,7 @@ def _cmd_lemma2(ns: argparse.Namespace) -> int:
     options = [("n", str(n)), ("mode", ns.mode)]
     if ns.mode == "sample":
         options.append(("samples", str(samples)))
-    config = RunConfig("lemma2", tuple(options), ns.seed)
-    _print_report(config, report)
-    if ns.out:
-        _emit(ns, config, report.to_csv())
-    failures = _Failure()
-    failures.absorb_report(report)
-    return failures.exit_code()
+    return _finish_report(ns, RunConfig("lemma2", tuple(options), ns.seed), report)
 
 
 def _cmd_measure_en(ns: argparse.Namespace) -> int:
@@ -196,14 +201,8 @@ def _cmd_measure_en(ns: argparse.Namespace) -> int:
     failures = _Failure()
     lines = ["n,measure_exact,measure_float,bound_upper_float,margin_float,verdict"]
     for n, measure in measure_En_range(n_min, n_max):
-        lo, _ = bounds.exp_enclosure(Fraction(-n, 36), 96)
-        bound_hi = 1 - 2 * lo  # certified upper end of 1 - 2e^{-n/36}
-        if bound_hi <= 0:
-            verdict = "vacuous"
-        elif measure > bound_hi:
-            verdict = "pass"
-        else:
-            verdict = "fail"
+        verdict, (_, bound_hi) = measure_bound(n, measure)
+        if verdict == "fail":
             failures.add(f"measure-en: |E_{n}| is {_float(bound_hi - measure)} "
                          f"below the bound {_float(bound_hi)}")
         lines.append(
@@ -217,10 +216,8 @@ def _cmd_measure_en(ns: argparse.Namespace) -> int:
 
 
 def _cmd_build_fn(ns: argparse.Namespace) -> int:
-    n = _resolve(ns, "n", 2)
-    c = _resolve(ns, "c", 3)
-    grid_cap = _resolve(ns, "grid_cap", GRID_CAP)
-    params = ConstructionParams(n, c)
+    params, grid_cap = _construction(ns)
+    n, c = params.n, params.c
     fn = build_fn(params)
     cert = fn.norm1_certificate()
     failures = _Failure()
@@ -260,10 +257,8 @@ def _cmd_build_fn(ns: argparse.Namespace) -> int:
 
 
 def _cmd_lemma1(ns: argparse.Namespace) -> int:
-    n = _resolve(ns, "n", 2)
-    c = _resolve(ns, "c", 3)
-    grid_cap = _resolve(ns, "grid_cap", GRID_CAP)
-    params = ConstructionParams(n, c)
+    params, grid_cap = _construction(ns)
+    n, c = params.n, params.c
     check_lemma1_order(n)  # before any of the 2^(n+2) points exists
     if ns.x is not None:
         points, count = [parse_point(ns.x)], 1
@@ -288,10 +283,8 @@ def _cmd_lemma1(ns: argparse.Namespace) -> int:
 
 
 def _cmd_partial_sums(ns: argparse.Namespace) -> int:
-    n = _resolve(ns, "n", 2)
-    c = _resolve(ns, "c", 3)
-    grid_cap = _resolve(ns, "grid_cap", GRID_CAP)
-    params = ConstructionParams(n, c)
+    params, grid_cap = _construction(ns)
+    n, c = params.n, params.c
     x = parse_point(ns.x)
     if ns.l_max < ns.l_min or ns.l_min < 1:
         raise ValueError(f"bad cut range [{ns.l_min}, {ns.l_max}]")
@@ -315,10 +308,8 @@ def _cmd_partial_sums(ns: argparse.Namespace) -> int:
 
 
 def _cmd_strong_mean(ns: argparse.Namespace) -> int:
-    n = _resolve(ns, "n", 2)
-    c = _resolve(ns, "c", 3)
-    grid_cap = _resolve(ns, "grid_cap", GRID_CAP)
-    params = ConstructionParams(n, c)
+    params, grid_cap = _construction(ns)
+    n, c = params.n, params.c
     x = parse_point(ns.x)
     phis = [parse_phi(text) for text in (ns.phi or ["exppow:2"])]
     n_list = sorted({int(tok) for tok in ns.n_list.split(",") if tok})
@@ -376,12 +367,7 @@ def _cmd_chain_check(ns: argparse.Namespace) -> int:
         (("n", str(n)), ("k", str(ns.k)), ("phi", phi.to_text())),
         ns.seed,
     )
-    _print_report(config, report)
-    if ns.out:
-        _emit(ns, config, report.to_csv())
-    failures = _Failure()
-    failures.absorb_report(report)
-    return failures.exit_code()
+    return _finish_report(ns, config, report)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +527,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled modes (echoed in every header)")
     common.add_argument("--out", help="write CSV output to this path")
+    construction = argparse.ArgumentParser(add_help=False, parents=[common])
+    construction.add_argument("--n", type=int)
+    construction.add_argument("--c", type=int)
+    construction.add_argument("--grid-cap", type=int, dest="grid_cap")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("lemma2", parents=[common],
@@ -558,37 +548,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=100)
     p.set_defaults(handler=_cmd_measure_en)
 
-    p = sub.add_parser("build-fn", parents=[common],
+    p = sub.add_parser("build-fn", parents=[construction],
                        help="construction summary / coefficient dump")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--grid-cap", type=int, dest="grid_cap")
     p.add_argument("--dump-coefficients", action="store_true")
     p.set_defaults(handler=_cmd_build_fn)
 
-    p = sub.add_parser("lemma1", parents=[common],
+    p = sub.add_parser("lemma1", parents=[construction],
                        help="partial-sum verification at a point")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--grid-cap", type=int, dest="grid_cap")
     p.add_argument("--x", help="evaluation point a/2^e (default: all cells)")
     p.set_defaults(handler=_cmd_lemma1)
 
-    p = sub.add_parser("partial-sums", parents=[common],
+    p = sub.add_parser("partial-sums", parents=[construction],
                        help="S_l table over a cut range")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--grid-cap", type=int, dest="grid_cap")
     p.add_argument("--x", required=True, help="evaluation point a/2^e")
     p.add_argument("--l-min", type=int, default=1)
     p.add_argument("--l-max", type=int, required=True)
     p.set_defaults(handler=_cmd_partial_sums)
 
-    p = sub.add_parser("strong-mean", parents=[common],
+    p = sub.add_parser("strong-mean", parents=[construction],
                        help="strong means table over N")
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--grid-cap", type=int, dest="grid_cap")
     p.add_argument("--x", required=True, help="evaluation point a/2^e")
     p.add_argument("--phi", action="append",
                    help="growth function pow:p | exp:c | exppow:a (repeatable)")

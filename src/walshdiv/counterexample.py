@@ -4,7 +4,8 @@ Pieces, bottom-up:
 
 - the sign-change set ``E_n`` (points whose Rademacher sequence changes sign
   often), realized exactly as a union of level-(n+2) cells, with its measure
-  computed by an exact dynamic program over sign-product partial sums;
+  computed by an exact binomial-tail recurrence and decided against
+  1 - 2e^{-n/36} by one rule (:func:`measure_bound`);
 - the selector ``select_m`` extracting descent positions (r_k = 1 followed by
   r_{k+1} = -1) and packing them into an integer m with companion p = m(1+2^n);
 - the exact closed form for the kernel integral ∫_0^x D*_m(x ⊕ t) dt plus an
@@ -52,6 +53,7 @@ __all__ = [
     "en_cell_mask",
     "measure_En",
     "measure_En_range",
+    "measure_bound",
     "select_m",
     "integral_Dstar_closed",
     "integral_Dstar_grid",
@@ -169,18 +171,25 @@ def en_cell_mask(n: int) -> np.ndarray:
     return member
 
 
-def _pascal_rows(n_max: int) -> Iterator[list[int]]:
-    """Rows 0..n_max of Pascal's triangle: entry b of row n is C(n, b)."""
-    row = [1]
-    yield row
-    for _ in range(n_max):
-        row = [a + b for a, b in zip([0] + row, row + [0])]
-        yield row
+def _member_counts(n_hi: int) -> Iterator[tuple[int, int]]:
+    """(n, sign vectors in E_n out of 2^n) for n = 0 … n_hi.
 
-
-def _en_hits(n: int, row: list[int]) -> int:
-    """Sign vectors in E_n, out of 2^n, given row n of the pair-sum DP."""
-    return sum(count for b, count in enumerate(row) if 3 * abs(n - 2 * b) < n)
+    A vector leaves E_n when b ≤ n/3 or b ≥ 2n/3; by symmetry each tail
+    holds T(n) = Σ_{b ≤ ⌊n/3⌋} C(n, b), and the tails are disjoint for
+    n ≥ 1.  Pascal's rule gives T(n+1) = 2T(n) − C(n, ⌊n/3⌋) before the
+    cutoff moves, so each order costs O(1) exact operations on T and on
+    C = C(n, ⌊n/3⌋).  For n = 0 both tails are the one vector: |E_0| = 0.
+    """
+    tail = binom = 1  # T(0) and C(0, 0)
+    yield 0, 0
+    for n in range(n_hi):
+        k = n // 3
+        tail = 2 * tail - binom
+        binom = binom * (n + 1) // (n + 1 - k)  # C(n+1, k)
+        if (n + 1) // 3 > k:
+            binom = binom * (n + 1 - k) // (k + 1)  # C(n+1, k+1)
+            tail += binom
+        yield n + 1, (1 << (n + 1)) - 2 * tail
 
 
 def measure_En(n: int) -> Fraction:
@@ -188,22 +197,38 @@ def measure_En(n: int) -> Fraction:
 
     The products of consecutive signs are themselves independent fair signs
     (the map (s_1, products) ↔ (s_1, …, s_{n+1}) is a bijection), so b has
-    the binomial distribution: row n of Pascal's triangle, out of 2^n.
+    the binomial distribution C(n, b) / 2^n.
     """
-    for row in _pascal_rows(n):
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    for _, hits in _member_counts(n):
         pass
-    return Fraction(_en_hits(n, row), 1 << n)
+    return Fraction(hits, 1 << n)
 
 
 def measure_En_range(n_lo: int, n_hi: int) -> list[tuple[int, Fraction]]:
-    """(n, |E_n|) for n_lo ≤ n ≤ n_hi in one incremental DP pass."""
+    """(n, |E_n|) for n_lo ≤ n ≤ n_hi in one pass of the recurrence."""
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"bad range [{n_lo}, {n_hi}]")
     return [
-        (n, Fraction(_en_hits(n, row), 1 << n))
-        for n, row in enumerate(_pascal_rows(n_hi))
+        (n, Fraction(hits, 1 << n))
+        for n, hits in _member_counts(n_hi)
         if n >= n_lo
     ]
+
+
+def measure_bound(n: int, measure: Fraction) -> tuple[str, bounds.Enclosure]:
+    """(verdict, enclosure of 1 - 2e^{-n/36}) for |E_n| > 1 - 2e^{-n/36}.
+
+    One enclosure of e^{-n/36} at 96 bits, decided at the bound's certified
+    upper end: ``vacuous`` when that end is ≤ 0, ``pass`` when the measure
+    exceeds it, else ``fail``.
+    """
+    lo, hi = bounds.exp_enclosure(Fraction(-n, 36), 96)
+    bound = (1 - 2 * hi, 1 - 2 * lo)
+    if bound[1] <= 0:
+        return "vacuous", bound
+    return ("pass" if measure > bound[1] else "fail"), bound
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +376,8 @@ def _csv_field(value: str) -> str:
     return value
 
 
-def _frac_str(v: Fraction) -> str:
+def _frac(v: Fraction) -> str:
+    """Exact text of a rational: ``a`` or ``a/b``."""
     v = Fraction(v)
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
@@ -362,30 +388,22 @@ def _frac_str(v: Fraction) -> str:
 
 
 def _measure_bound_row(n: int) -> AssertionRecord:
-    """|E_n| > 1 - 2 exp(-n/36), certified at the unfavorable interval end."""
+    """The measure row of Lemma 2, as :func:`measure_bound` decides it."""
     measure = measure_En(n)
-
-    def rhs(prec: int) -> bounds.Enclosure:
-        lo, hi = bounds.exp_enclosure(Fraction(-n, 36), prec)
-        return (1 - 2 * hi, 1 - 2 * lo)
-
-    rhs_lo, rhs_hi = rhs(96)
-    if rhs_hi <= 0:
+    verdict, (lo, hi) = measure_bound(n, measure)
+    if verdict == "vacuous":
         return AssertionRecord(
             "measure > 1 - 2*exp(-n/36)",
-            _frac_str(measure),
-            f"<= {float(rhs_hi):.6g}",
+            _frac(measure),
+            f"<= {float(hi):.6g}",
             "pass",
             "bound nonpositive (vacuous)",
         )
-    holds = bounds.decide_less(
-        rhs, lambda prec: (Fraction(measure), Fraction(measure))
-    )
     return AssertionRecord(
         "measure > 1 - 2*exp(-n/36)",
-        _frac_str(measure),
-        f"in [{float(rhs_lo):.6g}, {float(rhs_hi):.6g}]",
-        "pass" if holds else "fail",
+        _frac(measure),
+        f"in [{float(lo):.6g}, {float(hi):.6g}]",
+        verdict,
     )
 
 
@@ -426,7 +444,7 @@ def verify_lemma2(
                 AssertionRecord(
                     "integral >= n/30 on E_n",
                     "-",
-                    _frac_str(Fraction(n, 30)),
+                    _frac(Fraction(n, 30)),
                     "vacuous",
                     "E_n empty",
                 )
@@ -456,7 +474,7 @@ def verify_lemma2(
             AssertionRecord(
                 "6*nu >= n - 6 on E_n",
                 str(worst_nu),
-                _frac_str(Fraction(n - 6, 6)),
+                _frac(Fraction(n - 6, 6)),
                 "pass" if 6 * worst_nu >= n - 6 else "fail",
                 f"x={_cell_left(n, int(idx[int(np.argmin(nu[idx]))]))}",
             )
@@ -468,7 +486,7 @@ def verify_lemma2(
         if checkable.size:
             arg = int(checkable[int(np.argmin(int_scaled[checkable]))])
             min_integral = Fraction(int(int_scaled[arg]), scale)
-            witness = f"x={_cell_left(n, arg)} integral={_frac_str(min_integral)}"
+            witness = f"x={_cell_left(n, arg)} integral={_frac(min_integral)}"
         else:
             witness = "no checkable cells"
         if empty.size:
@@ -521,7 +539,7 @@ def verify_lemma2(
                 str(members),
                 "pass" if failures == 0 else "fail",
                 (
-                    f"min integral {_frac_str(min_integral)} at {min_witness}"
+                    f"min integral {_frac(min_integral)} at {min_witness}"
                     if min_integral is not None
                     else "no members sampled"
                 )
@@ -701,7 +719,7 @@ def verify_lemma1(
             "1 (x in supp f)" if in_support else "2 (f(x) = 0)",
             "",
             "reported",
-            f"f(x)={_frac_str(fx)}",
+            f"f(x)={_frac(fx)}",
         )
     )
 
@@ -715,8 +733,8 @@ def verify_lemma1(
         rows.append(
             AssertionRecord(
                 "|f(x)| >= 2^gamma",
-                _frac_str(abs(fx)),
-                _frac_str(gamma_floor),
+                _frac(abs(fx)),
+                _frac(gamma_floor),
                 "pass" if abs(fx) >= gamma_floor else "fail",
             )
         )
@@ -737,8 +755,8 @@ def verify_lemma1(
         rows.append(
             AssertionRecord(
                 "|f(x)| > n/40",
-                _frac_str(abs(fx)),
-                _frac_str(threshold),
+                _frac(abs(fx)),
+                _frac(threshold),
                 "pass" if exceeds else "fail",
             )
         )
@@ -755,7 +773,7 @@ def verify_lemma1(
         rows.append(
             AssertionRecord(
                 "density at N=2q >= 1/2",
-                _frac_str(density),
+                _frac(density),
                 "1/2",
                 "pass" if density >= Fraction(1, 2) else "fail",
                 note,
@@ -859,10 +877,10 @@ def verify_lemma1(
     rows.append(
         AssertionRecord(
             "|S_l| >= integral - 1 on the progression",
-            _frac_str(abs(stripped)),
-            _frac_str(integral - 1),
+            _frac(abs(stripped)),
+            _frac(integral - 1),
             "pass" if a15 else "fail",
-            f"integral={_frac_str(integral)}",
+            f"integral={_frac(integral)}",
         )
     )
     if grid_sums is not None:
@@ -872,8 +890,8 @@ def verify_lemma1(
         rows.append(
             AssertionRecord(
                 "exceedance density at N=2q (reported)",
-                _frac_str(Fraction(count, 2 * q)),
-                f"threshold {_frac_str(bound)}",
+                _frac(Fraction(count, 2 * q)),
+                f"threshold {_frac(bound)}",
                 "reported",
             )
         )
@@ -1049,15 +1067,15 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
         AssertionRecord(
             "2^gamma > n/40",
             f"2^{gamma}",
-            _frac_str(Fraction(n, 40)),
+            _frac(Fraction(n, 40)),
             "pass" if (1 << gamma) * 40 > n else "fail",
         )
     )
     rows.append(
         AssertionRecord(
             "n/30 - 1 > n/40 (needs n > 120)",
-            _frac_str(Fraction(n, 30) - 1),
-            _frac_str(Fraction(n, 40)),
+            _frac(Fraction(n, 30) - 1),
+            _frac(Fraction(n, 40)),
             "pass" if Fraction(n, 30) - 1 > Fraction(n, 40) else "fail",
         )
     )
@@ -1065,8 +1083,8 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
     rows.append(
         AssertionRecord(
             "threshold transfer n/40 - n/200 = n/50",
-            _frac_str(Fraction(n, 40) - Fraction(n, 200)),
-            _frac_str(Fraction(n, 50)),
+            _frac(Fraction(n, 40) - Fraction(n, 200)),
+            _frac(Fraction(n, 50)),
             "pass" if transfer_ok else "fail",
             "interference < n/(200*2^k) under the stage-growth condition",
         )
@@ -1075,8 +1093,8 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
     rows.append(
         AssertionRecord(
             "n/30 - 1 - n/200 > n/50 (needs n > 120)",
-            _frac_str(margin),
-            _frac_str(Fraction(n, 50)),
+            _frac(margin),
+            _frac(Fraction(n, 50)),
             "pass" if margin > Fraction(n, 50) else "fail",
             "single-stage bound survives cross-stage interference",
         )
@@ -1086,7 +1104,7 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
     rows.append(
         AssertionRecord(
             "Phi(n/(50*2^k)) > exp(2n)",
-            f"Phi({_frac_str(t)})",
+            f"Phi({_frac(t)})",
             f"exp({2 * n})",
             "reported",
             "holds" if c3 else "does not hold",

@@ -26,7 +26,6 @@ All functions are pure; series are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -36,7 +35,6 @@ from . import _kernels
 from .dyadic import DyadicPoint, Rat, bit
 
 __all__ = [
-    "DyadicExpansion",
     "ExactSeries",
     "GridVector",
     "rademacher",
@@ -48,30 +46,6 @@ __all__ = [
     "fwht_inverse",
     "bit_reverse",
 ]
-
-
-@dataclass(frozen=True)
-class DyadicExpansion:
-    """Binary digits ε_0, ε_1, ... of an index n = Σ ε_j 2**j (LSB first).
-
-    Empty for n = 0; the leading stored digit is always 1 for n >= 1.
-    """
-
-    bits: tuple[int, ...]
-
-    @classmethod
-    def of(cls, n: int) -> "DyadicExpansion":
-        if n < 0:
-            raise ValueError(f"index must be nonnegative, got {n}")
-        bits = []
-        while n:
-            bits.append(n & 1)
-            n >>= 1
-        return cls(tuple(bits))
-
-    def set_positions(self) -> list[int]:
-        """Positions j with ε_j = 1, ascending."""
-        return [j for j, b in enumerate(self.bits) if b]
 
 
 def bit_reverse(i: int, width: int) -> int:
@@ -256,12 +230,14 @@ class GridVector(ExactSeries):
                 f"kernel of order {n} would alias on a 2^-{resolution} grid"
             )
         nums = np.zeros(1 << resolution, dtype=np.int64)
-        for j in DyadicExpansion.of(n).set_positions():
+        remaining = n
+        while remaining:  # walk set bits j of n, as dirichlet_star does
+            low = remaining & -remaining
             # r_j D_{2**j}: ±2**j on the cells of [0, 2**-j), sign = digit j+1.
-            block = 1 << (resolution - j)
-            halfb = block >> 1
-            nums[:halfb] += 1 << j
-            nums[halfb:block] -= 1 << j
+            block = (1 << resolution) // low
+            nums[:block >> 1] += low
+            nums[block >> 1:block] -= low
+            remaining ^= low
         return cls(resolution, nums, 1)
 
     @classmethod

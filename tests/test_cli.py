@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, headers, tables, config, and plots."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from walshdiv.cli import _coefficient_rows, _float, _frac, main
-from walshdiv.counterexample import ConstructionParams, build_fn, measure_En
+from walshdiv.counterexample import ConstructionParams, build_fn, measure_En, verify_lemma2
 from walshdiv.walsh import GridVector, fwht
 
 
@@ -93,6 +95,15 @@ class TestMeasureEnCommand:
         assert float(bound) == 1
         row = captured.out.splitlines()[-1]
         assert Fraction(row.split(",")[1]) == measure_En(2304)
+
+    @pytest.mark.parametrize("n", [1, 24, 25, 60, 2303, 2304])
+    def test_lemma2_measure_row_has_the_table_verdict(self, n, capsys):
+        main(["measure-en", "--n-min", str(n), "--n-max", str(n)])
+        table_verdict = capsys.readouterr().out.splitlines()[-1].rsplit(",", 1)[1]
+        row = verify_lemma2(n, mode="sample", samples=0).rows[0]
+        # lemma2 prints a vacuous bound as a pass with a "(vacuous)" witness
+        lemma2_verdict = "vacuous" if "vacuous" in row.witness else row.verdict
+        assert lemma2_verdict == table_verdict
 
 
 class TestBuildFnCommand:
@@ -371,6 +382,8 @@ class TestDeterminism:
     ["plot", "--table", "missing.csv", "--x-col", "0", "--y-col", "1", "--svg", "x.svg"],
     # 10^12 cuts would need terabytes: rejected before the series is built
     ["partial-sums", "--x", "7/2^5", "--l-max", "1000000000000"],
+    # a cap past GRID_CAP would lift that bound with it
+    ["partial-sums", "--x", "7/2^5", "--l-max", "1000000000000", "--grid-cap", "40"],
 ])
 def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
     # run in an empty directory, so the missing files really are missing
@@ -394,3 +407,21 @@ def test_lemma1_over_all_cells_rejects_a_huge_order_before_allocating():
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("walshdiv: error: ")
     assert "Traceback" not in proc.stderr
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+@pytest.mark.parametrize("command", [
+    "measure-en --n-max 3000",
+    "lemma2 --n 20 --cap 20",
+    "build-fn --n 2 --c 3 --dump-coefficients",
+    "strong-mean --n 2 --c 3 --x 7/2^5 --N-list 16,4096,524288",
+    "strong-mean --n 2 --c 5 --x 7/2^5 --N-list 16,256,4096",
+])
+def test_stdout_matches_the_benchmark_digest(command, capsys):
+    # the benchmark's recorded stdout SHA-256; this test only reads the file
+    recorded = json.loads(DIGESTS.read_text())[command]
+    main(command.split())
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == recorded

@@ -127,9 +127,16 @@ class TestPairsumDistribution:
     """|E_n| read through the distribution of b = #{j ≤ n : s_j s_{j+1} = -1}."""
 
     def test_is_the_binomial_row(self):
-        for n in range(0, 12):
+        table = dict(measure_En_range(1, 3000))
+        for n in [*range(0, 41), 999, 1000, 1001, 2303, 2304, 3000]:
             hits = sum(math.comb(n, b) for b in range(n + 1) if 3 * abs(n - 2 * b) < n)
             assert measure_En(n) == Fraction(hits, 1 << n)
+            if n:
+                assert table[n] == measure_En(n)
+
+    def test_rejects_a_negative_order(self):
+        with pytest.raises(ValueError):
+            measure_En(-1)
 
     def test_matches_sign_vector_enumeration(self):
         n = 8

@@ -18,7 +18,6 @@ import pytest
 
 from walshdiv.dyadic import DyadicPoint, xor_add
 from walshdiv.walsh import (
-    DyadicExpansion,
     GridVector,
     _normalized,
     bit_reverse,
@@ -179,11 +178,6 @@ class TestBitHelpers:
             for i in range(1 << width):
                 want = int(format(i, f"0{width}b")[::-1], 2) if width else 0
                 assert bit_reverse(i, width) == want
-
-    def test_expansion_round_trip(self):
-        for n in (0, 1, 2, 3, 12, 255, 1 << 14):
-            exp = DyadicExpansion.of(n)
-            assert sum(1 << j for j in exp.set_positions()) == n
 
 
 # -- grid vectors -------------------------------------------------------------
