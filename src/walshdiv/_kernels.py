@@ -74,25 +74,40 @@ def cell_scan(n: int):
     - ``nu[j]``: the number of those descent positions;
     - ``integral_num[j]``: 2**(n+2) · ∫_0^x D*_{m(x)}(x ⊕ t) dt (exact).
 
+    The arrays are built by digit doubling, from the least significant bit
+    b = 0 of j (digit x_{n+2}) upwards.  Step b copies the filled prefix
+    [0, 2**(b+1)) to [2**(b+1), 2**(b+2)), which sets bit b+1, and then adds
+    what the pair of bits (b, b+1) contributes: a sign change on the two
+    slices where they differ (b <= n-1), and for 1 <= b <= n-1 the descent
+    k = n - b on [2**b, 2**(b+1)), where bit b = x_{k+2} = 1 and
+    bit b+1 = x_{k+1} = 0.  That descent adds 2**k to m, one to nu and
+    2**(n+2) · frac(2**k x) = j << k to the integral, since frac(2**k x)
+    reads only the digits after x_{k+1}.  No term reads a digit above its
+    own pair, so a higher digit never changes what is already summed, and
+    the top digit x_1 enters nothing: the last step is a plain copy.  Each
+    array is written about twice its length in total.
+
     Requires n <= 40 so the scaled integrals fit in int64 comfortably.
     """
     if not 1 <= n <= 40:
         raise ValueError(f"cell_scan supports 1 <= n <= 40, got {n}")
     ncells = 1 << (n + 2)
-    j = np.arange(ncells, dtype=np.int64)
-    changes = (j ^ (j >> 1)) & np.int64((1 << n) - 1)
-    c = np.bitwise_count(changes).astype(np.int64)
-    member = 3 * np.abs(n - 2 * c) < n
+    c = np.zeros(ncells, dtype=np.uint8)  # sign changes, at most n
     m_vals = np.zeros(ncells, dtype=np.int64)
     nu = np.zeros(ncells, dtype=np.int64)
     integral_num = np.zeros(ncells, dtype=np.int64)
-    for k in range(1, n):
-        hi = (j >> (n + 1 - k)) & 1  # digit x_{k+1}
-        lo = (j >> (n - k)) & 1  # digit x_{k+2}
-        descent = (hi == 0) & (lo == 1)
-        m_vals += descent * (np.int64(1) << k)
-        nu += descent
-        # scaled T_k = frac(2^k x) * 2^(n+2), with x_{k+1} = 0
-        t_num = (j & np.int64((1 << (n + 2 - k)) - 1)) << k
-        integral_num += np.where(descent, t_num, 0)
+    for b in range(n + 1):
+        half, size = 1 << b, 1 << (b + 1)
+        for arr in (c, m_vals, nu, integral_num):
+            arr[size : 2 * size] = arr[:size]
+        if b == n:
+            break
+        c[half:size] += 1
+        c[size : size + half] += 1
+        if b:
+            k = n - b
+            m_vals[half:size] += 1 << k
+            nu[half:size] += 1
+            integral_num[half:size] += np.arange(half, size, dtype=np.int64) << k
+    member = (3 * np.abs(n - 2 * np.arange(n + 1)) < n)[c]
     return member, m_vals, nu, integral_num

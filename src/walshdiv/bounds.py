@@ -14,6 +14,12 @@ Implementation notes:
   after range reduction by powers of two.
 - After each step the endpoints are re-rounded outward to denominators
   2**prec so repeated operations cannot blow up fraction sizes.
+- exp runs in integer fixed point: each endpoint is an integer numerator
+  over 2**work, the Taylor sum and its tail are single unreduced
+  numerator/denominator pairs, and every rounding is one floor or ceiling
+  integer division.  A floor or ceiling depends only on the exact rational
+  value, so the endpoints equal those of exact Fraction arithmetic followed
+  by the same outward roundings, bit for bit.
 - Callers that need a strict decision use :func:`decide_less`, which refines
   precision until the interval separates the operands (the compared values
   in this package are never equal to the rational side, so this terminates).
@@ -88,29 +94,39 @@ def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     if x <= -64:
         return Fraction(0), Fraction(1, 1 << ((-x).numerator // (-x).denominator))
     if x < 0:
-        lo, hi = exp_enclosure(-x, prec + 8)
         # reciprocal: e**x = 1 / e**(-x); endpoints swap
-        return outward(1 / hi, 1 / lo, prec)
-    # Halve until the argument is at most 1/2.
+        w = prec + 8
+        lo, hi = _exp_fixed(-x.numerator, x.denominator, w)
+        one = 1 << (w + prec)
+        return Fraction(one // hi, 1 << prec), Fraction(-(-one // lo), 1 << prec)
+    lo, hi = _exp_fixed(x.numerator, x.denominator, prec)
+    return Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
+
+
+def _exp_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
+    """Numerators over 2**prec of the enclosure of e**(p/q), p >= 0, q > 0."""
+    # Halve until the argument y = p/Q, Q = q·2**h, is at most 1/2.
     halvings = 0
-    y = x
-    while y > Fraction(1, 2):
-        y /= 2
+    while 2 * p > q << halvings:
         halvings += 1
-    # Exact Taylor partial sum with tail bound:  0 <= R < 2 y**T / T!.
+    big_q = q << halvings
+    # Exact Taylor partial sum num/den by Horner, tail bound 0 <= R < 2 y**T / T!.
     terms = max(8, (prec + halvings) // 2 + 4)
-    total = Fraction(1)
-    term = Fraction(1)
-    for i in range(1, terms):
-        term = term * y / i
-        total += term
-    tail = 2 * term * y / terms
-    lo, hi = total, total + tail
+    num = den = 1
+    for i in range(terms - 1, 0, -1):
+        den *= big_q * i
+        num = den + p * num
+    # hi = num/den + 2 p**T / (den·Q·T), over the common denominator den·Q·T
+    hi_den = den * big_q * terms
+    hi_num = num * big_q * terms + 2 * p**terms
     work = prec + 2 * halvings + 8
-    lo, hi = outward(lo, hi, work)
+    lo = (num << work) // den
+    hi = -(-(hi_num << work) // hi_den)
     for _ in range(halvings):
-        lo, hi = outward(lo * lo, hi * hi, work)
-    return outward(lo, hi, prec)
+        lo = lo * lo >> work
+        hi = -(-hi * hi >> work)
+    shift = work - prec
+    return lo >> shift, -(-hi >> shift)
 
 
 def ln_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:

@@ -271,17 +271,18 @@ def integral_Dstar_closed(m: int, x: DyadicPoint) -> Fraction:
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    total = Fraction(0)
+    # the terms share the denominator 2^e: sum their numerators, divide once
+    total = 0
     e = x.exponent
+    mask = (1 << e) - 1
     k = 0
     mm = m
     while mm:
         if mm & 1 and k < e:
-            rho = Fraction((x.numerator << k) & ((1 << e) - 1), 1 << e)
-            total += rho - bit(x, k + 1)
+            total += ((x.numerator << k) & mask) - (bit(x, k + 1) << e)
         mm >>= 1
         k += 1
-    return total
+    return Fraction(total, 1 << e)
 
 
 def integral_Dstar_grid(m: int, x: DyadicPoint, K: int) -> Fraction:
@@ -428,6 +429,11 @@ def verify_lemma2(
     if mode == "exhaustive":
         if n > cap:
             raise ValueError(f"exhaustive mode capped at n <= {cap}, got {n}")
+        if n + 2 > GRID_CAP:
+            raise ValueError(
+                f"exhaustive mode scans 2^(n+2) cells; n + 2 = {n + 2} "
+                f"exceeds the grid cap {GRID_CAP}"
+            )
         member, m_vals, nu, int_scaled = cell_scan(n)
         idx = np.flatnonzero(member)
         scale = 1 << (n + 2)

@@ -47,6 +47,47 @@ rationals = st.fractions(
 )
 
 
+def exp_enclosure_reference(x: Fraction, prec: int):
+    """e**x enclosed with exact Fraction arithmetic, rounded outward per step.
+
+    The plain rational form of :func:`exp_enclosure` on -64 < x <= 2**20:
+    argument halving, an exact Taylor sum plus tail, interval squaring, and
+    a reciprocal for x < 0.  The fixed-point implementation must return the
+    same endpoints.
+    """
+    if x < 0:
+        lo, hi = exp_enclosure_reference(-x, prec + 8)
+        return outward(1 / hi, 1 / lo, prec)
+    halvings = 0
+    y = x
+    while y > Fraction(1, 2):
+        y /= 2
+        halvings += 1
+    terms = max(8, (prec + halvings) // 2 + 4)
+    total = Fraction(1)
+    term = Fraction(1)
+    for i in range(1, terms):
+        term = term * y / i
+        total += term
+    tail = 2 * term * y / terms
+    work = prec + 2 * halvings + 8
+    lo, hi = outward(total, total + tail, work)
+    for _ in range(halvings):
+        lo, hi = outward(lo * lo, hi * hi, work)
+    return outward(lo, hi, prec)
+
+
+PRECISIONS = [8, 32, 64, 96, 104, 200]
+
+# (-64, 2^10], with small and with large denominators
+exp_arguments = st.one_of(
+    st.fractions(min_value=Fraction(-64), max_value=Fraction(1 << 10),
+                 max_denominator=100),
+    st.fractions(min_value=Fraction(-64), max_value=Fraction(1 << 10),
+                 max_denominator=10**30),
+).filter(lambda x: x > -64)
+
+
 class TestRounding:
     def test_round_down_up_bracket(self):
         x = Fraction(1, 3)
@@ -99,6 +140,18 @@ class TestEnclosures:
     def test_exp_rejects_huge_arguments(self):
         with pytest.raises(ArithmeticError):
             exp_enclosure(Fraction(1 << 21))
+
+    @given(exp_arguments, st.sampled_from(PRECISIONS))
+    @settings(max_examples=200, deadline=None)
+    def test_exp_matches_fraction_reference(self, x, prec):
+        assert exp_enclosure(x, prec) == exp_enclosure_reference(x, prec)
+
+    @pytest.mark.parametrize("prec", PRECISIONS)
+    @pytest.mark.parametrize(
+        "x", [Fraction(0), Fraction(-1, 36), Fraction(-2303, 36), Fraction(1000, 3)]
+    )
+    def test_exp_matches_fraction_reference_at_fixed_points(self, x, prec):
+        assert exp_enclosure(x, prec) == exp_enclosure_reference(x, prec)
 
     def test_exp_far_negative_is_crude_but_sound(self):
         lo, hi = exp_enclosure(Fraction(-100))

@@ -384,6 +384,8 @@ class TestDeterminism:
     ["partial-sums", "--x", "7/2^5", "--l-max", "1000000000000"],
     # a cap past GRID_CAP would lift that bound with it
     ["partial-sums", "--x", "7/2^5", "--l-max", "1000000000000", "--grid-cap", "40"],
+    # 2^32 cells would need 32 GiB per int64 array: rejected before the scan
+    ["lemma2", "--n", "30", "--cap", "30"],
 ])
 def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
     # run in an empty directory, so the missing files really are missing
