@@ -54,8 +54,9 @@ def walsh_sign_row(rx: int, size: int) -> np.ndarray:
     """Signs (-1)**popcount(m & rx) for m = 0..size-1, as int64 ±1.
 
     With ``rx`` the e-bit reversal of the numerator of x = a/2**e, entry m
-    is w_m(x).  Callers pass the period 2**e as ``size``, not the grid length
-    2**K: r_k(x) = 1 for k >= e, so w_m(x) repeats with period 2**e in m.
+    is w_m(x), which repeats with period 2**e in m (r_k(x) = 1 for k >= e),
+    so that caller passes 2**e as ``size``.  With ``rx`` the K-bit reversal
+    of n and size 2**K, entry i is w_n(i/2**K), the grid sample of w_n.
     """
     masked = np.arange(size, dtype=np.int64) & np.int64(rx)
     parity = (np.bitwise_count(masked) & 1).astype(np.int64)

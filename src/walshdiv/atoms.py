@@ -16,9 +16,9 @@ whole-sum partial sums closed-form:
 - an indicator atom is a step function at its mask level L, so its spectrum
   lives below 2**L; a small exact transform of the mask yields the full
   coefficient table and hence any prefix.  When the mask is too large for
-  that table (level above ``table_cap``), cuts strictly inside the open
-  spectral block are rejected with :class:`AtomSplitError` — the signal to
-  fall back to a grid.
+  that table (level above ``TABLE_CAP``), cuts strictly inside the open
+  spectral block are rejected with :class:`AtomSplitError`.  A whole sum's
+  terms below 2**L are again a sum, :meth:`AtomSum.low_pass`, rendered on 2**L cells.
 
 Spectral blocks are recorded on the AtomSum as half-open index intervals
 [lo, hi) with owner labels; builders that know about cancellations (kernel
@@ -163,10 +163,6 @@ class IndicatorAtom:
         )
 
     def render_into(self, nums: np.ndarray, resolution: int, den: int) -> None:
-        if self.level > resolution:
-            raise ValueError(
-                f"cannot render a level-{self.level} mask at resolution {resolution}"
-            )
         scale = self.coefficient * den
         if scale.denominator != 1:
             raise ValueError("common denominator does not clear the coefficient")
@@ -214,10 +210,6 @@ class KernelAtom:
 
     def render_into(self, nums: np.ndarray, resolution: int, den: int) -> None:
         s = self.order.bit_length() - 1
-        if self.level > resolution:
-            raise ValueError(
-                f"cannot render an order-{self.order} kernel at resolution {resolution}"
-            )
         scale = self.coefficient * self.order * den
         if scale.denominator != 1:
             raise ValueError("common denominator does not clear the coefficient")
@@ -269,6 +261,19 @@ class AtomSum:
         if cut < 0:
             raise ValueError(f"cut must be nonnegative, got {cut}")
         return sum((a.prefix(cut, x) for a in self.atoms), Fraction(0))
+
+    def low_pass(self, level: int) -> "AtomSum":
+        """The terms below 2**level: every kernel order capped at 2**level.
+
+        A capped kernel reads only ``level`` digits of its shift, so shifts are
+        cut to those; indicators stay whole, as :meth:`render` at ``level`` needs.
+        """
+        return AtomSum(
+            KernelAtom(a.coefficient, min(a.order, 1 << level),
+                       DyadicPoint(containing_interval(a.shift, level).index, level))
+            if isinstance(a, KernelAtom) else a
+            for a in self.atoms
+        )
 
     # -- aggregates ------------------------------------------------------------
 

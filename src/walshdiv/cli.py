@@ -36,6 +36,7 @@ from .counterexample import (
     GRID_CAP,
     ConstructionParams,
     LemmaReport,
+    _coefficients,
     _frac,
     build_fn,
     chain_check,
@@ -48,7 +49,7 @@ from .counterexample import (
 )
 from .dyadic import DyadicPoint, parse_point
 from .fourier import exceed_density, parse_phi, strong_mean, strong_mean_bounds
-from .walsh import GridVector, fwht
+from .walsh import GridVector
 
 __all__ = ["RunConfig", "main"]
 
@@ -241,7 +242,7 @@ def _cmd_build_fn(ns: argparse.Namespace) -> int:
             raise ValueError(
                 f"coefficient dump needs q = 2^{params.q_exponent} <= 2^{grid_cap}"
             )
-        co = fwht(fn.render(params.q_exponent, cap=grid_cap))
+        co = _coefficients(params, params.q_exponent)
         lines = ["index,value_exact,value_float", *_coefficient_rows(co)]
         _emit(ns, config, "\n".join(lines) + "\n")
         if ns.out:

@@ -74,6 +74,10 @@ EXHAUSTIVE_CAP = 16
 #: Default cap on dense grid resolution (2^cap values).
 GRID_CAP = 26
 
+#: Largest order of the exact |E_n| recurrence.  Its numerators have about
+#: 0.3·n digits, and Python refuses to print an int past 4300 digits.
+MEASURE_N_MAX = 10_000
+
 
 class EmptySelectionError(ValueError):
     """No descent position exists: m is undefined at this point."""
@@ -180,6 +184,8 @@ def _member_counts(n_hi: int) -> Iterator[tuple[int, int]]:
     cutoff moves, so each order costs O(1) exact operations on T and on
     C = C(n, ⌊n/3⌋).  For n = 0 both tails are the one vector: |E_0| = 0.
     """
+    if n_hi > MEASURE_N_MAX:
+        raise ValueError(f"order {n_hi} exceeds the measure bound {MEASURE_N_MAX}")
     tail = binom = 1  # T(0) and C(0, 0)
     yield 0, 0
     for n in range(n_hi):
@@ -435,17 +441,19 @@ def verify_lemma2(
                 f"exceeds the grid cap {GRID_CAP}"
             )
         member, m_vals, nu, int_scaled = cell_scan(n)
-        idx = np.flatnonzero(member)
+        # masked reductions, not index gathers, keep temporaries to bool masks;
+        # the argmax of a mask is its first true index
+        members = int(np.count_nonzero(member))
         scale = 1 << (n + 2)
         rows.append(
             AssertionRecord(
                 "member cells at level n+2",
-                str(int(idx.size)),
+                str(members),
                 f"of {scale}",
                 "reported",
             )
         )
-        if idx.size == 0:
+        if members == 0:
             rows.append(
                 AssertionRecord(
                     "integral >= n/30 on E_n",
@@ -457,52 +465,54 @@ def verify_lemma2(
             )
             return LemmaReport("lemma2", tuple(rows), tuple(params))
 
-        empty = idx[nu[idx] == 0]
+        checkable = member & (nu > 0)
+        n_checkable = int(np.count_nonzero(checkable))
+        n_empty = members - n_checkable
         rows.append(
             AssertionRecord(
                 "selector nonempty on E_n",
-                str(int(idx.size - empty.size)),
-                str(int(idx.size)),
-                "pass" if empty.size == 0 else "fail",
-                "" if empty.size == 0 else f"x={_cell_left(n, int(empty[0]))}",
+                str(n_checkable),
+                str(members),
+                "pass" if n_empty == 0 else "fail",
+                f"x={_cell_left(n, int(np.argmax(member & (nu == 0))))}" if n_empty else "",
             )
         )
+        max_m = int(m_vals.max(where=member, initial=0))
         rows.append(
             AssertionRecord(
                 "m < 2^n on E_n",
-                str(int(m_vals[idx].max())),
+                str(max_m),
                 str(1 << n),
-                "pass" if int(m_vals[idx].max()) < (1 << n) else "fail",
+                "pass" if max_m < (1 << n) else "fail",
             )
         )
-        worst_nu = int(nu[idx].min())
+        worst_nu = int(nu.min(where=member, initial=n))
         rows.append(
             AssertionRecord(
                 "6*nu >= n - 6 on E_n",
                 str(worst_nu),
                 _frac(Fraction(n - 6, 6)),
                 "pass" if 6 * worst_nu >= n - 6 else "fail",
-                f"x={_cell_left(n, int(idx[int(np.argmin(nu[idx]))]))}",
+                f"x={_cell_left(n, int(np.argmax(member & (nu == worst_nu))))}",
             )
         )
-        # integral >= n/30, certified for every x via the left endpoints
-        checkable = idx[nu[idx] > 0]
-        ok = 30 * int_scaled[checkable] >= n * scale
-        bad = checkable[~ok]
-        if checkable.size:
-            arg = int(checkable[int(np.argmin(int_scaled[checkable]))])
-            min_integral = Fraction(int(int_scaled[arg]), scale)
-            witness = f"x={_cell_left(n, arg)} integral={_frac(min_integral)}"
+        # integral >= n/30 for every x via the left endpoints; for the integer
+        # I, 30·I >= n·scale iff I >= ⌈n·scale/30⌉
+        n_bad = int(np.count_nonzero(checkable & (int_scaled < -(-n * scale // 30))))
+        if n_checkable:
+            low = int(int_scaled.min(where=checkable, initial=np.iinfo(np.int64).max))
+            arg = int(np.argmax(checkable & (int_scaled == low)))
+            witness = f"x={_cell_left(n, arg)} integral={_frac(Fraction(low, scale))}"
         else:
             witness = "no checkable cells"
-        if empty.size:
-            witness += f"; {int(empty.size)} cells lack a selector"
+        if n_empty:
+            witness += f"; {n_empty} cells lack a selector"
         rows.append(
             AssertionRecord(
                 "integral >= n/30 on E_n",
-                str(int(checkable.size - bad.size)),
-                str(int(checkable.size)),
-                "fail" if bad.size or empty.size else "pass",
+                str(n_checkable - n_bad),
+                str(n_checkable),
+                "fail" if n_bad or n_empty else "pass",
                 witness,
             )
         )
@@ -613,31 +623,31 @@ def progression_L(sel: SelectorResult, n: int, lo: int, hi: int) -> list[int]:
 
 
 @lru_cache(maxsize=8)
-def _prepared_fn(params: ConstructionParams, grid_cap: int):
-    """Build f_n once per parameter set; render + transform when affordable."""
-    fn = build_fn(params)
-    coeffs = None
-    if params.q_exponent <= grid_cap:
-        grid = fn.render(params.q_exponent, cap=grid_cap)
-        coeffs = fwht(grid)
-    return fn, coeffs
+def _coefficients(params: ConstructionParams, level: int) -> GridVector:
+    """f̂_n(m) for m < 2^level: the transform of f_n's low-pass part.
+
+    By Paley's lemma that part is the mean of f_n on level cells, exact on
+    2^level cells whatever q is; callers keep n + 2 ≤ level ≤ q_exponent.
+    """
+    return fwht(build_fn(params).low_pass(level).render(level))
 
 
 def _partial_sums_scaled(coeffs: GridVector, x: DyadicPoint) -> np.ndarray:
     """All S_l(x)·den for l = 1 … 2^K as an integer cumulative sum.
 
-    For x = a/2^e with e ≤ K (every caller checks this), r_k(x) = 1 for
-    every k ≥ e, so w_m(x) depends only on m mod 2^e.  One sign row of
-    length 2^e, broadcast over the 2^(K-e) blocks of the coefficients, gives
-    every term f̂(m)·w_m(x); that product is the one 2^K array allocated, and
-    the prefix sum runs in place on it.
+    For m < 2^K, w_m(x) reads only the first K digits of x, so x is read as
+    the left end a/2^e of its level-K cell, e = min(exponent, K).  There
+    r_k = 1 for every k ≥ e, so w_m depends only on m mod 2^e.  One sign row
+    of length 2^e, broadcast over the 2^(K-e) blocks of the coefficients,
+    gives every term f̂(m)·w_m(x); that product is the one 2^K array
+    allocated, and the prefix sum runs in place on it.
 
     A grid keeps int64 coefficients only while peak·2^K < 2^62, which bounds
     every prefix; object (big-int) coefficients keep the sum in object dtype.
     """
-    period = 1 << x.exponent
-    signs = walsh_sign_row(bit_reverse(x.numerator, x.exponent), period)
-    terms = (coeffs.numerators.reshape(-1, period) * signs).reshape(-1)
+    e = min(x.exponent, coeffs.resolution)
+    signs = walsh_sign_row(bit_reverse(x.numerator >> (x.exponent - e), e), 1 << e)
+    terms = (coeffs.numerators.reshape(-1, 1 << e) * signs).reshape(-1)
     return np.cumsum(terms, out=terms)
 
 
@@ -659,23 +669,21 @@ def partial_sum_series(
     count: int,
     grid_cap: int = GRID_CAP,
 ) -> ExactSeries:
-    """S_l(x, f_n) for l = 1 … count.
+    """S_l(x, f_n) for l = 1 … count, from one exact transform.
 
-    Grid-accelerated when q(n) is renderable (one transform, one cumulative
-    sum; S_l is constant at f(x) beyond the spectral ceiling); otherwise each
-    cut is evaluated symbolically.  Either way the series holds ``count``
-    values, so a count above 2^grid_cap is rejected before anything is built.
+    Only f̂(m) with m < count enters: the transform is of f_n's low-pass part
+    at the least level ≥ n + 2 with 2^level ≥ count, capped at q's exponent,
+    past which S_l = S_q.  A count above 2^grid_cap is rejected first.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if count > 1 << grid_cap:
         raise ValueError(f"count {count} exceeds the grid cap 2^{grid_cap}")
-    fn, coeffs = _prepared_fn(params, grid_cap)
-    if coeffs is not None and x.exponent <= coeffs.resolution:
-        scaled = _partial_sums_scaled(coeffs, x)
-        tail = np.repeat(scaled[-1:], max(count - len(scaled), 0))
-        return ExactSeries(np.concatenate([scaled[:count], tail]), coeffs.denominator)
-    return ExactSeries.of([fn.partial_sum(l, x) for l in range(1, count + 1)])
+    level = min(params.q_exponent, max((count - 1).bit_length(), params.n + 2))
+    coeffs = _coefficients(params, level)
+    scaled = _partial_sums_scaled(coeffs, x)
+    tail = np.repeat(scaled[-1:], max(count - len(scaled), 0))
+    return ExactSeries(np.concatenate([scaled[:count], tail]), coeffs.denominator)
 
 
 def check_lemma1_order(n: int) -> None:
@@ -706,14 +714,18 @@ def verify_lemma1(
     """
     n = params.n
     check_lemma1_order(n)
-    fn, coeffs = _prepared_fn(params, grid_cap)
+    fn = build_fn(params)
+    grid_sums = None
+    if params.q_exponent <= grid_cap:
+        coeffs = _coefficients(params, params.q_exponent)
+        grid_sums, den = _partial_sums_scaled(coeffs, x), coeffs.denominator
     rows: list[AssertionRecord] = []
     parameters = [
         ("lemma", "1"),
         ("n", str(n)),
         ("c", str(params.c)),
         ("x", x.to_text()),
-        ("grid", str(params.q_exponent) if coeffs is not None else "symbolic-only"),
+        ("grid", str(params.q_exponent) if grid_sums is not None else "symbolic-only"),
     ]
     q = params.q
     fx = fn.value(x)
@@ -729,11 +741,6 @@ def verify_lemma1(
         )
     )
 
-    grid_sums = None
-    if coeffs is not None and x.exponent <= coeffs.resolution:
-        grid_sums = _partial_sums_scaled(coeffs, x)
-        den = coeffs.denominator
-
     if in_support:
         gamma_floor = Fraction(1 << params.gamma)
         rows.append(
@@ -746,9 +753,7 @@ def verify_lemma1(
         )
         cuts = [q, q + 1, 2 * q]
         sym_ok = all(fn.partial_sum(l, x) == fx for l in cuts)
-        grid_ok = True
-        if grid_sums is not None:
-            grid_ok = Fraction(int(grid_sums[q - 1]), den) == fx
+        grid_ok = grid_sums is None or Fraction(int(grid_sums[q - 1]), den) == fx
         rows.append(
             AssertionRecord(
                 "S_l(x) = f(x) for l >= q",

@@ -216,9 +216,8 @@ class GridVector(ExactSeries):
             raise ValueError(
                 f"index {n} is not representable on a 2^-{resolution} grid"
             )
-        rev = _kernels.bit_reversal_table(resolution)
-        parity = (np.bitwise_count(np.int64(n) & rev) & 1).astype(np.int64)
-        return cls(resolution, 1 - 2 * parity, 1)
+        rn = bit_reverse(n, resolution)  # popcount(n & rev(i)) = popcount(rn & i)
+        return cls(resolution, _kernels.walsh_sign_row(rn, 1 << resolution), 1)
 
     @classmethod
     def sample_dirichlet_star(cls, n: int, resolution: int) -> "GridVector":

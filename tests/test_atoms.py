@@ -161,6 +161,18 @@ class TestAtomSum:
                 if cut < 256:
                     running += coeffs[cut] * signs[cut]
 
+    def test_low_pass_renders_the_leading_coefficients(self):
+        # Paley's lemma: low_pass(L) on 2^L cells has the first 2^L coefficients
+        rng = random.Random(31)
+        for _ in range(12):
+            s = random_atom_sum(rng)
+            full = fwht(s.render(8))
+            floor = max((a.level for a in s.atoms if isinstance(a, IndicatorAtom)),
+                        default=0)
+            for level in range(floor, 9):
+                low = fwht(s.low_pass(level).render(level))
+                assert low.values() == full.values()[: 1 << level]
+
     def test_partial_sum_beyond_spectrum_is_the_value(self):
         rng = random.Random(24)
         s = random_atom_sum(rng)

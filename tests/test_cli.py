@@ -411,19 +411,32 @@ def test_lemma1_over_all_cells_rejects_a_huge_order_before_allocating():
     assert "Traceback" not in proc.stderr
 
 
-DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
-
-
-@pytest.mark.parametrize("command", [
-    "measure-en --n-max 3000",
-    "lemma2 --n 20 --cap 20",
-    "build-fn --n 2 --c 3 --dump-coefficients",
-    "strong-mean --n 2 --c 3 --x 7/2^5 --N-list 16,4096,524288",
-    "strong-mean --n 2 --c 5 --x 7/2^5 --N-list 16,256,4096",
+@pytest.mark.parametrize("argv", [
+    ["measure-en", "--n-max", "15000"],
+    ["lemma2", "--mode", "sample", "--n", "20000"],
 ])
+def test_orders_past_the_measure_bound_fail_fast(argv):
+    # rejected before the |E_n| recurrence, not after computing every row
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "walshdiv.cli", *argv],
+                          capture_output=True, text=True, env=checkout_env(),
+                          timeout=10)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("walshdiv: error: ")
+    assert "measure bound" in proc.stderr
+
+
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", list(DIGESTS))
 def test_stdout_matches_the_benchmark_digest(command, capsys):
-    # the benchmark's recorded stdout SHA-256; this test only reads the file
-    recorded = json.loads(DIGESTS.read_text())[command]
+    # every command the benchmark recorded a stdout SHA-256 for, at every
+    # seed point; this test only reads the file
     main(command.split())
     out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == recorded
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[command]

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from walshdiv._kernels import walsh_sign_row
 from walshdiv.counterexample import (
+    GRID_CAP,
+    MEASURE_N_MAX,
     AssertionRecord,
     ConstructionParams,
     EmptySelectionError,
@@ -137,6 +139,14 @@ class TestPairsumDistribution:
     def test_rejects_a_negative_order(self):
         with pytest.raises(ValueError):
             measure_En(-1)
+
+    def test_rejects_orders_past_the_bound_before_the_recurrence(self):
+        for call in (lambda: measure_En(MEASURE_N_MAX + 1),
+                     lambda: measure_En_range(1, MEASURE_N_MAX + 1),
+                     lambda: measure_En_range(1, 10 ** 12)):
+            with pytest.raises(ValueError, match="measure bound"):
+                call()
+        assert measure_En_range(MEASURE_N_MAX, MEASURE_N_MAX)[0][0] == MEASURE_N_MAX
 
     def test_matches_sign_vector_enumeration(self):
         n = 8
@@ -359,14 +369,26 @@ class TestPartialSumSeries:
         assert list(series)[-6:] == [series[p.q - 1]] * 6
         assert series[p.q - 1] == build_fn(p).value(x)
 
-    def test_symbolic_only_path_agrees(self):
-        p = ConstructionParams(2, 2)
-        x = DyadicPoint(7, 5)
-        fast = partial_sum_series(p, x, 30)
-        slow = partial_sum_series(p, x, 30, grid_cap=8)  # q unrenderable: no grid
-        assert fast == slow
+    def test_matches_symbolic_cuts_past_the_grid_cap(self):
+        # q = 2^30 cannot be rendered: the series comes from the low-pass part
+        p = ConstructionParams(2, 5)
+        assert p.q_exponent > GRID_CAP
+        f = build_fn(p)
+        for x in (DyadicPoint(7, 5), DyadicPoint(12345, 20)):
+            series = partial_sum_series(p, x, 4096)
+            assert list(series) == [f.partial_sum(l, x) for l in range(1, 4097)]
 
-    def test_point_finer_than_grid_goes_symbolic(self):
+    def test_count_below_the_indicator_level(self):
+        # counts under 2^(n+2) still render the whole level-(n+2) indicator
+        p = ConstructionParams(3, 2)
+        f = build_fn(p)
+        x = DyadicPoint(11, 6)
+        for count in (1, 2, 5, 31):
+            assert list(partial_sum_series(p, x, count)) == [
+                f.partial_sum(l, x) for l in range(1, count + 1)
+            ]
+
+    def test_point_finer_than_the_grid_reads_its_cell(self):
         p = ConstructionParams(2, 2)
         f = build_fn(p)
         x = DyadicPoint((1 << 20) - 1, 20)
@@ -486,6 +508,17 @@ class TestVerifyLemma1:
         rows = row_map(report)
         assert rows["w_l(theta_j) = 1 on the progression"].witness == "window [16, 64)"
         assert rows["exceedance density at N=2q (reported)"].lhs_exact == "1481/4096"
+
+    def test_point_finer_than_the_grid_is_counted(self):
+        # x has 20 digits, q = 2^12: every cut below q reads x's level-12 cell
+        p, x = ConstructionParams(2, 2), DyadicPoint(12345, 20)
+        rows = row_map(verify_lemma1(p, x))
+        assert rows["S_l(x) = f(x) for l >= q"].lhs_exact == "symbolic+grid"
+        assert rows["density at N=2q >= 1/2"].lhs_exact == "8121/8192"
+        f = build_fn(p)
+        low = sum(abs(f.partial_sum(l, x)) > Fraction(1, 20) for l in range(1, p.q + 1))
+        assert abs(f.value(x)) > Fraction(1, 20)
+        assert Fraction(low + p.q, 2 * p.q) == Fraction(8121, 8192)
 
     def test_large_n_is_infeasible(self):
         with pytest.raises(InfeasibleParameters, match="chain_check"):
