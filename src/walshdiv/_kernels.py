@@ -6,6 +6,7 @@ Kernels
   on object-dtype Python big ints;
 - bit-reversal index tables;
 - Walsh sign rows (w_m(x) for every m below a power of two);
+- Dirichlet rows (D_r(y) for every r in an array of orders, in closed form);
 - the exhaustive cell scan behind the sign-change-set verification:
   membership, descent selector, and the exact (scaled) kernel integral for
   every level-(n+2) cell at once.
@@ -19,6 +20,7 @@ __all__ = [
     "hadamard_inplace",
     "bit_reversal_table",
     "walsh_sign_row",
+    "dirichlet_row",
     "cell_scan",
 ]
 
@@ -61,6 +63,20 @@ def walsh_sign_row(rx: int, size: int) -> np.ndarray:
     masked = np.arange(size, dtype=np.int64) & np.int64(rx)
     parity = (np.bitwise_count(masked) & 1).astype(np.int64)
     return 1 - 2 * parity
+
+
+def dirichlet_row(rx: int, z: int, orders: np.ndarray) -> np.ndarray:
+    """D_r(y) for every r in ``orders`` (int64, below 2**62), as int64.
+
+    Here y = a/2**e with a odd, ``rx`` is the e-bit reversal of a and
+    z = e - bitlen(a) counts the zero digits of y before its first 1.  So
+    D_{2**k}(y) is 2**k for k <= z and 0 beyond, while r_k(y) is 1 for k < z
+    and -1 at k = z, which gives D*_r(y) = (r mod 2**z) - (r & 2**z); and
+    D_r = w_r · D*_r with w_r(y) = (-1)**popcount(r & rx).
+    """
+    parity = (np.bitwise_count(orders & np.int64(rx)) & 1).astype(np.int64)
+    star = (orders & np.int64((1 << z) - 1)) - (orders & np.int64(1 << z))
+    return (1 - 2 * parity) * star
 
 
 def cell_scan(n: int):

@@ -17,8 +17,7 @@ whole-sum partial sums closed-form:
   lives below 2**L; a small exact transform of the mask yields the full
   coefficient table and hence any prefix.  When the mask is too large for
   that table (level above ``TABLE_CAP``), cuts strictly inside the open
-  spectral block are rejected with :class:`AtomSplitError`.  A whole sum's
-  terms below 2**L are again a sum, :meth:`AtomSum.low_pass`, rendered on 2**L cells.
+  spectral block are rejected with :class:`AtomSplitError`.
 
 Spectral blocks are recorded on the AtomSum as half-open index intervals
 [lo, hi) with owner labels; builders that know about cancellations (kernel
@@ -37,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dyadic import DyadicPoint, Rat, containing_interval, xor_add
-from .walsh import ExactSeries, GridVector, dirichlet, fwht, walsh
+from .walsh import GRID_CAP, ExactSeries, GridVector, dirichlet, fwht, walsh
 
 __all__ = [
     "AtomSplitError",
@@ -262,19 +261,6 @@ class AtomSum:
             raise ValueError(f"cut must be nonnegative, got {cut}")
         return sum((a.prefix(cut, x) for a in self.atoms), Fraction(0))
 
-    def low_pass(self, level: int) -> "AtomSum":
-        """The terms below 2**level: every kernel order capped at 2**level.
-
-        A capped kernel reads only ``level`` digits of its shift, so shifts are
-        cut to those; indicators stay whole, as :meth:`render` at ``level`` needs.
-        """
-        return AtomSum(
-            KernelAtom(a.coefficient, min(a.order, 1 << level),
-                       DyadicPoint(containing_interval(a.shift, level).index, level))
-            if isinstance(a, KernelAtom) else a
-            for a in self.atoms
-        )
-
     # -- aggregates ------------------------------------------------------------
 
     def norm1_certificate(self) -> Fraction:
@@ -283,15 +269,15 @@ class AtomSum:
 
     # -- rendering ---------------------------------------------------------------
 
-    def render(self, resolution: int, cap: int = 26) -> GridVector:
+    def render(self, resolution: int) -> GridVector:
         """Exact step-function rendering on the 2**-resolution grid.
 
         Requires every atom level to be at most ``resolution`` (so the
-        rendering is exact, not a sampling) and resolution <= cap.
+        rendering is exact, not a sampling) and resolution <= GRID_CAP.
         """
-        if resolution > cap:
+        if resolution > GRID_CAP:
             raise ValueError(
-                f"resolution {resolution} exceeds the grid cap {cap}"
+                f"resolution {resolution} exceeds the grid cap {GRID_CAP}"
             )
         if self.level > resolution:
             raise ValueError(

@@ -36,20 +36,20 @@ from .counterexample import (
     GRID_CAP,
     ConstructionParams,
     LemmaReport,
-    _coefficients,
     _frac,
     build_fn,
     chain_check,
     check_lemma1_order,
     measure_bound,
     measure_En_range,
+    partial_sum_census,
     partial_sum_series,
     verify_lemma1,
     verify_lemma2,
 )
 from .dyadic import DyadicPoint, parse_point
 from .fourier import exceed_density, parse_phi, strong_mean, strong_mean_bounds
-from .walsh import GridVector
+from .walsh import GridVector, fwht
 
 __all__ = ["RunConfig", "main"]
 
@@ -242,7 +242,7 @@ def _cmd_build_fn(ns: argparse.Namespace) -> int:
             raise ValueError(
                 f"coefficient dump needs q = 2^{params.q_exponent} <= 2^{grid_cap}"
             )
-        co = _coefficients(params, params.q_exponent)
+        co = fwht(fn.render(params.q_exponent))
         lines = ["index,value_exact,value_float", *_coefficient_rows(co)]
         _emit(ns, config, "\n".join(lines) + "\n")
         if ns.out:
@@ -318,7 +318,7 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
         raise ValueError(f"bad N list {ns.n_list!r}")
     threshold = Fraction(ns.threshold) if ns.threshold else Fraction(n, 40)
     center = Fraction(ns.center)
-    series = partial_sum_series(params, x, n_list[-1], grid_cap=grid_cap)
+    censuses = {N: partial_sum_census(params, x, N, grid_cap) for N in n_list}
     grid = params.q_exponent if params.q_exponent <= grid_cap else "symbolic"
     config = RunConfig(
         "strong-mean",
@@ -333,13 +333,13 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
     for phi in phis:
         phi_lo, phi_hi = phi.enclosure(threshold)
         for N in n_list:
-            mean = strong_mean(series, phi, N, s=center)
-            density = exceed_density(series, threshold, N)
+            mean = strong_mean(censuses[N], phi, N, s=center)
+            density = exceed_density(censuses[N], threshold, N)
             lhs_hi = density * phi_hi
             if mpmath.isinf(mean):
                 verdict = "pass"  # any finite lhs is below an infinite mean
             else:
-                mean_lo, mean_hi = strong_mean_bounds(series, phi, N, s=center)
+                mean_lo, mean_hi = strong_mean_bounds(censuses[N], phi, N, s=center)
                 if lhs_hi <= mean_lo:
                     verdict = "pass"
                 elif density * phi_lo > mean_hi:

@@ -12,6 +12,11 @@ Pieces, bottom-up:
   independent grid oracle;
 - the polynomial f_n = 2^γ·1_{(E_n)^c}·w_{2^n} + (1/2^n) Σ_j (D_q − D_{u_j})(·⊕θ_j)
   as an :class:`~walshdiv.atoms.AtomSum` with exact spectral bookkeeping;
+- its partial sums S_1 … S_N(x) read off its window structure
+  (:class:`WindowSums`): the indicator's coefficient table below u_1 and one
+  table of periodic residues per kernel window, giving the census
+  (:func:`partial_sum_census`), a drift-aware exceedance count and the
+  series at any c and N, with no grid and no transform;
 - structured verifiers (:func:`verify_lemma2`, :func:`verify_lemma1`) that
   re-derive each identity and inequality along two independent paths and emit
   a :class:`LemmaReport`;
@@ -28,20 +33,30 @@ membership forces more than n/3 sign changes, descents make up at least
 
 from __future__ import annotations
 
+import bisect
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import bounds
-from ._kernels import cell_scan, walsh_sign_row
+from ._kernels import cell_scan, dirichlet_row, walsh_sign_row
 from .atoms import AtomSum, IndicatorAtom, KernelAtom, SpectralBlock
 from .dyadic import DyadicPoint, bit, containing_interval, xor_add
-from .fourier import ExactSeries, PhiSpec
-from .walsh import GridVector, bit_reverse, dirichlet, dirichlet_star, fwht, walsh
+from .fourier import Census, PhiSpec
+from .walsh import (
+    GRID_CAP,
+    ExactSeries,
+    GridVector,
+    bit_reverse,
+    dirichlet,
+    dirichlet_star,
+    walsh,
+)
 
 __all__ = [
     "EmptySelectionError",
@@ -60,6 +75,8 @@ __all__ = [
     "verify_lemma2",
     "build_fn",
     "progression_L",
+    "WindowSums",
+    "partial_sum_census",
     "partial_sum_series",
     "check_lemma1_order",
     "verify_lemma1",
@@ -71,8 +88,9 @@ __all__ = [
 #: Default cap on exhaustive cell enumeration (2^(cap+2) cells).
 EXHAUSTIVE_CAP = 16
 
-#: Default cap on dense grid resolution (2^cap values).
-GRID_CAP = 26
+#: Most progression cuts one lemma1 window may check symbolically: n = 2 at
+#: c = 4 needs 61,440, and n = 2 at c = 5 would need 1,966,080.
+PROGRESSION_CUT_CAP = 1 << 16
 
 #: Largest order of the exact |E_n| recurrence.  Its numerators have about
 #: 0.3·n digits, and Python refuses to print an int past 4300 digits.
@@ -608,59 +626,214 @@ def build_fn(params: ConstructionParams) -> AtomSum:
     return AtomSum(atoms, blocks)
 
 
-def progression_L(sel: SelectorResult, n: int, lo: int, hi: int) -> list[int]:
-    """All l = p + μ·2^{2n} (μ ≥ 0) with lo ≤ l < hi."""
+def progression_L(sel: SelectorResult, n: int, lo: int, hi: int) -> range:
+    """All l = p + μ·2^{2n} (μ ≥ 0) with lo ≤ l < hi, as a lazy range."""
     step = 1 << (2 * n)
-    if hi <= sel.p:
-        return []
-    mu = max(0, -(-(lo - sel.p) // step))  # ceil division, clamped
-    out = []
-    l = sel.p + mu * step
-    while l < hi:
-        out.append(l)
-        l += step
-    return out
+    start = sel.p + max(0, -(-(lo - sel.p) // step)) * step  # ceil division, clamped
+    return range(start, max(start, hi), step)
 
 
-@lru_cache(maxsize=8)
-def _coefficients(params: ConstructionParams, level: int) -> GridVector:
-    """f̂_n(m) for m < 2^level: the transform of f_n's low-pass part.
+class _Run(NamedTuple):
+    """Cuts first … first + length − 1, periodic in l with period ``period``.
 
-    By Paley's lemma that part is the mean of f_n on level cells, exact on
-    2^level cells whatever q is; callers keep n + 2 ≤ level ≤ q_exponent.
+    den·S_l at l = first + i + t·period is const + table[i] + slope·t, for
+    i < len(table) = min(period, length); slope is 0 except where S_l drifts.
     """
-    return fwht(build_fn(params).low_pass(level).render(level))
+
+    first: int
+    length: int
+    period: int
+    table: np.ndarray
+    const: int = 0
+    slope: int = 0
+
+    def class_counts(self) -> tuple[int, int]:
+        """(Q, R): class i holds Q + (i < R) cuts."""
+        return divmod(self.length, self.period)
+
+    def expand(self) -> np.ndarray:
+        """den·S at every cut of the run, in cut order."""
+        periods = -(-self.length // self.period)
+        peak = max(int(self.table.max()), -int(self.table.min()))
+        peak += abs(self.const) + self.slope * (periods - 1)
+        dtype = np.int64 if peak < 1 << 62 else object
+        values = np.tile(self.table.astype(dtype), periods)[: self.length]
+        if self.slope:
+            values += (np.arange(self.length) // self.period).astype(dtype) * self.slope
+        values += self.const
+        return values
 
 
-def _partial_sums_scaled(coeffs: GridVector, x: DyadicPoint) -> np.ndarray:
-    """All S_l(x)·den for l = 1 … 2^K as an integer cumulative sum.
+class WindowSums:
+    """S_1 … S_N(x, f_n), read off the window structure of f_n.
 
-    For m < 2^K, w_m(x) reads only the first K digits of x, so x is read as
-    the left end a/2^e of its level-K cell, e = min(exponent, K).  There
-    r_k = 1 for every k ≥ e, so w_m depends only on m mod 2^e.  One sign row
-    of length 2^e, broadcast over the 2^(K-e) blocks of the coefficients,
-    gives every term f̂(m)·w_m(x); that product is the one 2^K array
-    allocated, and the prefix sum runs in place on it.
+    Write I for the indicator term of f_n and y_j = x ⊕ θ_j.  The cuts fall
+    into runs:
 
-    A grid keeps int64 coefficients only while peak·2^K < 2^62, which bounds
-    every prefix; object (big-int) coefficients keep the sum in object dtype.
+    - l ≤ 2^{n+2}: every kernel pair cancels below u_1, so S_l is a prefix of
+      I's 2^{n+2}-entry coefficient table at x;
+    - 2^{n+2} < l ≤ u_1: S_l = I(x);
+    - window k, u_k < l ≤ u_{k+1}: S_l = I(x) + 2^-n Σ_{j≤k} [D_l(y_j) − D_{u_j}(y_j)];
+    - l > q: S_l = f(x).
+
+    In window k every w_m with m < l reads only the first h digits of y_j, h
+    the bit length of the window's last cut, so y_j may be cut to them.  For
+    y ≠ 0 of exponent e, w_m(y) depends on m mod 2^e only and D_{2^e}(y) = 0
+    (Paley's lemma; D_{2^e} = 2^e·1_{[0, 2^-e)}), so D_l(y) = D_{l mod 2^e}(y).
+    The window is therefore periodic with period 2^E, E the largest exponent
+    among the cut y_j, and one table of min(2^E, window length) residues holds
+    its values.  A y_j that cuts to 0 (x = θ_j, or x agrees with θ_j on h
+    digits) has D_l(y_j) = l: there S_l drifts by 2^-n per cut, and each
+    residue class is an arithmetic progression.  The work is O(2^n·2^E) per
+    window whatever c and N are; tables past 2^grid_cap entries in all are
+    rejected before they are allocated.
     """
-    e = min(x.exponent, coeffs.resolution)
-    signs = walsh_sign_row(bit_reverse(x.numerator >> (x.exponent - e), e), 1 << e)
-    terms = (coeffs.numerators.reshape(-1, 1 << e) * signs).reshape(-1)
-    return np.cumsum(terms, out=terms)
+
+    def __init__(
+        self, params: ConstructionParams, x: DyadicPoint, N: int, grid_cap: int = GRID_CAP
+    ):
+        if N < 1:
+            raise ValueError(f"cut count must be positive, got {N}")
+        n, level = params.n, params.n + 2
+        fn = build_fn(params)
+        indicator = fn.atoms[0]
+        table = indicator.coefficient_table()
+        self.x, self.cuts, self.grid_cap = x, N, grid_cap
+        self.denominator = den = math.lcm(table.denominator, 1 << n)
+        weight = den >> n
+        thetas = params.thetas()
+        windows = []
+        for k in range(1, 1 << n):
+            lo, hi = params.u(k), min(N, params.u(k + 1))
+            if hi <= lo:
+                break
+            h = hi.bit_length()  # every w_m with m < hi reads h digits
+            ys = [DyadicPoint(containing_interval(xor_add(x, t), h).index, h) for t in thetas[:k]]
+            period_exp = max(y.exponent for y in ys)
+            if period_exp > 62:
+                raise ValueError(
+                    f"x = {x.to_text()} reads {period_exp} digits in window {k}; "
+                    f"the window census supports 62"
+                )
+            windows.append((k, lo, hi, ys, 1 << period_exp))
+        size = min(N, 1 << level) + sum(min(period, hi - lo) for _, lo, hi, _, period in windows)
+        if size > 1 << grid_cap:
+            raise ValueError(
+                f"the window tables of {N} cuts at x = {x.to_text()} need {size} "
+                f"entries, past the grid cap 2^{grid_cap}"
+            )
+
+        rx = bit_reverse(containing_interval(x, level).index, level)
+        low = np.cumsum(table.numerators * walsh_sign_row(rx, 1 << level))
+        flat = np.zeros(1, dtype=np.int64)
+        at_x = int(indicator.value(x) * den)
+        runs = [
+            _Run(1, min(N, 1 << level), 1 << level, low[:N] * (den // table.denominator)),
+            _Run((1 << level) + 1, min(N, params.u(1)) - (1 << level), 1, flat, at_x),
+        ]
+        for k, lo, hi, ys, period in windows:
+            m = min(period, hi - lo)
+            residues = ((lo + 1) % period + np.arange(m, dtype=np.int64)) % period
+            # |table| ≤ 2^n·weight·period, plus the drift's weight·m
+            fits = (n + weight.bit_length() + period.bit_length() + 1) < 62
+            values = np.zeros(m, dtype=np.int64 if fits else object)
+            const, slope = at_x, 0
+            for j, y in enumerate(ys, start=1):
+                const -= weight * int(dirichlet(params.u(j), y))
+                if y.numerator:
+                    z = y.exponent - y.numerator.bit_length()
+                    row = dirichlet_row(bit_reverse(y.numerator, y.exponent), z, residues)
+                    values += row.astype(values.dtype) * weight
+                else:  # D_l(0) = l
+                    const += weight * (lo + 1)
+                    values += np.arange(m, dtype=np.int64) * weight
+                    slope += weight * period
+            runs.append(_Run(lo + 1, hi - lo, period, values, const, slope))
+        runs.append(_Run(params.q + 1, N - params.q, 1, flat, int(fn.value(x) * den)))
+        self.runs = [run for run in runs if run.length > 0]
+        self._firsts = [run.first for run in self.runs]
+
+    def at(self, l: int) -> Fraction:
+        """S_l(x) for 1 ≤ l ≤ N."""
+        if not 1 <= l <= self.cuts:
+            raise ValueError(f"cut {l} outside [1, {self.cuts}]")
+        run = self.runs[bisect.bisect_right(self._firsts, l) - 1]
+        t, i = divmod(l - run.first, run.period)
+        return Fraction(run.const + int(run.table[i]) + run.slope * t, self.denominator)
+
+    def count_above(self, bound: Fraction) -> int:
+        """Exact #{l ≤ N : |S_l(x)| > bound} for bound ≥ 0, never O(N).
+
+        For integer numerators v and cutoff = ⌊bound·den⌋, |v| > bound·den iff
+        v > cutoff or v < −cutoff.  A drifting residue class takes the values
+        a + slope·t for t < its count, so each side is one integer interval
+        of t.  Thresholds stay Python ints, which numpy compares exactly
+        against int64 even past 2^63.
+        """
+        bound = Fraction(bound)
+        cutoff = bound.numerator * self.denominator // bound.denominator
+        total = 0
+        for run in self.runs:
+            q, r = run.class_counts()
+            above, below = cutoff - run.const, -cutoff - run.const
+            if not run.slope:
+                hits = (run.table > above) | (run.table < below)
+                total += q * int(np.count_nonzero(hits)) + int(np.count_nonzero(hits[:r]))
+                continue
+            table = run.table.astype(object)
+            counts = q + (np.arange(len(table)) < r).astype(object)
+            first_above = np.minimum(np.maximum((above - table) // run.slope + 1, 0), counts)
+            under = np.minimum(np.maximum(-((table - below) // run.slope), 0), counts)
+            total += int((counts - first_above).sum() + under.sum())
+        return total
+
+    def census(self) -> Census:
+        """Distinct S_1 … S_N over one denominator, with counts, in order of first occurrence.
+
+        Off the drift a run's census comes from its residue table.  A
+        drifting run has about one value per cut, so it is expanded, and
+        more than 2^grid_cap such cuts are rejected.
+        """
+        drift = sum(run.length for run in self.runs if run.slope)
+        if drift > 1 << self.grid_cap:
+            raise ValueError(
+                f"S_l drifts with l at x = {self.x.to_text()}: the census of {self.cuts} "
+                f"cuts holds about {drift} values, past the grid cap 2^{self.grid_cap}"
+            )
+        counts: dict[int, int] = {}
+        for run in self.runs:
+            if run.slope:
+                values, first, mult = np.unique(
+                    run.expand(), return_index=True, return_counts=True
+                )
+                tally = ((int(values[i]), int(mult[i])) for i in np.argsort(first))
+            else:
+                values, first, inverse = np.unique(
+                    run.table, return_index=True, return_inverse=True
+                )
+                q, r = run.class_counts()
+                every = np.bincount(inverse, minlength=len(values))
+                early = np.bincount(inverse[:r], minlength=len(values))
+                tally = (
+                    (run.const + int(values[i]), q * int(every[i]) + int(early[i]))
+                    for i in np.argsort(first)
+                )
+            for v, count in tally:
+                counts[v] = counts.get(v, 0) + count
+        return Census(tuple(counts), tuple(counts.values()), self.denominator)
+
+    def series(self) -> ExactSeries:
+        """S_1 … S_N(x) in full."""
+        return ExactSeries(
+            np.concatenate([run.expand() for run in self.runs]), self.denominator
+        )
 
 
-def _count_above(scaled_sums: np.ndarray, den: int, bound: Fraction) -> int:
-    """Exact #{l : |scaled_sums[l]| / den > bound}.
-
-    For integer |S| and bound = a/b ≥ 0, |S|·b > a·den iff |S| > ⌊a·den/b⌋,
-    counted as S > cutoff plus S < -cutoff.  ``cutoff`` stays a Python int,
-    which numpy compares exactly against int64 even past 2^63.
-    """
-    cutoff = bound.numerator * den // bound.denominator
-    above = np.count_nonzero(scaled_sums > cutoff)
-    return int(above + np.count_nonzero(scaled_sums < -cutoff))
+def partial_sum_census(
+    params: ConstructionParams, x: DyadicPoint, N: int, grid_cap: int = GRID_CAP
+) -> Census:
+    """The census of S_1 … S_N(x, f_n), from :class:`WindowSums`."""
+    return WindowSums(params, x, N, grid_cap).census()
 
 
 def partial_sum_series(
@@ -669,21 +842,12 @@ def partial_sum_series(
     count: int,
     grid_cap: int = GRID_CAP,
 ) -> ExactSeries:
-    """S_l(x, f_n) for l = 1 … count, from one exact transform.
-
-    Only f̂(m) with m < count enters: the transform is of f_n's low-pass part
-    at the least level ≥ n + 2 with 2^level ≥ count, capped at q's exponent,
-    past which S_l = S_q.  A count above 2^grid_cap is rejected first.
-    """
+    """S_l(x, f_n) for l = 1 … count; a count above 2^grid_cap is rejected first."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if count > 1 << grid_cap:
         raise ValueError(f"count {count} exceeds the grid cap 2^{grid_cap}")
-    level = min(params.q_exponent, max((count - 1).bit_length(), params.n + 2))
-    coeffs = _coefficients(params, level)
-    scaled = _partial_sums_scaled(coeffs, x)
-    tail = np.repeat(scaled[-1:], max(count - len(scaled), 0))
-    return ExactSeries(np.concatenate([scaled[:count], tail]), coeffs.denominator)
+    return WindowSums(params, x, count, grid_cap).series()
 
 
 def check_lemma1_order(n: int) -> None:
@@ -710,24 +874,26 @@ def verify_lemma1(
     S_l = 2^{-n} Σ_{j<k} D_l(x⊕θ_j), every character value w_p(θ_j) and
     w_l(θ_j) equals 1, the kernel-locality collapse D*_l = D*_m holds at
     each x⊕θ_j, and |S_l| ≥ ∫_0^x D*_m(x⊕t)dt - 1.  The exceedance density
-    at N = 2q against max(n/40, integral - 1) is reported.
+    at N = 2q against max(n/40, integral - 1) is reported.  A window with
+    more than PROGRESSION_CUT_CAP cuts is rejected before any of them is
+    checked.
+
+    Every count and the "grid" side of each dual check read the window
+    tables of :class:`WindowSums` (at most 2^grid_cap entries), at every c.
     """
     n = params.n
     check_lemma1_order(n)
     fn = build_fn(params)
-    grid_sums = None
-    if params.q_exponent <= grid_cap:
-        coeffs = _coefficients(params, params.q_exponent)
-        grid_sums, den = _partial_sums_scaled(coeffs, x), coeffs.denominator
+    q = params.q
+    sums = WindowSums(params, x, 2 * q, grid_cap)
     rows: list[AssertionRecord] = []
     parameters = [
         ("lemma", "1"),
         ("n", str(n)),
         ("c", str(params.c)),
         ("x", x.to_text()),
-        ("grid", str(params.q_exponent) if grid_sums is not None else "symbolic-only"),
+        ("grid", str(params.q_exponent)),
     ]
-    q = params.q
     fx = fn.value(x)
     threshold = Fraction(n, 40)
     in_support = fx != 0
@@ -753,11 +919,11 @@ def verify_lemma1(
         )
         cuts = [q, q + 1, 2 * q]
         sym_ok = all(fn.partial_sum(l, x) == fx for l in cuts)
-        grid_ok = grid_sums is None or Fraction(int(grid_sums[q - 1]), den) == fx
+        grid_ok = all(sums.at(l) == fx for l in cuts)
         rows.append(
             AssertionRecord(
                 "S_l(x) = f(x) for l >= q",
-                "symbolic+grid" if grid_sums is not None else "symbolic",
+                "symbolic+grid",
                 f"cuts {cuts}",
                 "pass" if sym_ok and grid_ok else "fail",
             )
@@ -771,23 +937,15 @@ def verify_lemma1(
                 "pass" if exceeds else "fail",
             )
         )
-        # Cuts q+1 … 2q all evaluate to f(x): that alone settles the density
-        # when |f(x)| clears the threshold; the grid adds the exact count for
-        # cuts 1 … q when available.
-        if grid_sums is not None:
-            low_count = _count_above(grid_sums, den, threshold)
-            note = f"count={low_count + q * int(exceeds)} of {2 * q}"
-        else:
-            low_count = 0
-            note = "lower bound; cuts below q uncounted (no grid)"
-        density = Fraction(low_count + q * int(exceeds), 2 * q)
+        count = sums.count_above(threshold)
+        density = Fraction(count, 2 * q)
         rows.append(
             AssertionRecord(
                 "density at N=2q >= 1/2",
                 _frac(density),
                 "1/2",
                 "pass" if density >= Fraction(1, 2) else "fail",
-                note,
+                f"count={count} of {2 * q}",
             )
         )
         return LemmaReport("lemma1", tuple(rows), tuple(parameters))
@@ -819,6 +977,12 @@ def verify_lemma1(
     k = containing_interval(x, n).index + 1
     window_lo, window_hi = params.u(k - 1), params.u(k)
     cuts = progression_L(sel, n, window_lo, window_hi)
+    n_cuts = -(-(cuts.stop - cuts.start) // cuts.step)  # len(cuts), also past 2^63
+    if n_cuts > PROGRESSION_CUT_CAP:
+        raise ValueError(
+            f"the progression in window [{window_lo}, {window_hi}) at x = "
+            f"{x.to_text()} has {n_cuts} cuts, past the cap {PROGRESSION_CUT_CAP}"
+        )
     thetas = params.thetas()
     parameters += [("m", str(sel.m)), ("p", str(sel.p)), ("k", str(k))]
 
@@ -835,7 +999,7 @@ def verify_lemma1(
     rows.append(
         AssertionRecord(
             "w_l(theta_j) = 1 on the progression",
-            f"{len(cuts)} cuts",
+            f"{n_cuts} cuts",
             "1",
             "pass" if a14 else "fail",
             f"window [{window_lo}, {window_hi})",
@@ -850,25 +1014,27 @@ def verify_lemma1(
     rows.append(
         AssertionRecord(
             "D*_l = D*_m at x+theta_j (j < k)",
-            f"{len(cuts)} cuts x {k - 1} shifts",
+            f"{n_cuts} cuts x {k - 1} shifts",
             "",
             "pass" if a24 else "fail",
         )
     )
     weight = Fraction(1, 1 << n)
-    identity_ok = True
-    dual_ok = True
-    for l in cuts:
+    integral = integral_Dstar_closed(sel.m, x)
+    identity_ok = dual_ok = a15 = True
+    for l in cuts:  # one symbolic S_l per cut serves all three rows
         closed = weight * sum(dirichlet(l, y) for y in shifted)
         symbolic = fn.partial_sum(l, x)
         if symbolic != closed:
             identity_ok = False
-        if grid_sums is not None and Fraction(int(grid_sums[l - 1]), den) != symbolic:
+        if sums.at(l) != symbolic:
             dual_ok = False
+        if abs(symbolic) < integral - 1:
+            a15 = False
     rows.append(
         AssertionRecord(
             "S_l = 2^-n sum_{j<k} D_l(x+theta_j)",
-            f"{len(cuts)} cuts",
+            f"{n_cuts} cuts",
             "",
             "pass" if identity_ok else "fail",
         )
@@ -876,15 +1042,12 @@ def verify_lemma1(
     rows.append(
         AssertionRecord(
             "symbolic S_l = grid S_l",
-            f"{len(cuts)} cuts",
+            f"{n_cuts} cuts",
             "",
-            ("pass" if dual_ok else "fail") if grid_sums is not None else "vacuous",
-            "" if grid_sums is not None else "grid not rendered",
+            "pass" if dual_ok else "fail",
         )
     )
-    integral = integral_Dstar_closed(sel.m, x)
     stripped = weight * sum(dirichlet_star(sel.m, y) for y in shifted)
-    a15 = all(abs(fn.partial_sum(l, x)) >= integral - 1 for l in cuts)
     rows.append(
         AssertionRecord(
             "|S_l| >= integral - 1 on the progression",
@@ -894,18 +1057,15 @@ def verify_lemma1(
             f"integral={_frac(integral)}",
         )
     )
-    if grid_sums is not None:
-        bound = max(threshold, integral - 1)
-        count = _count_above(grid_sums, den, bound)
-        # Cuts beyond q contribute nothing: there S_l = f(x) = 0.
-        rows.append(
-            AssertionRecord(
-                "exceedance density at N=2q (reported)",
-                _frac(Fraction(count, 2 * q)),
-                f"threshold {_frac(bound)}",
-                "reported",
-            )
+    bound = max(threshold, integral - 1)
+    rows.append(
+        AssertionRecord(
+            "exceedance density at N=2q (reported)",
+            _frac(Fraction(sums.count_above(bound), 2 * q)),
+            f"threshold {_frac(bound)}",
+            "reported",
         )
+    )
     return LemmaReport("lemma1", tuple(rows), tuple(parameters))
 
 

@@ -1,16 +1,17 @@
 """Growth functions Φ, strong Φ-means, and exceedance densities.
 
-A run of partial sums S_1 … S_N travels as one
-:class:`~walshdiv.walsh.ExactSeries` (integer numerators over one common
-denominator; :mod:`walshdiv.walsh` states its dtype rule).  :func:`strong_mean`,
-:func:`strong_mean_bounds` and :func:`exceed_density` take a census of the
-first N numerators (``np.unique``); a series holds only a handful of distinct
-values, and only those become :class:`~fractions.Fraction` objects.
+A run of partial sums S_1 … S_N reaches this module as a :class:`Census`: its
+distinct values (integer numerators over one denominator) with their counts,
+in order of first occurrence.  :func:`strong_mean`, :func:`strong_mean_bounds`
+and :func:`exceed_density` read only the census, so their cost is one step
+per distinct value whatever N is, and only those values become
+:class:`~fractions.Fraction` objects.  :mod:`walshdiv.counterexample` builds
+the census of f_n's partial sums from the window structure of f_n.
 
-Exact steps: the series, the census and its counts, the centering |S_k − s|,
-the strict threshold test, the exceedance density, and the rational
-enclosures of :func:`strong_mean_bounds` (one :meth:`PhiSpec.enclosure` per
-distinct magnitude), which carry every verdict.  In mpf: only Φ itself in
+Exact steps: the census and its counts, the centering |S_k − s|, the strict
+threshold test, the exceedance density, and the rational enclosures of
+:func:`strong_mean_bounds` (one :meth:`PhiSpec.enclosure` per distinct
+magnitude), which carry every verdict.  In mpf: only Φ itself in
 :func:`strong_mean` (one :meth:`PhiSpec.value_mpf` per distinct magnitude),
 summed in order of first occurrence, for display.
 """
@@ -19,17 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, NamedTuple
 
 import mpmath
-import numpy as np
 
 from . import bounds
 from .dyadic import Rat
-from .walsh import ExactSeries
 
 __all__ = [
-    "ExactSeries",
+    "Census",
     "PhiSpec",
     "parse_phi",
     "strong_mean",
@@ -159,32 +158,44 @@ def _cap_overflow(v: mpmath.mpf) -> mpmath.mpf:
     return v
 
 
-def _census(sums: ExactSeries | Sequence[Rat], N: int) -> list[tuple[Fraction, int]]:
-    """Distinct values of S_1 … S_N with their counts, in order of first occurrence."""
+class Census(NamedTuple):
+    """The distinct values of S_1 … S_N with their counts.
+
+    ``numerators[i] / denominator`` is the i-th distinct value in order of
+    first occurrence, and ``counts[i]`` the number of cuts k ≤ N at which it
+    occurs; the counts add up to N.
+    """
+
+    numerators: tuple[int, ...]
+    counts: tuple[int, ...]
+    denominator: int
+
+    @property
+    def cuts(self) -> int:
+        return sum(self.counts)
+
+    def items(self) -> Iterator[tuple[Fraction, int]]:
+        """(value, count) pairs in order of first occurrence."""
+        for v, count in zip(self.numerators, self.counts):
+            yield Fraction(v, self.denominator), count
+
+
+def _magnitudes(census: Census, N: int, s: Rat) -> dict[Fraction, int]:
+    """Counts of |S_k − s| for k ≤ N, keyed in order of first occurrence."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    series = ExactSeries.of(sums)
-    if len(series) < N:
-        raise ValueError(f"need at least {N} partial sums, got {len(series)}")
-    values, first, counts = np.unique(
-        series.numerators[:N], return_index=True, return_counts=True
-    )
-    den = series.denominator
-    return [(Fraction(int(values[i]), den), int(counts[i])) for i in np.argsort(first)]
-
-
-def _magnitudes(sums: ExactSeries | Sequence[Rat], N: int, s: Rat) -> dict[Fraction, int]:
-    """Counts of |S_k − s| for k ≤ N, keyed in order of first occurrence."""
+    if census.cuts != N:
+        raise ValueError(f"the census holds {census.cuts} partial sums, not N = {N}")
     s = Fraction(s)
     out: dict[Fraction, int] = {}
-    for v, count in _census(sums, N):
+    for v, count in census.items():
         magnitude = abs(v - s)
         out[magnitude] = out.get(magnitude, 0) + count
     return out
 
 
 def strong_mean(
-    sums: ExactSeries | Sequence[Rat],
+    census: Census,
     phi: PhiSpec,
     N: int,
     s: Rat = 0,
@@ -192,12 +203,11 @@ def strong_mean(
 ) -> mpmath.mpf:
     """(1/N) Σ_{k=1}^{N} Φ(|S_k − s|) in high-precision floating point.
 
-    ``sums`` holds S_1 … S_N (at least N entries); ``s`` is the optional
-    centering constant (0 for the uncentered mean).  Partial sums stay exact;
-    only Φ is evaluated in floating point, once per distinct magnitude.
-    Returns +inf on overflow.
+    ``census`` holds S_1 … S_N; ``s`` is the optional centering constant (0
+    for the uncentered mean).  Partial sums stay exact; only Φ is evaluated
+    in floating point, once per distinct magnitude.  Returns +inf on overflow.
     """
-    magnitudes = _magnitudes(sums, N, s)
+    magnitudes = _magnitudes(census, N, s)
     with mpmath.workdps(dps):
         total = mpmath.mpf(0)
         for magnitude, count in magnitudes.items():
@@ -209,7 +219,7 @@ def strong_mean(
 
 
 def strong_mean_bounds(
-    sums: ExactSeries | Sequence[Rat],
+    census: Census,
     phi: PhiSpec,
     N: int,
     s: Rat = 0,
@@ -218,17 +228,15 @@ def strong_mean_bounds(
     """Certified rational enclosure of the strong mean (for sound verdicts)."""
     lo_total = Fraction(0)
     hi_total = Fraction(0)
-    for magnitude, count in _magnitudes(sums, N, s).items():
+    for magnitude, count in _magnitudes(census, N, s).items():
         lo, hi = phi.enclosure(magnitude, prec)
         lo_total += count * lo
         hi_total += count * hi
     return (lo_total / N, hi_total / N)
 
 
-def exceed_density(
-    sums: ExactSeries | Sequence[Rat], threshold: Rat, N: int
-) -> Fraction:
+def exceed_density(census: Census, threshold: Rat, N: int) -> Fraction:
     """Exact #{k ≤ N : |S_k| > threshold} / N."""
     threshold = Fraction(threshold)
-    count = sum(c for v, c in _census(sums, N) if abs(v) > threshold)
+    count = sum(c for v, c in _magnitudes(census, N, 0).items() if v > threshold)
     return Fraction(count, N)

@@ -47,6 +47,9 @@ __all__ = [
     "bit_reverse",
 ]
 
+#: Largest grid resolution anything materializes: 2**GRID_CAP values.
+GRID_CAP = 26
+
 
 def bit_reverse(i: int, width: int) -> int:
     """Reverse the low ``width`` bits of i."""

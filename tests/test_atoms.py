@@ -21,6 +21,8 @@ from walshdiv.atoms import (
 from walshdiv.dyadic import DyadicPoint, xor_add
 from walshdiv.walsh import GridVector, dirichlet, fwht, walsh
 
+from oracles import low_pass
+
 
 def random_atom_sum(rng: random.Random) -> AtomSum:
     atoms = []
@@ -170,7 +172,7 @@ class TestAtomSum:
             floor = max((a.level for a in s.atoms if isinstance(a, IndicatorAtom)),
                         default=0)
             for level in range(floor, 9):
-                low = fwht(s.low_pass(level).render(level))
+                low = fwht(low_pass(s, level).render(level))
                 assert low.values() == full.values()[: 1 << level]
 
     def test_partial_sum_beyond_spectrum_is_the_value(self):

@@ -1,0 +1,146 @@
+"""The window census of S_1 … S_N(x, f_n) against the transform and symbolic oracles.
+
+The census must equal ``np.unique`` over the transform oracle's series in
+values, counts and order of first occurrence, and the drift-aware
+``count_above`` must equal a plain count over that series, at every point
+including x = 0 and every θ_j, where S_l drifts with l.
+"""
+
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from walshdiv.counterexample import (
+    ConstructionParams,
+    WindowSums,
+    partial_sum_census,
+)
+from walshdiv.dyadic import DyadicPoint
+from walshdiv.walsh import ExactSeries
+
+from oracles import _count_above, census_of, symbolic_census, transform_scaled
+
+#: The transform oracle renders 2^16 cells at most here.
+ORACLE_CUTS = 1 << 16
+
+THRESHOLDS = (Fraction(0), Fraction(3, 40), Fraction(1, 2), Fraction(3, 2), Fraction(5))
+
+
+def assert_matches_transform(params, x, N, thresholds=THRESHOLDS):
+    scaled, den = transform_scaled(params, x, N)
+    sums = WindowSums(params, x, N)
+    assert list(sums.census().items()) == list(census_of(ExactSeries(scaled, den), N).items())
+    for bound in thresholds:
+        assert sums.count_above(bound) == _count_above(scaled, den, bound)
+
+
+def interesting_cuts(params):
+    """Cut counts at and around every run boundary the oracle can render."""
+    edges = [1, 1 << (params.n + 2)] + [params.u(j) for j in range(1, params.p + 1)]
+    cuts = {e + d for e in edges for d in (-1, 0, 1)} | {2 * params.q}
+    return sorted(N for N in cuts if 1 <= N <= ORACLE_CUTS)
+
+
+@st.composite
+def case(draw):
+    n = draw(st.integers(1, 3))
+    c = draw(st.integers(2, 4))
+    params = ConstructionParams(n, c)
+    special = [DyadicPoint.zero(), *params.thetas()]
+    e = draw(st.integers(0, 8))
+    x = draw(st.sampled_from(special) | st.builds(DyadicPoint, st.integers(0, (1 << e) - 1),
+                                                  st.just(e)))
+    N = draw(st.integers(1, min(2 * params.q, ORACLE_CUTS)))
+    bounds = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=80),
+                           min_size=1, max_size=3))
+    return params, x, N, bounds
+
+
+class TestCensusAgainstTheTransform:
+    @settings(max_examples=60, deadline=None)
+    @given(case())
+    def test_random_points_and_cut_counts(self, drawn):
+        params, x, N, bounds = drawn
+        assert_matches_transform(params, x, N, bounds)
+
+    @pytest.mark.parametrize("n, c", [(1, 2), (1, 4), (2, 2), (2, 3), (3, 2)])
+    def test_zero_and_every_translation(self, n, c):
+        params = ConstructionParams(n, c)
+        for x in (DyadicPoint.zero(), *params.thetas()):
+            for N in interesting_cuts(params):
+                assert_matches_transform(params, x, N)
+
+    def test_series_and_single_cuts(self):
+        params = ConstructionParams(2, 2)
+        for x in (DyadicPoint(5, 4), DyadicPoint(7, 5), DyadicPoint(12345, 20)):
+            scaled, den = transform_scaled(params, x, 2 * params.q)
+            sums = WindowSums(params, x, 2 * params.q)
+            assert [v * den for v in sums.series()] == [int(v) for v in scaled]
+            for l in (1, 16, 17, 64, 65, 1000, params.q, 2 * params.q):
+                assert sums.at(l) == Fraction(int(scaled[l - 1]), den)
+
+
+class TestDriftPoints:
+    # x = θ_2, θ_4, θ_6 at n = 3: S_l drifts by l/8 past u_j, so S_1 … S_N
+    # take about N distinct values; a census of them would cost O(N) memory
+    POINTS = (DyadicPoint(9, 6), DyadicPoint(27, 6), DyadicPoint(45, 6))
+    THRESHOLDS = (Fraction(3, 40), Fraction(1, 2), Fraction(3, 2), Fraction(5))
+
+    def test_counts_stay_small_in_memory(self):
+        params = ConstructionParams(3, 2)
+        N = 2 * params.q  # 2^23
+        assert set(self.POINTS) <= set(params.thetas())
+        for x in self.POINTS:
+            tracemalloc.start()
+            try:
+                counts = [WindowSums(params, x, N).count_above(b) for b in self.THRESHOLDS]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 << 20
+            scaled, den = transform_scaled(params, x, N)
+            assert counts == [_count_above(scaled, den, b) for b in self.THRESHOLDS]
+
+    def test_census_past_the_grid_cap_is_rejected(self):
+        params = ConstructionParams(2, 10)
+        theta = params.theta(2)  # 5/2^4, drifting past u_2 = 2^40
+        assert partial_sum_census(params, theta, params.u(2)).cuts == params.u(2)
+        with pytest.raises(ValueError, match="drifts"):
+            partial_sum_census(params, theta, params.u(2) + (1 << 26) + 1)
+        # a lower cap: 64 table entries fit in 2^10, 2000 drifting cuts do not
+        params, theta = ConstructionParams(2, 3), ConstructionParams(2, 3).theta(2)
+        assert partial_sum_census(params, theta, params.u(2) + 1000, grid_cap=10)
+        with pytest.raises(ValueError, match="drifts"):
+            partial_sum_census(params, theta, params.u(2) + 2000, grid_cap=10)
+
+
+class TestPastTheGrid:
+    """Orders q far past any grid, against one symbolic cut per residue class."""
+
+    @pytest.mark.parametrize("x", [DyadicPoint(a, 5) for a in (1, 7, 11, 22, 29)])
+    def test_census_at_c10(self, x):
+        params = ConstructionParams(2, 10)
+        for N in (params.u(2) + 12345, 2 * params.q):
+            assert list(partial_sum_census(params, x, N).items()) == symbolic_census(params, x, N)
+
+    def test_counts_at_n3_c10(self):
+        params = ConstructionParams(3, 10)
+        N = 2 * params.q  # 2^111
+        for x in (DyadicPoint(3, 6), DyadicPoint(33, 6), DyadicPoint(61, 6)):
+            sums = WindowSums(params, x, N)
+            census = symbolic_census(params, x, N)
+            for bound in THRESHOLDS:
+                assert sums.count_above(bound) == sum(c for v, c in census if abs(v) > bound)
+
+    def test_tables_past_the_grid_cap_are_rejected_before_allocation(self):
+        # x with 40 digits: one window period is 2^40 residues
+        params = ConstructionParams(2, 10)
+        with pytest.raises(ValueError, match="grid cap"):
+            WindowSums(params, DyadicPoint(1, 40), 2 * params.q)
+        # residues past 2^62 do not fit the int64 tables: window 6 at n = 3
+        # ends at 2^100 and reads all 100 digits of x
+        params = ConstructionParams(3, 10)
+        with pytest.raises(ValueError, match="supports 62"):
+            WindowSums(params, DyadicPoint(1, 100), 2 * params.q)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -16,6 +17,8 @@ import pytest
 from walshdiv.cli import _coefficient_rows, _float, _frac, main
 from walshdiv.counterexample import ConstructionParams, build_fn, measure_En, verify_lemma2
 from walshdiv.walsh import GridVector, fwht
+
+from oracles import symbolic_census
 
 
 def run_main(argv):
@@ -396,6 +399,66 @@ def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("walshdiv: error: ")
     assert "Traceback" not in proc.stderr
+
+
+class TestPastTheGridCap:
+    """q past 2^grid_cap: the window census counts every cut, at every c."""
+
+    def test_lemma1_prints_an_exact_count(self, capsys):
+        assert main(["lemma1", "--n", "2", "--c", "10", "--x", "1/2^5"]) == 0
+        out = capsys.readouterr().out
+        params = ConstructionParams(2, 10)
+        census = symbolic_census(params, _point("1/2^5"), 2 * params.q)
+        count = sum(c for v, c in census if abs(v) > Fraction(1, 20))
+        assert f"[count={count} of 2305843009213693952]" in out
+        assert "uncounted" not in out
+
+    def test_lemma1_counts_all_cells_at_c10_quickly(self, capsys):
+        start = time.perf_counter()
+        assert main(["lemma1", "--n", "3", "--c", "10"]) == 0
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert out.count(f" of {2 * ConstructionParams(3, 10).q}]") == 32
+        assert elapsed < 1.0
+
+    def test_strong_mean_takes_any_cut_count(self, capsys):
+        N = 1 << 40
+        assert main(["strong-mean", "--n", "2", "--c", "10", "--x", "7/2^5",
+                     "--N-list", f"16,4096,{N}"]) == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+                if l.startswith("exppow:2,")]
+        assert [r[1] for r in rows] == ["16", "4096", str(N)]
+        census = symbolic_census(ConstructionParams(2, 10), _point("7/2^5"), N)
+        count = sum(c for v, c in census if abs(v) > Fraction(1, 20))
+        assert Fraction(rows[-1][3]) == Fraction(count, N)
+
+    def test_strong_mean_at_a_translation_rejects_a_drifting_census(self, capsys):
+        # x = theta_2 = 5/2^4: S_l drifts past u_2 = 2^40, one value per cut
+        argv = ["strong-mean", "--n", "2", "--c", "10", "--x", "5/2^4", "--N-list"]
+        assert main([*argv, "16,4096,1099511627776"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "16,2199023255552"]) == 2
+        assert "drifts" in one_error_line(capsys)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_lemma1_rejects_an_unbounded_progression():
+    # at c = 10 the window [2^40, 2^50) holds 2^46 progression cuts
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "walshdiv.cli", "lemma1", "--n", "2", "--c", "10",
+         "--x", "11/2^4"],
+        capture_output=True, text=True, env=checkout_env(), timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("walshdiv: error: ")
+    assert "progression" in proc.stderr
 
 
 def test_lemma1_over_all_cells_rejects_a_huge_order_before_allocating():

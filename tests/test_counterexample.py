@@ -22,8 +22,6 @@ from walshdiv.counterexample import (
     EmptySelectionError,
     InfeasibleParameters,
     LemmaReport,
-    _count_above,
-    _partial_sums_scaled,
     build_fn,
     c3_holds,
     chain_check,
@@ -42,6 +40,8 @@ from walshdiv.counterexample import (
 from walshdiv.dyadic import DyadicPoint, containing_interval, xor_add
 from walshdiv.fourier import PhiSpec
 from walshdiv.walsh import GridVector, bit_reverse, dirichlet, walsh
+
+from oracles import _count_above, _partial_sums_scaled
 
 EXP_POW_2 = PhiSpec.exp_power(2)
 
@@ -351,7 +351,7 @@ class TestProgressionL:
 
     def test_empty_when_window_precedes_p(self):
         sel = select_m(DyadicPoint(5, 5), 4)
-        assert progression_L(sel, 4, 1, sel.p) == []
+        assert list(progression_L(sel, 4, 1, sel.p)) == []
 
 
 class TestPartialSumSeries:
@@ -370,7 +370,7 @@ class TestPartialSumSeries:
         assert series[p.q - 1] == build_fn(p).value(x)
 
     def test_matches_symbolic_cuts_past_the_grid_cap(self):
-        # q = 2^30 cannot be rendered: the series comes from the low-pass part
+        # q = 2^30 cannot be rendered; the window runs need no grid
         p = ConstructionParams(2, 5)
         assert p.q_exponent > GRID_CAP
         f = build_fn(p)
@@ -379,7 +379,7 @@ class TestPartialSumSeries:
             assert list(series) == [f.partial_sum(l, x) for l in range(1, 4097)]
 
     def test_count_below_the_indicator_level(self):
-        # counts under 2^(n+2) still render the whole level-(n+2) indicator
+        # counts under 2^(n+2) read a prefix of the indicator's coefficient table
         p = ConstructionParams(3, 2)
         f = build_fn(p)
         x = DyadicPoint(11, 6)

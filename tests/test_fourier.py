@@ -1,4 +1,8 @@
-"""Partial sums on the transform path, growth functions, and strong means."""
+"""Partial sums on the transform path, growth functions, and strong means.
+
+The means and densities read a census; ``census_of`` builds one from a list
+of values by ``np.unique``, so each test states its sums as a plain list.
+"""
 
 import math
 import random
@@ -11,14 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walshdiv.atoms import AtomSum, KernelAtom
-from walshdiv.counterexample import (
-    ConstructionParams,
-    _partial_sums_scaled,
-    partial_sum_series,
-)
+from walshdiv.counterexample import ConstructionParams, partial_sum_series
 from walshdiv.dyadic import DyadicPoint, containing_interval, xor_add
 from walshdiv.fourier import (
-    ExactSeries,
     _cap_overflow,
     PhiSpec,
     exceed_density,
@@ -26,7 +25,9 @@ from walshdiv.fourier import (
     strong_mean,
     strong_mean_bounds,
 )
-from walshdiv.walsh import GridVector, dirichlet, fwht
+from walshdiv.walsh import ExactSeries, GridVector, dirichlet, fwht
+
+from oracles import _partial_sums_scaled, census_of
 
 
 def exact_fraction(v: mpmath.mpf) -> Fraction:
@@ -43,7 +44,7 @@ def random_step_function(rng: random.Random, k: int) -> GridVector:
 
 
 def grid_partial_sums(f: GridVector, x: DyadicPoint) -> list[Fraction]:
-    """S_1(x) … S_{2^K}(x) along the transform path the verifiers run."""
+    """S_1(x) … S_{2^K}(x) along the transform path of the oracle."""
     coeffs = fwht(f)
     return [Fraction(int(v), coeffs.denominator) for v in _partial_sums_scaled(coeffs, x)]
 
@@ -147,47 +148,50 @@ class TestPhiSpec:
 class TestStrongMean:
     def test_hand_computed_power_mean(self):
         sums = [Fraction(1), Fraction(-2), Fraction(3)]
-        got = strong_mean(sums, PhiSpec.power(2), 3)
+        got = strong_mean(census_of(sums, 3), PhiSpec.power(2), 3)
         with mpmath.workdps(30):
             want = mpmath.mpf(14) / 3
         assert got == want
 
     def test_centering(self):
         sums = [Fraction(1), Fraction(2), Fraction(3)]
-        got = strong_mean(sums, PhiSpec.power(2), 3, s=2)
+        got = strong_mean(census_of(sums, 3), PhiSpec.power(2), 3, s=2)
         with mpmath.workdps(30):
             want = mpmath.mpf(2) / 3
         assert got == want
 
     def test_prefix_length_guard(self):
+        # N must be the number of sums the census holds
+        census = census_of([1], 1)
         with pytest.raises(ValueError):
-            strong_mean([1], PhiSpec.power(2), 2)
+            strong_mean(census, PhiSpec.power(2), 2)
         with pytest.raises(ValueError):
-            strong_mean([1], PhiSpec.power(2), 0)
+            strong_mean(census, PhiSpec.power(2), 0)
 
     def test_overflow_goes_to_infinity(self):
         sums = [Fraction(10**8)]
-        assert mpmath.isinf(strong_mean(sums, PhiSpec.exp_power(2), 1))
+        assert mpmath.isinf(strong_mean(census_of(sums, 1), PhiSpec.exp_power(2), 1))
 
     def test_monotone_in_phi(self):
         # e^(t²) − 1 ≥ t² pointwise, so the means are ordered the same way
         rng = random.Random(5)
         sums = [Fraction(rng.randrange(-40, 41), 8) for _ in range(64)]
-        small = strong_mean(sums, PhiSpec.power(2), 64)
-        large = strong_mean(sums, PhiSpec.exp_power(2), 64)
+        census = census_of(sums, 64)
+        small = strong_mean(census, PhiSpec.power(2), 64)
+        large = strong_mean(census, PhiSpec.exp_power(2), 64)
         assert small <= large
 
     def test_bounds_bracket_the_mean(self):
         rng = random.Random(6)
         sums = [Fraction(rng.randrange(-40, 41), 8) for _ in range(32)]
         for phi in (PhiSpec.power(2), PhiSpec.exp_linear(2), PhiSpec.exp_power(2)):
-            lo, hi = strong_mean_bounds(sums, phi, 32)
-            v = exact_fraction(strong_mean(sums, phi, 32, dps=60))
+            lo, hi = strong_mean_bounds(census_of(sums, 32), phi, 32)
+            v = exact_fraction(strong_mean(census_of(sums, 32), phi, 32, dps=60))
             assert lo <= v <= hi
 
     def test_bounds_are_exact_for_power_two(self):
         sums = [Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2)]
-        lo, hi = strong_mean_bounds(sums, PhiSpec.power(2), 3)
+        lo, hi = strong_mean_bounds(census_of(sums, 3), PhiSpec.power(2), 3)
         want = Fraction(sum(s * s for s in sums), 3)
         assert lo == hi == want
 
@@ -195,14 +199,17 @@ class TestStrongMean:
 class TestExceedDensity:
     def test_hand_computed(self):
         sums = [Fraction(1), Fraction(-3), Fraction(2), Fraction(0)]
-        assert exceed_density(sums, Fraction(3, 2), 4) == Fraction(1, 2)
-        assert exceed_density(sums, Fraction(3), 4) == 0  # strict inequality
-        assert exceed_density(sums, 0, 4) == Fraction(3, 4)
+        census = census_of(sums, 4)
+        assert exceed_density(census, Fraction(3, 2), 4) == Fraction(1, 2)
+        assert exceed_density(census, Fraction(3), 4) == 0  # strict inequality
+        assert exceed_density(census, 0, 4) == Fraction(3, 4)
 
     def test_prefix_restriction(self):
         sums = [Fraction(5), Fraction(0), Fraction(0), Fraction(0)]
-        assert exceed_density(sums, 1, 1) == 1
-        assert exceed_density(sums, 1, 4) == Fraction(1, 4)
+        assert exceed_density(census_of(sums, 1), 1, 1) == 1
+        assert exceed_density(census_of(sums, 4), 1, 4) == Fraction(1, 4)
+        with pytest.raises(ValueError):  # a census of 4 sums is not one of 1
+            exceed_density(census_of(sums, 4), 1, 1)
 
     def test_markov_inequality_against_strong_mean(self):
         # density(|S| > τ) · Φ(τ) ≤ mean Φ(|S|) for increasing Φ, checked on
@@ -213,8 +220,9 @@ class TestExceedDensity:
             sums = [Fraction(rng.randrange(-60, 61), 12) for _ in range(n)]
             tau = Fraction(rng.randrange(0, 30), 7)
             for phi in (PhiSpec.power(2), PhiSpec.exp_linear(1)):
-                density = exceed_density(sums, tau, n)
-                _, mean_hi = strong_mean_bounds(sums, phi, n)
+                census = census_of(sums, n)
+                density = exceed_density(census, tau, n)
+                _, mean_hi = strong_mean_bounds(census, phi, n)
                 tau_lo, _ = phi.enclosure(tau)
                 assert density * tau_lo <= mean_hi
 
@@ -285,9 +293,9 @@ class TestExactSeries:
     @given(series_and_cut(), st.fractions(min_value=0, max_denominator=60))
     def test_consumers_match_per_element_definitions(self, case, threshold):
         xs, N, s = case
-        series = ExactSeries.of(xs)
+        census = census_of(ExactSeries.of(xs), N)
         for phi in (PhiSpec.power(2), PhiSpec.power(Fraction(3, 2)), PhiSpec.exp_linear(1)):
-            assert strong_mean(series, phi, N, s=s) == mean_by_counter(xs, phi, N, s)
+            assert strong_mean(census, phi, N, s=s) == mean_by_counter(xs, phi, N, s)
         square = PhiSpec.power(2)
-        assert strong_mean_bounds(series, square, N, s=s) == bounds_by_counter(xs, square, N, s)
-        assert exceed_density(series, threshold, N) == density_by_count(xs, threshold, N)
+        assert strong_mean_bounds(census, square, N, s=s) == bounds_by_counter(xs, square, N, s)
+        assert exceed_density(census, threshold, N) == density_by_count(xs, threshold, N)
