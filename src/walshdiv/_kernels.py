@@ -9,7 +9,8 @@ Kernels
 - Dirichlet rows (D_r(y) for every r in an array of orders, in closed form);
 - the exhaustive cell scan behind the sign-change-set verification:
   membership, descent selector, and the exact (scaled) kernel integral for
-  every level-(n+2) cell at once.
+  every level-(n+2) cell with x_1 = 0 at once; the top digit x_1 enters none
+  of them, so these 2^(n+1) cells stand for all 2^(n+2).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def dirichlet_row(rx: int, z: int, orders: np.ndarray) -> np.ndarray:
 
 
 def cell_scan(n: int):
-    """Exhaustive per-cell data for every level-(n+2) cell j (x = j/2**(n+2)).
+    """Exhaustive per-cell data for the level-(n+2) cells j < 2**(n+1) (x = j/2**(n+2)).
 
     Returns ``(member, m_vals, nu, integral_num)`` where, writing x for the
     cell's left endpoint:
@@ -88,37 +89,39 @@ def cell_scan(n: int):
     - ``member[j]``: |Σ_{k=1..n} r_k(x) r_{k+1}(x)| < n/3;
     - ``m_vals[j]``: Σ 2**k over descent positions k in [1, n-1]
       (r_k(x) = 1, r_{k+1}(x) = -1), i.e. the maximal-selector integer m(x);
-    - ``nu[j]``: the number of those descent positions;
+    - ``nu[j]``: the number of those descent positions (uint8);
     - ``integral_num[j]``: 2**(n+2) · ∫_0^x D*_{m(x)}(x ⊕ t) dt (exact).
+
+    The arrays cover the 2**(n+1) cells with top digit x_1 = 0 only.  No
+    entry reads x_1 (the integral reads the digits after x_{k+1}, k ≥ 1), so
+    cell j + 2**(n+1) agrees with cell j in all four, and a count over all
+    2**(n+2) cells is twice the count over these.
 
     The arrays are built by digit doubling, from the least significant bit
     b = 0 of j (digit x_{n+2}) upwards.  Step b copies the filled prefix
     [0, 2**(b+1)) to [2**(b+1), 2**(b+2)), which sets bit b+1, and then adds
     what the pair of bits (b, b+1) contributes: a sign change on the two
-    slices where they differ (b <= n-1), and for 1 <= b <= n-1 the descent
-    k = n - b on [2**b, 2**(b+1)), where bit b = x_{k+2} = 1 and
-    bit b+1 = x_{k+1} = 0.  That descent adds 2**k to m, one to nu and
-    2**(n+2) · frac(2**k x) = j << k to the integral, since frac(2**k x)
-    reads only the digits after x_{k+1}.  No term reads a digit above its
-    own pair, so a higher digit never changes what is already summed, and
-    the top digit x_1 enters nothing: the last step is a plain copy.  Each
-    array is written about twice its length in total.
+    slices where they differ, and for 1 <= b <= n-1 the descent k = n - b on
+    [2**b, 2**(b+1)), where bit b = x_{k+2} = 1 and bit b+1 = x_{k+1} = 0.
+    That descent adds 2**k to m, one to nu and 2**(n+2) · frac(2**k x) =
+    j << k to the integral, since frac(2**k x) reads only the digits after
+    x_{k+1}.  No term reads a digit above its own pair, so a higher digit
+    never changes what is already summed.  Each array is written about twice
+    its length in total.
 
     Requires n <= 40 so the scaled integrals fit in int64 comfortably.
     """
     if not 1 <= n <= 40:
         raise ValueError(f"cell_scan supports 1 <= n <= 40, got {n}")
-    ncells = 1 << (n + 2)
+    ncells = 1 << (n + 1)
     c = np.zeros(ncells, dtype=np.uint8)  # sign changes, at most n
     m_vals = np.zeros(ncells, dtype=np.int64)
-    nu = np.zeros(ncells, dtype=np.int64)
+    nu = np.zeros(ncells, dtype=np.uint8)
     integral_num = np.zeros(ncells, dtype=np.int64)
-    for b in range(n + 1):
+    for b in range(n):
         half, size = 1 << b, 1 << (b + 1)
         for arr in (c, m_vals, nu, integral_num):
             arr[size : 2 * size] = arr[:size]
-        if b == n:
-            break
         c[half:size] += 1
         c[size : size + half] += 1
         if b:

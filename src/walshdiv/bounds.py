@@ -82,8 +82,11 @@ def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     """Enclosure of e**x for rational x.
 
     For x <= -64 a deliberately crude enclosure [0, 2**-floor(-x)] is
-    returned (e > 2 makes it valid); the only consumers of such arguments
-    are log-space comparisons whose gaps dwarf that width.  Arguments above
+    returned (e > 2 makes it valid).  Log-space comparisons, whose gaps dwarf
+    that width, are not its only consumers: ``counterexample.measure_bound``
+    asks for e^{-n/36}, and from n = 2304 on the lower end 0 puts the upper
+    end of 1 - 2e^{-n/36} at 1, so every such order prints a false FAIL
+    (ROADMAP item 3a gives the fix).  Arguments above
     2**20 are rejected: their values are astronomically large and every
     caller is expected to compare in log space instead.
     """

@@ -34,8 +34,10 @@ import numpy as np
 from .counterexample import (
     EXHAUSTIVE_CAP,
     GRID_CAP,
+    MEASURE_BOUND_BITS,
     ConstructionParams,
     LemmaReport,
+    _dyadic,
     _frac,
     build_fn,
     chain_check,
@@ -201,14 +203,19 @@ def _cmd_measure_en(ns: argparse.Namespace) -> int:
     )
     failures = _Failure()
     lines = ["n,measure_exact,measure_float,bound_upper_float,margin_float,verdict"]
-    for n, measure in measure_En_range(n_min, n_max):
-        verdict, (_, bound_hi) = measure_bound(n, measure)
+    bits = MEASURE_BOUND_BITS
+    for n, hits in measure_En_range(n_min, n_max):
+        # |E_n| = hits/2^n and the bound's upper end bound_hi/2^bits; each
+        # float is one correctly rounded int/int division, as float(Fraction) is
+        verdict, (_, bound_hi) = measure_bound(n, hits)
+        margin = (hits << bits) - (bound_hi << n)  # over 2^(n + bits)
+        bound_text = _float(bound_hi / (1 << bits))
         if verdict == "fail":
-            failures.add(f"measure-en: |E_{n}| is {_float(bound_hi - measure)} "
-                         f"below the bound {_float(bound_hi)}")
+            failures.add(f"measure-en: |E_{n}| is {_float(-margin / (1 << (n + bits)))} "
+                         f"below the bound {bound_text}")
         lines.append(
-            f"{n},{_frac(measure)},{_float(measure)},{_float(bound_hi)},"
-            f"{_float(measure - bound_hi)},{verdict}"
+            f"{n},{_dyadic(hits, n)},{_float(hits / (1 << n))},{bound_text},"
+            f"{_float(margin / (1 << (n + bits)))},{verdict}"
         )
     _emit(ns, config, "\n".join(lines) + "\n")
     if ns.out:

@@ -3,9 +3,12 @@
 Pieces, bottom-up:
 
 - the sign-change set ``E_n`` (points whose Rademacher sequence changes sign
-  often), realized exactly as a union of level-(n+2) cells, with its measure
-  computed by an exact binomial-tail recurrence and decided against
-  1 - 2e^{-n/36} by one rule (:func:`measure_bound`);
+  often), realized exactly as a union of level-(n+2) cells, of which
+  :func:`~walshdiv._kernels.cell_scan` scans the half with x_1 = 0 (the top
+  digit enters no condition); its measure |E_n| = hits/2^n comes as the
+  integer count ``hits`` from an exact binomial-tail recurrence, and one rule
+  (:func:`measure_bound`) decides it against 1 - 2e^{-n/36} by comparing
+  integers over 2^(n+96);
 - the selector ``select_m`` extracting descent positions (r_k = 1 followed by
   r_{k+1} = -1) and packing them into an integer m with companion p = m(1+2^n);
 - the exact closed form for the kernel integral ∫_0^x D*_m(x ⊕ t) dt plus an
@@ -39,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple
+from typing import ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -66,7 +69,6 @@ __all__ = [
     "AssertionRecord",
     "LemmaReport",
     "en_cell_mask",
-    "measure_En",
     "measure_En_range",
     "measure_bound",
     "select_m",
@@ -95,6 +97,9 @@ PROGRESSION_CUT_CAP = 1 << 16
 #: Largest order of the exact |E_n| recurrence.  Its numerators have about
 #: 0.3·n digits, and Python refuses to print an int past 4300 digits.
 MEASURE_N_MAX = 10_000
+
+#: Bits of the fixed-point enclosure of e^{-n/36} behind :func:`measure_bound`.
+MEASURE_BOUND_BITS = 96
 
 
 class EmptySelectionError(ValueError):
@@ -132,11 +137,24 @@ class ConstructionParams:
     n: int
     c: int = 10
 
+    #: Largest c·4^n that :func:`build_fn` builds.  Its 2^n kernel orders
+    #: u_j = 2^{c(j+n)} hold about c·4^n/2 bits in all: n = 13 at c = 4 builds
+    #: in 0.2 s and 73 MiB, while n = 20 at c = 3 would need about 200 GB.
+    BUILD_MAX: ClassVar[int] = 1 << 28
+
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         if self.c < 2:
             raise ValueError(f"c must be at least 2, got {self.c}")
+
+    def check_buildable(self) -> None:
+        """Raise ValueError when c·4^n exceeds :attr:`BUILD_MAX`, allocating nothing."""
+        if 2 * self.n >= self.BUILD_MAX.bit_length() or self.c << 2 * self.n > self.BUILD_MAX:
+            raise ValueError(
+                f"f_n at n={self.n}, c={self.c} is too large to build: "
+                f"c·4^n exceeds 2^{self.BUILD_MAX.bit_length() - 1}"
+            )
 
     @cached_property
     def gamma(self) -> int:
@@ -190,7 +208,7 @@ class ConstructionParams:
 def en_cell_mask(n: int) -> np.ndarray:
     """Boolean membership mask over the 2^(n+2) level-(n+2) cells of E_n."""
     member, _, _, _ = cell_scan(n)
-    return member
+    return np.tile(member, 2)  # x_1 enters no condition
 
 
 def _member_counts(n_hi: int) -> Iterator[tuple[int, int]]:
@@ -201,7 +219,14 @@ def _member_counts(n_hi: int) -> Iterator[tuple[int, int]]:
     n ≥ 1.  Pascal's rule gives T(n+1) = 2T(n) − C(n, ⌊n/3⌋) before the
     cutoff moves, so each order costs O(1) exact operations on T and on
     C = C(n, ⌊n/3⌋).  For n = 0 both tails are the one vector: |E_0| = 0.
+
+    The products of consecutive signs are themselves independent fair signs
+    (the map (s_1, products) ↔ (s_1, …, s_{n+1}) is a bijection), so the
+    negative-product count b has the binomial distribution C(n, b) / 2^n,
+    and |E_n| = hits/2^n.
     """
+    if n_hi < 0:
+        raise ValueError(f"n must be nonnegative, got {n_hi}")
     if n_hi > MEASURE_N_MAX:
         raise ValueError(f"order {n_hi} exceeds the measure bound {MEASURE_N_MAX}")
     tail = binom = 1  # T(0) and C(0, 0)
@@ -216,43 +241,29 @@ def _member_counts(n_hi: int) -> Iterator[tuple[int, int]]:
         yield n + 1, (1 << (n + 1)) - 2 * tail
 
 
-def measure_En(n: int) -> Fraction:
-    """Exact |E_n| = P(|n - 2b| < n/3) with b the negative-product count.
-
-    The products of consecutive signs are themselves independent fair signs
-    (the map (s_1, products) ↔ (s_1, …, s_{n+1}) is a bijection), so b has
-    the binomial distribution C(n, b) / 2^n.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    for _, hits in _member_counts(n):
-        pass
-    return Fraction(hits, 1 << n)
-
-
-def measure_En_range(n_lo: int, n_hi: int) -> list[tuple[int, Fraction]]:
-    """(n, |E_n|) for n_lo ≤ n ≤ n_hi in one pass of the recurrence."""
+def measure_En_range(n_lo: int, n_hi: int) -> list[tuple[int, int]]:
+    """(n, hits) for n_lo ≤ n ≤ n_hi in one pass of the recurrence: |E_n| = hits/2^n."""
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"bad range [{n_lo}, {n_hi}]")
-    return [
-        (n, Fraction(hits, 1 << n))
-        for n, hits in _member_counts(n_hi)
-        if n >= n_lo
-    ]
+    return [(n, hits) for n, hits in _member_counts(n_hi) if n >= n_lo]
 
 
-def measure_bound(n: int, measure: Fraction) -> tuple[str, bounds.Enclosure]:
-    """(verdict, enclosure of 1 - 2e^{-n/36}) for |E_n| > 1 - 2e^{-n/36}.
+def measure_bound(n: int, hits: int) -> tuple[str, tuple[int, int]]:
+    """(verdict, enclosure of 1 - 2e^{-n/36}) for |E_n| = hits/2^n > 1 - 2e^{-n/36}.
 
-    One enclosure of e^{-n/36} at 96 bits, decided at the bound's certified
-    upper end: ``vacuous`` when that end is ≤ 0, ``pass`` when the measure
-    exceeds it, else ``fail``.
+    The enclosure's ends are numerators over 2^MEASURE_BOUND_BITS, rounded
+    outward from one enclosure of e^{-n/36} at that precision.  The verdict
+    is decided at the certified upper end bhi, by the exact comparison
+    hits·2^96 > bhi·2^n: ``vacuous`` when bhi ≤ 0, ``pass`` when the
+    comparison holds, else ``fail``.
     """
-    lo, hi = bounds.exp_enclosure(Fraction(-n, 36), 96)
-    bound = (1 - 2 * hi, 1 - 2 * lo)
+    bits = MEASURE_BOUND_BITS
+    lo, hi = bounds.exp_enclosure(Fraction(-n, 36), bits)
+    bound = ((1 << bits) + 2 * ((-hi.numerator << bits) // hi.denominator),
+             (1 << bits) - 2 * ((lo.numerator << bits) // lo.denominator))
     if bound[1] <= 0:
         return "vacuous", bound
-    return ("pass" if measure > bound[1] else "fail"), bound
+    return ("pass" if hits << bits > bound[1] << n else "fail"), bound
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +418,15 @@ def _frac(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+def _dyadic(num: int, exponent: int) -> str:
+    """``_frac(Fraction(num, 2**exponent))``, reduced by a shift, not a gcd."""
+    if not num:
+        return "0"
+    shift = min(exponent, (num & -num).bit_length() - 1)
+    num >>= shift
+    return str(num) if shift == exponent else f"{num}/{1 << (exponent - shift)}"
+
+
 # ---------------------------------------------------------------------------
 # Lemma 2 verification
 # ---------------------------------------------------------------------------
@@ -414,20 +434,22 @@ def _frac(v: Fraction) -> str:
 
 def _measure_bound_row(n: int) -> AssertionRecord:
     """The measure row of Lemma 2, as :func:`measure_bound` decides it."""
-    measure = measure_En(n)
-    verdict, (lo, hi) = measure_bound(n, measure)
+    for _, hits in _member_counts(n):
+        pass
+    verdict, (lo, hi) = measure_bound(n, hits)
+    scale = 1 << MEASURE_BOUND_BITS
     if verdict == "vacuous":
         return AssertionRecord(
             "measure > 1 - 2*exp(-n/36)",
-            _frac(measure),
-            f"<= {float(hi):.6g}",
+            _dyadic(hits, n),
+            f"<= {hi / scale:.6g}",
             "pass",
             "bound nonpositive (vacuous)",
         )
     return AssertionRecord(
         "measure > 1 - 2*exp(-n/36)",
-        _frac(measure),
-        f"in [{float(lo):.6g}, {float(hi):.6g}]",
+        _dyadic(hits, n),
+        f"in [{lo / scale:.6g}, {hi / scale:.6g}]",
         verdict,
     )
 
@@ -459,9 +481,11 @@ def verify_lemma2(
                 f"exceeds the grid cap {GRID_CAP}"
             )
         member, m_vals, nu, int_scaled = cell_scan(n)
-        # masked reductions, not index gathers, keep temporaries to bool masks;
-        # the argmax of a mask is its first true index
-        members = int(np.count_nonzero(member))
+        # the scan covers the cells with x_1 = 0, and the other half repeats
+        # it: counts double, while extremes and first occurrences are the
+        # scan's own.  Masked reductions, not index gathers, keep temporaries
+        # to bool masks; the argmax of a mask is its first true index
+        members = 2 * int(np.count_nonzero(member))
         scale = 1 << (n + 2)
         rows.append(
             AssertionRecord(
@@ -484,7 +508,7 @@ def verify_lemma2(
             return LemmaReport("lemma2", tuple(rows), tuple(params))
 
         checkable = member & (nu > 0)
-        n_checkable = int(np.count_nonzero(checkable))
+        n_checkable = 2 * int(np.count_nonzero(checkable))
         n_empty = members - n_checkable
         rows.append(
             AssertionRecord(
@@ -516,7 +540,7 @@ def verify_lemma2(
         )
         # integral >= n/30 for every x via the left endpoints; for the integer
         # I, 30·I >= n·scale iff I >= ⌈n·scale/30⌉
-        n_bad = int(np.count_nonzero(checkable & (int_scaled < -(-n * scale // 30))))
+        n_bad = 2 * int(np.count_nonzero(checkable & (int_scaled < -(-n * scale // 30))))
         if n_checkable:
             low = int(int_scaled.min(where=checkable, initial=np.iinfo(np.int64).max))
             arg = int(np.argmax(checkable & (int_scaled == low)))
@@ -605,9 +629,8 @@ def build_fn(params: ConstructionParams) -> AtomSum:
     difference blocks cover it.  The j = 2^n pair is identically zero but is
     kept so the L¹ certificate matches 2^γ(1 - |E_n|) + 2.
     """
-    n, c = params.n, params.c
-    if n + 2 > GRID_CAP:
-        raise ValueError(f"indicator mask for n={n} exceeds the grid cap")
+    params.check_buildable()
+    n = params.n
     mask = ~en_cell_mask(n)
     indicator = IndicatorAtom(Fraction(1 << params.gamma), n + 2, mask, 1 << n)
     atoms: list[IndicatorAtom | KernelAtom] = [indicator]

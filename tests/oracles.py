@@ -9,6 +9,18 @@
   symbolic cut per residue class of each window.  It shares only the
   periodicity D_l(y) = D_{l mod 2^E}(y) with the library, so it also reaches
   orders q far past any grid; it does not apply where S_l drifts (x = θ_j).
+
+The sign-change set E_n and its checks are held against Fraction arithmetic
+and a scan of every cell:
+
+- :func:`measure_En` and :func:`measure_bound`: |E_n| as a Fraction, and the
+  bound 1 - 2e^{-n/36} decided by Fraction arithmetic;
+  :func:`measure_en_output` builds the ``measure-en`` payload and first-failure
+  message from them with ``_frac`` and ``_float``.
+- :func:`cell_scan_by_position`: every level-(n+2) cell, x_1 = 1 included,
+  from the digit formulas one descent position at a time;
+  :func:`lemma2_exhaustive_rows` reduces those full arrays to the exhaustive
+  Lemma 2 rows, witnesses included.
 """
 
 from __future__ import annotations
@@ -17,9 +29,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from walshdiv import bounds
 from walshdiv._kernels import walsh_sign_row
 from walshdiv.atoms import AtomSum, KernelAtom
-from walshdiv.counterexample import ConstructionParams, build_fn
+from walshdiv.cli import _float
+from walshdiv.counterexample import (
+    AssertionRecord,
+    ConstructionParams,
+    _frac,
+    _member_counts,
+    build_fn,
+)
 from walshdiv.dyadic import DyadicPoint, containing_interval
 from walshdiv.fourier import Census
 from walshdiv.walsh import ExactSeries, GridVector, bit_reverse, fwht
@@ -113,3 +133,130 @@ def symbolic_census(params: ConstructionParams, x: DyadicPoint, N: int
             v = fn.partial_sum(l, x)
             out[v] = out.get(v, 0) + count
     return list(out.items())
+
+
+# ---------------------------------------------------------------------------
+# the sign-change set E_n
+# ---------------------------------------------------------------------------
+
+
+def measure_En(n: int) -> Fraction:
+    """Exact |E_n| as a Fraction, from the library's binomial-tail recurrence."""
+    for _, hits in _member_counts(n):
+        pass
+    return Fraction(hits, 1 << n)
+
+
+def measure_bound(n: int, measure: Fraction) -> tuple[str, tuple[Fraction, Fraction]]:
+    """(verdict, enclosure of 1 - 2e^{-n/36}) by Fraction arithmetic."""
+    lo, hi = bounds.exp_enclosure(Fraction(-n, 36), 96)
+    bound = (1 - 2 * hi, 1 - 2 * lo)
+    if bound[1] <= 0:
+        return "vacuous", bound
+    return ("pass" if measure > bound[1] else "fail"), bound
+
+
+def measure_en_output(n_lo: int, n_hi: int) -> tuple[str, str | None]:
+    """(CSV payload, first failure message or None) of ``measure-en``, from Fractions."""
+    lines = ["n,measure_exact,measure_float,bound_upper_float,margin_float,verdict"]
+    first = None
+    for n, hits in _member_counts(n_hi):
+        if n < n_lo:
+            continue
+        measure = Fraction(hits, 1 << n)
+        verdict, (_, bound_hi) = measure_bound(n, measure)
+        if verdict == "fail" and first is None:
+            first = (f"measure-en: |E_{n}| is {_float(bound_hi - measure)} "
+                     f"below the bound {_float(bound_hi)}")
+        lines.append(
+            f"{n},{_frac(measure)},{_float(measure)},{_float(bound_hi)},"
+            f"{_float(measure - bound_hi)},{verdict}"
+        )
+    return "\n".join(lines) + "\n", first
+
+
+def cell_scan_by_position(n: int):
+    """The cell scan over all 2^(n+2) level-(n+2) cells, one pass per descent position.
+
+    Returns ``(member, m_vals, nu, integral_num)`` as
+    :func:`walshdiv._kernels.cell_scan` defines them, from the digit formulas
+    rather than by digit doubling, and for x_1 = 1 as well.
+    """
+    ncells = 1 << (n + 2)
+    j = np.arange(ncells, dtype=np.int64)
+    changes = (j ^ (j >> 1)) & np.int64((1 << n) - 1)
+    c = np.bitwise_count(changes).astype(np.int64)
+    member = 3 * np.abs(n - 2 * c) < n
+    m_vals = np.zeros(ncells, dtype=np.int64)
+    nu = np.zeros(ncells, dtype=np.uint8)
+    integral_num = np.zeros(ncells, dtype=np.int64)
+    for k in range(1, n):
+        hi = (j >> (n + 1 - k)) & 1  # digit x_{k+1}
+        lo = (j >> (n - k)) & 1  # digit x_{k+2}
+        descent = (hi == 0) & (lo == 1)
+        m_vals += descent * (np.int64(1) << k)
+        nu += descent
+        # scaled T_k = frac(2^k x) * 2^(n+2), with x_{k+1} = 0
+        t_num = (j & np.int64((1 << (n + 2 - k)) - 1)) << k
+        integral_num += np.where(descent, t_num, 0)
+    return member, m_vals, nu, integral_num
+
+
+def _cell(n: int, j: int) -> str:
+    return DyadicPoint(j, n + 2).to_text()
+
+
+def lemma2_exhaustive_rows(n: int) -> tuple[AssertionRecord, ...]:
+    """The exhaustive Lemma 2 rows, reduced over all 2^(n+2) cells.
+
+    Witnesses are first indices over the full scan; the measure row comes
+    from :func:`measure_En` and :func:`measure_bound`.
+    """
+    measure = measure_En(n)
+    verdict, (lo, hi) = measure_bound(n, measure)
+    claim = "measure > 1 - 2*exp(-n/36)"
+    if verdict == "vacuous":
+        rows = [AssertionRecord(claim, _frac(measure), f"<= {float(hi):.6g}", "pass",
+                                "bound nonpositive (vacuous)")]
+    else:
+        rows = [AssertionRecord(claim, _frac(measure),
+                                f"in [{float(lo):.6g}, {float(hi):.6g}]", verdict)]
+    member, m_vals, nu, integral = cell_scan_by_position(n)
+    scale = 1 << (n + 2)
+    idx = np.flatnonzero(member)
+    rows.append(AssertionRecord("member cells at level n+2", str(idx.size), f"of {scale}",
+                                "reported"))
+    if not idx.size:
+        rows.append(AssertionRecord("integral >= n/30 on E_n", "-", _frac(Fraction(n, 30)),
+                                    "vacuous", "E_n empty"))
+        return tuple(rows)
+    empty = idx[nu[idx] == 0]
+    checkable = idx[nu[idx] > 0]
+    rows.append(AssertionRecord(
+        "selector nonempty on E_n", str(checkable.size), str(idx.size),
+        "pass" if not empty.size else "fail",
+        f"x={_cell(n, int(empty[0]))}" if empty.size else "",
+    ))
+    max_m = int(m_vals[idx].max())
+    rows.append(AssertionRecord("m < 2^n on E_n", str(max_m), str(1 << n),
+                                "pass" if max_m < 1 << n else "fail"))
+    worst = int(nu[idx].min())
+    rows.append(AssertionRecord(
+        "6*nu >= n - 6 on E_n", str(worst), _frac(Fraction(n - 6, 6)),
+        "pass" if 6 * worst >= n - 6 else "fail",
+        f"x={_cell(n, int(idx[nu[idx] == worst][0]))}",
+    ))
+    bad = int(np.count_nonzero(30 * integral[checkable] < n * scale))  # integral/scale < n/30
+    if checkable.size:
+        low = int(integral[checkable].min())
+        first = int(checkable[integral[checkable] == low][0])
+        witness = f"x={_cell(n, first)} integral={_frac(Fraction(low, scale))}"
+    else:
+        witness = "no checkable cells"
+    if empty.size:
+        witness += f"; {empty.size} cells lack a selector"
+    rows.append(AssertionRecord(
+        "integral >= n/30 on E_n", str(checkable.size - bad), str(checkable.size),
+        "fail" if bad or empty.size else "pass", witness,
+    ))
+    return tuple(rows)

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from walshdiv.cli import _coefficient_rows, _float, _frac, main
-from walshdiv.counterexample import ConstructionParams, build_fn, measure_En, verify_lemma2
+from walshdiv.counterexample import ConstructionParams, build_fn, verify_lemma2
 from walshdiv.walsh import GridVector, fwht
 
-from oracles import symbolic_census
+from oracles import measure_En, measure_en_output, symbolic_census
 
 
 def run_main(argv):
@@ -98,6 +98,23 @@ class TestMeasureEnCommand:
         assert float(bound) == 1
         row = captured.out.splitlines()[-1]
         assert Fraction(row.split(",")[1]) == measure_En(2304)
+
+    @pytest.mark.parametrize("n_lo, n_hi", [(1, 3000), (9990, 10000)])
+    def test_integer_rows_equal_the_fraction_rows(self, n_lo, n_hi, capsys):
+        # 9990..10000: margins underflow to -0 over 10,000-bit denominators
+        payload, first = measure_en_output(n_lo, n_hi)
+        code = main(["measure-en", "--n-min", str(n_lo), "--n-max", str(n_hi)])
+        captured = capsys.readouterr()
+        got = [l for l in captured.out.splitlines() if not l.startswith("#")]
+        want = payload.splitlines()
+        first_diff = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        assert first_diff is None, (got[first_diff], want[first_diff])  # short report
+        assert len(got) == len(want)
+        if first is None:
+            assert (code, captured.err) == (0, "")
+        else:
+            assert code == 1
+            assert captured.err == f"FAILED ({payload.count(',fail')}): {first}\n"
 
     @pytest.mark.parametrize("n", [1, 24, 25, 60, 2303, 2304])
     def test_lemma2_measure_row_has_the_table_verdict(self, n, capsys):
@@ -459,6 +476,24 @@ def test_lemma1_rejects_an_unbounded_progression():
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("walshdiv: error: ")
     assert "progression" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma1", "--n", "20", "--x", "1/2^5"],
+    ["build-fn", "--n", "20", "--c", "3"],
+])
+def test_constructions_past_the_bound_are_rejected_before_building(argv):
+    # 2^20 kernel orders of up to 3·2^20 bits: a MemoryError traceback
+    # under the address-space limit unless c·4^n is bounded first
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "walshdiv.cli", *argv],
+                          capture_output=True, text=True, env=checkout_env(),
+                          timeout=30, preexec_fn=_limit_memory)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("walshdiv: error: ")
+    assert "too large to build" in proc.stderr
 
 
 def test_lemma1_over_all_cells_rejects_a_huge_order_before_allocating():

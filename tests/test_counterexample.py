@@ -7,6 +7,7 @@ asserted against the library.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,6 @@ from walshdiv.counterexample import (
     en_cell_mask,
     integral_Dstar_closed,
     integral_Dstar_grid,
-    measure_En,
     measure_En_range,
     minimal_n_for_c3,
     partial_sum_series,
@@ -41,7 +41,7 @@ from walshdiv.dyadic import DyadicPoint, containing_interval, xor_add
 from walshdiv.fourier import PhiSpec
 from walshdiv.walsh import GridVector, bit_reverse, dirichlet, walsh
 
-from oracles import _count_above, _partial_sums_scaled
+from oracles import _count_above, _partial_sums_scaled, lemma2_exhaustive_rows, measure_En
 
 EXP_POW_2 = PhiSpec.exp_power(2)
 
@@ -65,6 +65,17 @@ class TestConstructionParams:
 
     def test_gamma_values(self):
         assert [ConstructionParams(n).gamma for n in (1, 2, 12, 151)] == [0, 0, 0, 6]
+
+    def test_build_bound(self):
+        # c·4^n ≤ 2^28: n = 13 at c = 4 is the largest order that builds
+        assert ConstructionParams.BUILD_MAX == 4 << 26
+        for n, c in ((13, 4), (12, 16), (3, 10), (2, 3)):
+            ConstructionParams(n, c).check_buildable()
+        for n, c in ((13, 5), (14, 2), (20, 3), (10**12, 2)):
+            with pytest.raises(ValueError, match="too large to build"):
+                ConstructionParams(n, c).check_buildable()
+            with pytest.raises(ValueError, match="too large to build"):
+                build_fn(ConstructionParams(n, c))
 
     def test_spectral_edges(self):
         p = ConstructionParams(2, 3)
@@ -118,7 +129,8 @@ class TestSignChangeSet:
             assert measure_En(n) == Fraction(int(mask.sum()), mask.size)
 
     def test_range_helper_consistent(self):
-        assert measure_En_range(3, 9) == [(n, measure_En(n)) for n in range(3, 10)]
+        rows = [(n, Fraction(hits, 1 << n)) for n, hits in measure_En_range(3, 9)]
+        assert rows == [(n, measure_En(n)) for n in range(3, 10)]
         with pytest.raises(ValueError):
             measure_En_range(5, 4)
         with pytest.raises(ValueError):
@@ -134,7 +146,7 @@ class TestPairsumDistribution:
             hits = sum(math.comb(n, b) for b in range(n + 1) if 3 * abs(n - 2 * b) < n)
             assert measure_En(n) == Fraction(hits, 1 << n)
             if n:
-                assert table[n] == measure_En(n)
+                assert Fraction(table[n], 1 << n) == measure_En(n)
 
     def test_rejects_a_negative_order(self):
         with pytest.raises(ValueError):
@@ -262,6 +274,24 @@ class TestVerifyLemma2:
         a = verify_lemma2(60, mode="sample", samples=400, seed=7)
         b = verify_lemma2(60, mode="sample", samples=400, seed=8)
         assert a.to_csv() != b.to_csv()
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_exhaustive_rows_equal_the_full_scan(self, n):
+        # counts over the x_1 = 0 half, doubled, and its first-index
+        # witnesses equal a reduction over all 2^(n+2) cells
+        assert verify_lemma2(n, cap=20).rows == lemma2_exhaustive_rows(n)
+
+    def test_exhaustive_scan_memory(self):
+        verify_lemma2(2)  # lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            verify_lemma2(20, cap=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2^21 cells of two int64 and two uint8 arrays are 36 MiB; the
+        # 2^22-cell scan peaked at about 108 MiB
+        assert peak < 64 << 20
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 
 The cell scan is checked against an independent oracle that works from the
 definitions: Rademacher products for membership, digit descents for the
-selector, and exact Riemann sums for the kernel integral.
+selector, and exact Riemann sums for the kernel integral.  Both oracles cover
+all 2^(n+2) cells; the scan covers the half with x_1 = 0, so each oracle's
+upper half is checked to repeat its lower half.
 """
 
 from fractions import Fraction
@@ -18,6 +20,9 @@ from walshdiv._kernels import (
 )
 from walshdiv.dyadic import DyadicPoint, xor_add
 from walshdiv.walsh import dirichlet_star, rademacher, walsh
+
+from oracles import cell_scan_by_position
+
 
 class TestHadamard:
     def test_involution_up_to_scale(self):
@@ -90,47 +95,24 @@ def cell_scan_oracle(n: int):
     return members, m_vals, nus, integrals
 
 
-def cell_scan_by_position(n: int):
-    """The scan as one pass per descent position over all cells.
-
-    A second construction of :func:`cell_scan`'s arrays, from the digit
-    formulas rather than by digit doubling.
-    """
-    ncells = 1 << (n + 2)
-    j = np.arange(ncells, dtype=np.int64)
-    changes = (j ^ (j >> 1)) & np.int64((1 << n) - 1)
-    c = np.bitwise_count(changes).astype(np.int64)
-    member = 3 * np.abs(n - 2 * c) < n
-    m_vals = np.zeros(ncells, dtype=np.int64)
-    nu = np.zeros(ncells, dtype=np.int64)
-    integral_num = np.zeros(ncells, dtype=np.int64)
-    for k in range(1, n):
-        hi = (j >> (n + 1 - k)) & 1  # digit x_{k+1}
-        lo = (j >> (n - k)) & 1  # digit x_{k+2}
-        descent = (hi == 0) & (lo == 1)
-        m_vals += descent * (np.int64(1) << k)
-        nu += descent
-        # scaled T_k = frac(2^k x) * 2^(n+2), with x_{k+1} = 0
-        t_num = (j & np.int64((1 << (n + 2 - k)) - 1)) << k
-        integral_num += np.where(descent, t_num, 0)
-    return member, m_vals, nu, integral_num
-
-
 class TestCellScan:
     @pytest.mark.parametrize("n", [*range(1, 17), 20])
     def test_matches_per_position_scan(self, n):
+        half = 1 << (n + 1)
         for got, want in zip(cell_scan(n), cell_scan_by_position(n), strict=True):
             assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            assert np.array_equal(want[half:], want[:half])  # x_1 enters nothing
+            assert np.array_equal(got, want[:half])
 
     def test_matches_definition_oracle(self):
         n = 4
-        want_member, want_m, want_nu, want_int = cell_scan_oracle(n)
+        half = 1 << (n + 1)
         member, m_vals, nu, integral_num = cell_scan(n)
-        assert list(member) == want_member
-        assert list(m_vals) == want_m
-        assert list(nu) == want_nu
-        assert [Fraction(int(v)) for v in integral_num] == want_int
+        for got, want in zip((list(member), list(m_vals), list(nu),
+                              [Fraction(int(v)) for v in integral_num]),
+                             cell_scan_oracle(n), strict=True):
+            assert want[half:] == want[:half]
+            assert got == want[:half]
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

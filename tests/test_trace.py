@@ -27,16 +27,41 @@ print(json.dumps({"missing": missing, "status": status, "values": recorder.snaps
 """
 
 
-def test_traced_strong_mean_counts():
-    argv = ["strong-mean", "--n", "2", "--c", "3", "--x", "7/2^5", "--N-list", "16,4096"]
+def _traced(argv: list[str]) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(PERFBENCH), *argv],
         capture_output=True, text=True, env=checkout_env(), timeout=60, check=True,
     )
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["missing"] == []
+    return report
+
+
+def test_traced_strong_mean_counts():
+    report = _traced(["strong-mean", "--n", "2", "--c", "3", "--x", "7/2^5",
+                      "--N-list", "16,4096"])
     assert report["status"] == 0
     values = report["values"]
     assert values["fourier.terms"] == 12336  # 3 consumers x (16 + 4096) cuts
     assert values["fourier.PhiSpec.value_mpf.calls"] == 7
     assert values["fourier.PhiSpec.enclosure.calls"] == 8
+
+
+def test_traced_measure_table_counts():
+    # one certified enclosure per order; the false FAILs from n = 2304 on stay
+    report = _traced(["measure-en", "--n-max", "3000"])
+    assert report["status"] == 1
+    values = report["values"]
+    assert values["bounds.exp_enclosure.calls"] == 3000
+    assert values["counterexample.measure_En_range.calls"] == 1
+    assert values["counterexample.measure_En_range.s"] > 0
+
+
+def test_traced_exhaustive_lemma2_counts():
+    # the scan covers the 2^21 cells with x_1 = 0 of the 2^22 at level n + 2
+    report = _traced(["lemma2", "--n", "20", "--cap", "20"])
+    assert report["status"] == 0
+    values = report["values"]
+    assert values["kernels.cell_scan.cells"] == 1 << 21
+    assert values["kernels.cell_scan.calls"] == 1
+    assert values["bounds.exp_enclosure.calls"] == 1
