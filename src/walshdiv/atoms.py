@@ -15,9 +15,7 @@ whole-sum partial sums closed-form:
   its prefix at cut l is D_{min(l,u)}(x ⊕ θ);
 - an indicator atom is a step function at its mask level L, so its spectrum
   lives below 2**L; a small exact transform of the mask yields the full
-  coefficient table and hence any prefix.  When the mask is too large for
-  that table (level above ``TABLE_CAP``), cuts strictly inside the open
-  spectral block are rejected with :class:`AtomSplitError`.
+  coefficient table and hence any prefix.
 
 Spectral blocks are recorded on the AtomSum as half-open index intervals
 [lo, hi) with owner labels; builders that know about cancellations (kernel
@@ -35,24 +33,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicPoint, Rat, containing_interval, xor_add
+from .dyadic import DyadicPoint, containing_interval, xor_add
 from .walsh import GRID_CAP, ExactSeries, GridVector, dirichlet, fwht, walsh
 
 __all__ = [
-    "AtomSplitError",
     "SpectralBlock",
     "IndicatorAtom",
     "KernelAtom",
     "AtomSum",
 ]
-
-#: Masks up to 2**TABLE_CAP cells may be transformed into coefficient tables.
-TABLE_CAP = 20
-
-
-class AtomSplitError(ValueError):
-    """A partial-sum cut falls inside an atom with no closed form available."""
-
 
 @dataclass(frozen=True)
 class SpectralBlock:
@@ -108,16 +97,8 @@ class IndicatorAtom:
 
     # -- spectrum --------------------------------------------------------------
 
-    def has_table(self) -> bool:
-        return self.level <= TABLE_CAP
-
     def coefficient_table(self) -> GridVector:
         """Exact Walsh coefficients (index m < 2**level) of this atom."""
-        if not self.has_table():
-            raise AtomSplitError(
-                f"indicator mask at level {self.level} exceeds the "
-                f"coefficient-table cap {TABLE_CAP}"
-            )
         if self._table is None:
             sign_row = GridVector.sample_walsh(self.character, self.level)
             nums = np.where(self.mask, sign_row.numerators, 0)
@@ -130,12 +111,10 @@ class IndicatorAtom:
         return self.coefficient_table().nonzero_indices()
 
     def spectral_block(self) -> SpectralBlock:
-        if self.has_table():
-            support = self.spectrum()
-            if support:
-                return SpectralBlock(support[0], support[-1] + 1, ("indicator",))
-            return SpectralBlock(0, 1, ("indicator",))
-        return SpectralBlock(0, 1 << self.level, ("indicator",))
+        support = self.spectrum()
+        if support:
+            return SpectralBlock(support[0], support[-1] + 1, ("indicator",))
+        return SpectralBlock(0, 1, ("indicator",))
 
     # -- closed-form prefix ----------------------------------------------------
 
@@ -252,11 +231,7 @@ class AtomSum:
         return sum((a.value(x) for a in self.atoms), Fraction(0))
 
     def partial_sum(self, cut: int, x: DyadicPoint) -> Fraction:
-        """Exact S_cut(x) = Σ_{m<cut} f̂(m) w_m(x), atom by atom.
-
-        Any cut is valid except one strictly inside the spectral block of an
-        indicator whose coefficient table is unavailable (AtomSplitError).
-        """
+        """Exact S_cut(x) = Σ_{m<cut} f̂(m) w_m(x), atom by atom, at any cut."""
         if cut < 0:
             raise ValueError(f"cut must be nonnegative, got {cut}")
         return sum((a.prefix(cut, x) for a in self.atoms), Fraction(0))

@@ -41,7 +41,6 @@ from .counterexample import (
     _frac,
     build_fn,
     chain_check,
-    check_lemma1_order,
     measure_bound,
     measure_En_range,
     partial_sum_census,
@@ -98,7 +97,7 @@ class _Failure:
 # config plumbing
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"n": int, "c": int, "grid_cap": int, "samples": int}
+_CONFIG_KEYS = {"n": int, "c": int, "samples": int}
 
 
 def _load_config(path: str) -> dict[str, int]:
@@ -124,13 +123,9 @@ def _resolve(ns: argparse.Namespace, key: str, default: int) -> int:
     return ns.config_values.get(key, default)
 
 
-def _construction(ns: argparse.Namespace) -> tuple[ConstructionParams, int]:
-    """(params, grid_cap) from --n/--c/--grid-cap; the cap must lie in 0..GRID_CAP."""
-    params = ConstructionParams(_resolve(ns, "n", 2), _resolve(ns, "c", 3))
-    grid_cap = _resolve(ns, "grid_cap", GRID_CAP)
-    if not 0 <= grid_cap <= GRID_CAP:
-        raise ValueError(f"grid cap {grid_cap} outside [0, {GRID_CAP}]")
-    return params, grid_cap
+def _construction(ns: argparse.Namespace) -> ConstructionParams:
+    """The construction named by --n and --c."""
+    return ConstructionParams(_resolve(ns, "n", 2), _resolve(ns, "c", 3))
 
 
 def _emit(ns: argparse.Namespace, config: RunConfig, payload: str) -> None:
@@ -167,6 +162,12 @@ def _coefficient_rows(co: GridVector) -> list[str]:
 
 def _mean_str(v: mpmath.mpf) -> str:
     return mpmath.nstr(v, 17)
+
+
+def _index(v: int) -> str:
+    """A spectral block end: decimal up to 60 digits, else ``2^e`` (longer ends
+    are kernel orders, and q may pass Python's 4300-digit ``str`` limit)."""
+    return str(v) if v < 10**60 else f"2^{v.bit_length() - 1}"
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,7 @@ def _cmd_measure_en(ns: argparse.Namespace) -> int:
 
 
 def _cmd_build_fn(ns: argparse.Namespace) -> int:
-    params, grid_cap = _construction(ns)
+    params = _construction(ns)
     n, c = params.n, params.c
     fn = build_fn(params)
     cert = fn.norm1_certificate()
@@ -243,11 +244,11 @@ def _cmd_build_fn(ns: argparse.Namespace) -> int:
     print(f"  L1 certificate: {_frac(cert)} ({_float(cert)}) <= 4: "
           f"{'yes' if cert <= 4 else 'NO'}")
     print(f"  spectral blocks: {len(fn.spectral_blocks)}, "
-          f"span [{fn.spectral_blocks[0].lo}, {fn.max_spectral_index})")
+          f"span [{_index(fn.spectral_blocks[0].lo)}, {_index(fn.max_spectral_index)})")
     if ns.dump_coefficients:
-        if params.q_exponent > grid_cap:
+        if params.q_exponent > GRID_CAP:
             raise ValueError(
-                f"coefficient dump needs q = 2^{params.q_exponent} <= 2^{grid_cap}"
+                f"coefficient dump needs q = 2^{params.q_exponent} <= 2^{GRID_CAP}"
             )
         co = fwht(fn.render(params.q_exponent))
         lines = ["index,value_exact,value_float", *_coefficient_rows(co)]
@@ -258,16 +259,16 @@ def _cmd_build_fn(ns: argparse.Namespace) -> int:
         lines = ["lo,hi,owners"]
         for b in fn.spectral_blocks:
             owners = ";".join(b.owners)
-            lines.append(f'{b.lo},{b.hi},"{owners}"')
+            lines.append(f'{_index(b.lo)},{_index(b.hi)},"{owners}"')
         _emit(ns, config, "\n".join(lines) + "\n")
         print(f"wrote {ns.out}")
     return failures.exit_code()
 
 
 def _cmd_lemma1(ns: argparse.Namespace) -> int:
-    params, grid_cap = _construction(ns)
+    params = _construction(ns)
     n, c = params.n, params.c
-    check_lemma1_order(n)  # before any of the 2^(n+2) points exists
+    params.check_buildable()  # before the header and any of the 2^(n+2) points
     if ns.x is not None:
         points, count = [parse_point(ns.x)], 1
     else:
@@ -281,7 +282,7 @@ def _cmd_lemma1(ns: argparse.Namespace) -> int:
     failures = _Failure()
     csv_parts = []
     for x in points:
-        report = verify_lemma1(params, x, grid_cap=grid_cap)
+        report = verify_lemma1(params, x)
         print(report.to_text(), end="")
         csv_parts.append(report.to_csv())
         failures.absorb_report(report)
@@ -291,13 +292,13 @@ def _cmd_lemma1(ns: argparse.Namespace) -> int:
 
 
 def _cmd_partial_sums(ns: argparse.Namespace) -> int:
-    params, grid_cap = _construction(ns)
+    params = _construction(ns)
     n, c = params.n, params.c
     x = parse_point(ns.x)
     if ns.l_max < ns.l_min or ns.l_min < 1:
         raise ValueError(f"bad cut range [{ns.l_min}, {ns.l_max}]")
-    series = partial_sum_series(params, x, ns.l_max, grid_cap=grid_cap)
-    grid = params.q_exponent if params.q_exponent <= grid_cap else "symbolic"
+    series = partial_sum_series(params, x, ns.l_max)
+    grid = params.q_exponent if params.q_exponent <= GRID_CAP else "symbolic"
     config = RunConfig(
         "partial-sums",
         (("n", str(n)), ("c", str(c)), ("x", x.to_text()),
@@ -316,7 +317,7 @@ def _cmd_partial_sums(ns: argparse.Namespace) -> int:
 
 
 def _cmd_strong_mean(ns: argparse.Namespace) -> int:
-    params, grid_cap = _construction(ns)
+    params = _construction(ns)
     n, c = params.n, params.c
     x = parse_point(ns.x)
     phis = [parse_phi(text) for text in (ns.phi or ["exppow:2"])]
@@ -325,8 +326,8 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
         raise ValueError(f"bad N list {ns.n_list!r}")
     threshold = Fraction(ns.threshold) if ns.threshold else Fraction(n, 40)
     center = Fraction(ns.center)
-    censuses = {N: partial_sum_census(params, x, N, grid_cap) for N in n_list}
-    grid = params.q_exponent if params.q_exponent <= grid_cap else "symbolic"
+    censuses = {N: partial_sum_census(params, x, N) for N in n_list}
+    grid = params.q_exponent if params.q_exponent <= GRID_CAP else "symbolic"
     config = RunConfig(
         "strong-mean",
         (("n", str(n)), ("c", str(c)), ("x", x.to_text()),
@@ -531,14 +532,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "construction.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file (n, c, grid_cap, samples)")
+    common.add_argument("--config", help="key=value file (n, c, samples)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled modes (echoed in every header)")
     common.add_argument("--out", help="write CSV output to this path")
     construction = argparse.ArgumentParser(add_help=False, parents=[common])
     construction.add_argument("--n", type=int)
     construction.add_argument("--c", type=int)
-    construction.add_argument("--grid-cap", type=int, dest="grid_cap")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("lemma2", parents=[common],
@@ -608,7 +608,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns.config_values = _load_config(ns.config) if ns.config else {}
         return ns.handler(ns)
-    except (ValueError, ArithmeticError, OSError) as exc:  # InfeasibleParameters too
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"walshdiv: error: {exc}", file=sys.stderr)
         return 2
 

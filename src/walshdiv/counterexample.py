@@ -11,8 +11,7 @@ Pieces, bottom-up:
   integers over 2^(n+96);
 - the selector ``select_m`` extracting descent positions (r_k = 1 followed by
   r_{k+1} = -1) and packing them into an integer m with companion p = m(1+2^n);
-- the exact closed form for the kernel integral ∫_0^x D*_m(x ⊕ t) dt plus an
-  independent grid oracle;
+- the exact closed form for the kernel integral ∫_0^x D*_m(x ⊕ t) dt;
 - the polynomial f_n = 2^γ·1_{(E_n)^c}·w_{2^n} + (1/2^n) Σ_j (D_q − D_{u_j})(·⊕θ_j)
   as an :class:`~walshdiv.atoms.AtomSum` with exact spectral bookkeeping;
 - its partial sums S_1 … S_N(x) read off its window structure
@@ -54,7 +53,6 @@ from .fourier import Census, PhiSpec
 from .walsh import (
     GRID_CAP,
     ExactSeries,
-    GridVector,
     bit_reverse,
     dirichlet,
     dirichlet_star,
@@ -63,7 +61,6 @@ from .walsh import (
 
 __all__ = [
     "EmptySelectionError",
-    "InfeasibleParameters",
     "ConstructionParams",
     "SelectorResult",
     "AssertionRecord",
@@ -73,14 +70,12 @@ __all__ = [
     "measure_bound",
     "select_m",
     "integral_Dstar_closed",
-    "integral_Dstar_grid",
     "verify_lemma2",
     "build_fn",
     "progression_L",
     "WindowSums",
     "partial_sum_census",
     "partial_sum_series",
-    "check_lemma1_order",
     "verify_lemma1",
     "chain_check",
     "c3_holds",
@@ -104,10 +99,6 @@ MEASURE_BOUND_BITS = 96
 
 class EmptySelectionError(ValueError):
     """No descent position exists: m is undefined at this point."""
-
-
-class InfeasibleParameters(ValueError):
-    """Neither verification branch is checkable at these parameters."""
 
 
 # ---------------------------------------------------------------------------
@@ -318,24 +309,6 @@ def integral_Dstar_closed(m: int, x: DyadicPoint) -> Fraction:
         mm >>= 1
         k += 1
     return Fraction(total, 1 << e)
-
-
-def integral_Dstar_grid(m: int, x: DyadicPoint, K: int) -> Fraction:
-    """Brute-force oracle: 2^-K Σ_{cells ⊂ [0,x)} D*_m(x ⊕ t_cell).
-
-    Requires 2^K > m and K ≥ exponent(x) so the integrand is constant on
-    every level-K cell and [0, x) is a union of such cells.
-    """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if (1 << K) <= m or K < x.exponent:
-        raise ValueError(
-            f"resolution 2^{K} cannot resolve m={m} and x={x.to_text()}"
-        )
-    # x ⊕ j/2^K lies in cell top ^ j, on which the sampled D*_m is exact.
-    top = x.scaled_numerator(K)
-    star = GridVector.sample_dirichlet_star(m, K).numerators
-    return Fraction(int(star[np.arange(top) ^ top].sum()), 1 << K)
 
 
 # ---------------------------------------------------------------------------
@@ -708,20 +681,18 @@ class WindowSums:
     its values.  A y_j that cuts to 0 (x = θ_j, or x agrees with θ_j on h
     digits) has D_l(y_j) = l: there S_l drifts by 2^-n per cut, and each
     residue class is an arithmetic progression.  The work is O(2^n·2^E) per
-    window whatever c and N are; tables past 2^grid_cap entries in all are
-    rejected before they are allocated.
+    window whatever c and N are; tables past 2^GRID_CAP entries in all are
+    rejected before they are allocated.  ``fn`` is the f_n they are read from.
     """
 
-    def __init__(
-        self, params: ConstructionParams, x: DyadicPoint, N: int, grid_cap: int = GRID_CAP
-    ):
+    def __init__(self, params: ConstructionParams, x: DyadicPoint, N: int):
         if N < 1:
             raise ValueError(f"cut count must be positive, got {N}")
         n, level = params.n, params.n + 2
-        fn = build_fn(params)
+        self.fn = fn = build_fn(params)
         indicator = fn.atoms[0]
         table = indicator.coefficient_table()
-        self.x, self.cuts, self.grid_cap = x, N, grid_cap
+        self.x, self.cuts = x, N
         self.denominator = den = math.lcm(table.denominator, 1 << n)
         weight = den >> n
         thetas = params.thetas()
@@ -740,10 +711,10 @@ class WindowSums:
                 )
             windows.append((k, lo, hi, ys, 1 << period_exp))
         size = min(N, 1 << level) + sum(min(period, hi - lo) for _, lo, hi, _, period in windows)
-        if size > 1 << grid_cap:
+        if size > 1 << GRID_CAP:
             raise ValueError(
                 f"the window tables of {N} cuts at x = {x.to_text()} need {size} "
-                f"entries, past the grid cap 2^{grid_cap}"
+                f"entries, past the grid cap 2^{GRID_CAP}"
             )
 
         rx = bit_reverse(containing_interval(x, level).index, level)
@@ -815,13 +786,13 @@ class WindowSums:
 
         Off the drift a run's census comes from its residue table.  A
         drifting run has about one value per cut, so it is expanded, and
-        more than 2^grid_cap such cuts are rejected.
+        more than 2^GRID_CAP such cuts are rejected.
         """
         drift = sum(run.length for run in self.runs if run.slope)
-        if drift > 1 << self.grid_cap:
+        if drift > 1 << GRID_CAP:
             raise ValueError(
                 f"S_l drifts with l at x = {self.x.to_text()}: the census of {self.cuts} "
-                f"cuts holds about {drift} values, past the grid cap 2^{self.grid_cap}"
+                f"cuts holds about {drift} values, past the grid cap 2^{GRID_CAP}"
             )
         counts: dict[int, int] = {}
         for run in self.runs:
@@ -852,41 +823,21 @@ class WindowSums:
         )
 
 
-def partial_sum_census(
-    params: ConstructionParams, x: DyadicPoint, N: int, grid_cap: int = GRID_CAP
-) -> Census:
+def partial_sum_census(params: ConstructionParams, x: DyadicPoint, N: int) -> Census:
     """The census of S_1 … S_N(x, f_n), from :class:`WindowSums`."""
-    return WindowSums(params, x, N, grid_cap).census()
+    return WindowSums(params, x, N).census()
 
 
-def partial_sum_series(
-    params: ConstructionParams,
-    x: DyadicPoint,
-    count: int,
-    grid_cap: int = GRID_CAP,
-) -> ExactSeries:
-    """S_l(x, f_n) for l = 1 … count; a count above 2^grid_cap is rejected first."""
+def partial_sum_series(params: ConstructionParams, x: DyadicPoint, count: int) -> ExactSeries:
+    """S_l(x, f_n) for l = 1 … count; a count above 2^GRID_CAP is rejected first."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if count > 1 << grid_cap:
-        raise ValueError(f"count {count} exceeds the grid cap 2^{grid_cap}")
-    return WindowSums(params, x, count, grid_cap).series()
+    if count > 1 << GRID_CAP:
+        raise ValueError(f"count {count} exceeds the grid cap 2^{GRID_CAP}")
+    return WindowSums(params, x, count).series()
 
 
-def check_lemma1_order(n: int) -> None:
-    """Raise :class:`InfeasibleParameters` unless Lemma 1 is checkable at n."""
-    if n + 2 > GRID_CAP:
-        raise InfeasibleParameters(
-            f"n={n} admits neither branch: the indicator mask alone needs "
-            f"2^{n + 2} cells; use chain_check for threshold inequalities"
-        )
-
-
-def verify_lemma1(
-    params: ConstructionParams,
-    x: DyadicPoint,
-    grid_cap: int = GRID_CAP,
-) -> LemmaReport:
+def verify_lemma1(params: ConstructionParams, x: DyadicPoint) -> LemmaReport:
     """Check the polynomial's partial-sum behavior at one point.
 
     Branch 1 (x in the support of f): S_l(x) = f(x) for every l ≥ q, and
@@ -902,13 +853,13 @@ def verify_lemma1(
     checked.
 
     Every count and the "grid" side of each dual check read the window
-    tables of :class:`WindowSums` (at most 2^grid_cap entries), at every c.
+    tables of :class:`WindowSums` (at most 2^GRID_CAP entries), at every c;
+    f_n is the one those tables are read from.
     """
     n = params.n
-    check_lemma1_order(n)
-    fn = build_fn(params)
     q = params.q
-    sums = WindowSums(params, x, 2 * q, grid_cap)
+    sums = WindowSums(params, x, 2 * q)
+    fn = sums.fn
     rows: list[AssertionRecord] = []
     parameters = [
         ("lemma", "1"),

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "dirichlet_star",
     "dirichlet",
     "fwht",
-    "fwht_inverse",
     "bit_reverse",
 ]
 
@@ -153,23 +152,11 @@ class ExactSeries:
         """Doublings the numerators must survive in int64 (none for a series)."""
         return 0
 
-    @classmethod
-    def of(cls, values: "ExactSeries | Sequence[Rat]") -> "ExactSeries":
-        """``values`` itself if already a series, else one conversion over the lcm."""
-        if isinstance(values, ExactSeries):
-            return values
-        fracs = [Fraction(v) for v in values]
-        den = math.lcm(*(v.denominator for v in fracs))
-        return ExactSeries([v.numerator * (den // v.denominator) for v in fracs], den)
-
     def __len__(self) -> int:
         return len(self.numerators)
 
     def __getitem__(self, i: int) -> Fraction:
         return Fraction(int(self.numerators[i]), self.denominator)
-
-    def values(self) -> list[Fraction]:
-        return [Fraction(int(v), self.denominator) for v in self.numerators]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactSeries):
@@ -208,11 +195,6 @@ class GridVector(ExactSeries):
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_values(cls, resolution: int, values: Iterable[Fraction | int]) -> "GridVector":
-        series = ExactSeries.of(list(values))
-        return cls(resolution, series.numerators, series.denominator)
-
-    @classmethod
     def sample_walsh(cls, n: int, resolution: int) -> "GridVector":
         """w_n sampled on the 2**-K grid (requires n < 2**K: no aliasing)."""
         if n >= 1 << resolution:
@@ -222,44 +204,12 @@ class GridVector(ExactSeries):
         rn = bit_reverse(n, resolution)  # popcount(n & rev(i)) = popcount(rn & i)
         return cls(resolution, _kernels.walsh_sign_row(rn, 1 << resolution), 1)
 
-    @classmethod
-    def sample_dirichlet_star(cls, n: int, resolution: int) -> "GridVector":
-        """D*_n sampled on the 2**-K grid; rejects n > 2**K (aliasing guard)."""
-        if n < 1:
-            raise ValueError(f"kernel order must be >= 1, got {n}")
-        if n >= 1 << resolution:
-            raise ValueError(
-                f"kernel of order {n} would alias on a 2^-{resolution} grid"
-            )
-        nums = np.zeros(1 << resolution, dtype=np.int64)
-        remaining = n
-        while remaining:  # walk set bits j of n, as dirichlet_star does
-            low = remaining & -remaining
-            # r_j D_{2**j}: ±2**j on the cells of [0, 2**-j), sign = digit j+1.
-            block = (1 << resolution) // low
-            nums[:block >> 1] += low
-            nums[block >> 1:block] -= low
-            remaining ^= low
-        return cls(resolution, nums, 1)
-
-    @classmethod
-    def sample_dirichlet(cls, n: int, resolution: int) -> "GridVector":
-        """D_n = w_n · D*_n sampled on the 2**-K grid (aliasing-guarded)."""
-        star = cls.sample_dirichlet_star(n, resolution)
-        signs = cls.sample_walsh(n, resolution)
-        return cls(resolution, signs.numerators * star.numerators, 1)
-
     # -- arithmetic helpers (exact) -------------------------------------------
 
     def scaled(self, factor: Fraction | int) -> "GridVector":
         factor = Fraction(factor)
         nums = self.numerators.astype(object) * factor.numerator
         return _normalized(self.resolution, nums, self.denominator * factor.denominator)
-
-    def norm1(self) -> Fraction:
-        """Exact L1 norm 2**-K Σ |values|."""
-        total = int(np.sum(np.abs(self.numerators.astype(object))))
-        return Fraction(total, self.denominator << self.resolution)
 
     def nonzero_indices(self) -> list[int]:
         return [int(i) for i in np.nonzero(self.numerators)[0]]
@@ -289,18 +239,4 @@ def fwht(v: GridVector) -> GridVector:
     nums = v.numerators[rev]
     _kernels.hadamard_inplace(nums)
     return _normalized(k, nums, v.denominator << k)
-
-
-def fwht_inverse(coeffs: GridVector) -> GridVector:
-    """Reconstruct grid values from coefficients: v[i] = Σ_m c[m] w_m(i/2**K).
-
-    Un-normalized inverse: ``fwht_inverse(fwht(v)) == v`` exactly.
-    """
-    k = coeffs.resolution
-    nums = coeffs.numerators.copy()
-    _kernels.hadamard_inplace(nums)
-    rev = _kernels.bit_reversal_table(k)
-    out = np.empty_like(nums)
-    out[rev] = nums
-    return _normalized(k, out, coeffs.denominator)
 

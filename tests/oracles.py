@@ -1,4 +1,17 @@
-"""Reference paths the window census of f_n's partial sums is checked against.
+"""Reference paths the library's fast paths are checked against.
+
+Exact series and grids, built and read one Fraction at a time:
+
+- :func:`series_of` and :func:`grid_of` convert Fractions to an
+  :class:`ExactSeries` or :class:`GridVector` over the lcm of their
+  denominators; :func:`values_of` reads one back as Fractions, and
+  :func:`norm1` is a grid's exact L1 norm.
+- :func:`sample_dirichlet_star` and :func:`sample_dirichlet` sample D*_n and
+  D_n on a grid from their definitions; :func:`fwht_inverse` undoes
+  :func:`~walshdiv.walsh.fwht`; :func:`integral_Dstar_grid` sums the sampled
+  D*_m over the cells of [0, x).
+
+The window census of f_n's partial sums:
 
 - :func:`transform_scaled`: S_1 … S_count(x) from one exact transform of the
   low-pass part of f_n (:func:`low_pass`, rendered at the least level that
@@ -25,12 +38,14 @@ and a scan of every cell:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from walshdiv import bounds
-from walshdiv._kernels import walsh_sign_row
+from walshdiv._kernels import bit_reversal_table, hadamard_inplace, walsh_sign_row
 from walshdiv.atoms import AtomSum, KernelAtom
 from walshdiv.cli import _float
 from walshdiv.counterexample import (
@@ -42,7 +57,95 @@ from walshdiv.counterexample import (
 )
 from walshdiv.dyadic import DyadicPoint, containing_interval
 from walshdiv.fourier import Census
-from walshdiv.walsh import ExactSeries, GridVector, bit_reverse, fwht
+from walshdiv.walsh import ExactSeries, GridVector, _normalized, bit_reverse, fwht
+
+
+# ---------------------------------------------------------------------------
+# exact series and grids
+# ---------------------------------------------------------------------------
+
+
+def series_of(values: ExactSeries | Sequence[Fraction | int]) -> ExactSeries:
+    """``values`` itself if already a series, else one conversion over the lcm."""
+    if isinstance(values, ExactSeries):
+        return values
+    fracs = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in fracs))
+    return ExactSeries([v.numerator * (den // v.denominator) for v in fracs], den)
+
+
+def values_of(series: ExactSeries) -> list[Fraction]:
+    return [Fraction(int(v), series.denominator) for v in series.numerators]
+
+
+def grid_of(resolution: int, values: Iterable[Fraction | int]) -> GridVector:
+    series = series_of(list(values))
+    return GridVector(resolution, series.numerators, series.denominator)
+
+
+def norm1(g: GridVector) -> Fraction:
+    """Exact L1 norm 2**-K Σ |values|."""
+    total = int(np.sum(np.abs(g.numerators.astype(object))))
+    return Fraction(total, g.denominator << g.resolution)
+
+
+def sample_dirichlet_star(n: int, resolution: int) -> GridVector:
+    """D*_n sampled on the 2**-K grid; rejects n > 2**K (aliasing guard)."""
+    if n < 1:
+        raise ValueError(f"kernel order must be >= 1, got {n}")
+    if n >= 1 << resolution:
+        raise ValueError(f"kernel of order {n} would alias on a 2^-{resolution} grid")
+    nums = np.zeros(1 << resolution, dtype=np.int64)
+    remaining = n
+    while remaining:  # walk set bits j of n, as dirichlet_star does
+        low = remaining & -remaining
+        # r_j D_{2**j}: ±2**j on the cells of [0, 2**-j), sign = digit j+1.
+        block = (1 << resolution) // low
+        nums[:block >> 1] += low
+        nums[block >> 1:block] -= low
+        remaining ^= low
+    return GridVector(resolution, nums, 1)
+
+
+def sample_dirichlet(n: int, resolution: int) -> GridVector:
+    """D_n = w_n · D*_n sampled on the 2**-K grid (aliasing-guarded)."""
+    star = sample_dirichlet_star(n, resolution)
+    signs = GridVector.sample_walsh(n, resolution)
+    return GridVector(resolution, signs.numerators * star.numerators, 1)
+
+
+def fwht_inverse(coeffs: GridVector) -> GridVector:
+    """Reconstruct grid values from coefficients: v[i] = Σ_m c[m] w_m(i/2**K).
+
+    Un-normalized inverse: ``fwht_inverse(fwht(v)) == v`` exactly.
+    """
+    k = coeffs.resolution
+    nums = coeffs.numerators.copy()
+    hadamard_inplace(nums)
+    out = np.empty_like(nums)
+    out[bit_reversal_table(k)] = nums
+    return _normalized(k, out, coeffs.denominator)
+
+
+def integral_Dstar_grid(m: int, x: DyadicPoint, K: int) -> Fraction:
+    """Brute-force ∫_0^x D*_m(x ⊕ t) dt = 2^-K Σ_{cells ⊂ [0,x)} D*_m(x ⊕ t_cell).
+
+    Requires 2^K > m and K ≥ exponent(x) so the integrand is constant on
+    every level-K cell and [0, x) is a union of such cells.
+    """
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    if (1 << K) <= m or K < x.exponent:
+        raise ValueError(f"resolution 2^{K} cannot resolve m={m} and x={x.to_text()}")
+    # x ⊕ j/2^K lies in cell top ^ j, on which the sampled D*_m is exact.
+    top = x.scaled_numerator(K)
+    star = sample_dirichlet_star(m, K).numerators
+    return Fraction(int(star[np.arange(top) ^ top].sum()), 1 << K)
+
+
+# ---------------------------------------------------------------------------
+# the window census of f_n
+# ---------------------------------------------------------------------------
 
 
 def low_pass(s: AtomSum, level: int) -> AtomSum:
@@ -100,7 +203,7 @@ def census_of(sums, N: int) -> Census:
     """Distinct values of the first N sums with their counts, in order of first occurrence."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    series = ExactSeries.of(sums)
+    series = series_of(sums)
     if len(series) < N:
         raise ValueError(f"need at least {N} partial sums, got {len(series)}")
     values, first, counts = np.unique(

@@ -24,7 +24,6 @@ from walshdiv.counterexample import (
     chain_check,
     en_cell_mask,
     integral_Dstar_closed,
-    integral_Dstar_grid,
     measure_En_range,
     partial_sum_census,
     verify_lemma1,
@@ -36,9 +35,17 @@ from walshdiv.fourier import (
     exceed_density,
     strong_mean_bounds,
 )
-from walshdiv.walsh import GridVector, dirichlet, fwht, fwht_inverse, walsh
+from walshdiv.walsh import GridVector, dirichlet, fwht, walsh
 
-from oracles import measure_En
+from oracles import (
+    fwht_inverse,
+    grid_of,
+    integral_Dstar_grid,
+    measure_En,
+    norm1,
+    sample_dirichlet,
+    values_of,
+)
 
 
 def _verdict(
@@ -109,7 +116,7 @@ def test_acceptance_1_walsh_algebra(capsys) -> None:
     for n in range(1, size + 1):
         row = partial_rows[n - 1]
         if n < size:
-            gv = GridVector.sample_dirichlet(n, K)
+            gv = sample_dirichlet(n, K)
             row_ok = gv.denominator == 1 and np.array_equal(
                 np.asarray(gv.numerators), row
             )
@@ -167,7 +174,7 @@ def test_acceptance_2_transform(capsys) -> None:
 
     for k in range(0, 9):
         vals = [_random_fraction(rng) for _ in range(1 << k)]
-        if fwht(GridVector.from_values(k, vals)).values() != _naive_transform(
+        if values_of(fwht(grid_of(k, vals))) != _naive_transform(
             vals, k
         ):
             failures.append(f"fast transform differs from matrix at K={k}")
@@ -179,10 +186,10 @@ def test_acceptance_2_transform(capsys) -> None:
     for i in range(100):
         k = i % 13
         vals = [_random_fraction(rng) for _ in range(1 << k)]
-        g = GridVector.from_values(k, vals)
+        g = grid_of(k, vals)
         c = fwht(g)
         if Fraction(sum(v * v for v in vals), 1 << k) != sum(
-            w * w for w in c.values()
+            w * w for w in values_of(c)
         ):
             failures.append(f"Parseval fails at vector {i} (K={k})")
             break
@@ -304,8 +311,8 @@ def test_acceptance_5_desk_instance(capsys) -> None:
         failures.append("construction is not exactly representable at 2^-18")
     grid = fn.render(18)
     cert = fn.norm1_certificate()
-    if not (grid.norm1() <= cert <= 4):
-        failures.append(f"L1 norm {grid.norm1()} or certificate {cert} exceeds 4")
+    if not (norm1(grid) <= cert <= 4):
+        failures.append(f"L1 norm {norm1(grid)} or certificate {cert} exceeds 4")
 
     spectrum = fwht(grid).nonzero_indices()
     if not spectrum or spectrum[0] < _DESK.p or spectrum[-1] > _DESK.q:

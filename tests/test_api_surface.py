@@ -20,14 +20,6 @@ MODULES = sorted(
     for path in PACKAGE.glob("*.py")
 )
 
-#: Reference implementations that only tests call: the independent oracles
-#: the acceptance gate compares the fast paths against.
-ORACLES = {
-    ("walshdiv.counterexample", "integral_Dstar_grid"),
-    ("walshdiv.walsh", "fwht_inverse"),
-}
-
-
 def _source_path(module: str) -> Path:
     return PACKAGE / ("__init__.py" if module == "walshdiv" else f"{module.split('.')[1]}.py")
 
@@ -69,8 +61,7 @@ def _exported() -> list[tuple[str, str]]:
         (module, name)
         for module in MODULES
         for name in importlib.import_module(module).__all__
-        if (module, name) not in ORACLES
-        and not (name.startswith("__") and name.endswith("__"))  # metadata
+        if not (name.startswith("__") and name.endswith("__"))  # metadata
     ]
 
 

@@ -12,16 +12,15 @@ import numpy as np
 import pytest
 
 from walshdiv.atoms import (
-    AtomSplitError,
     AtomSum,
     IndicatorAtom,
     KernelAtom,
     SpectralBlock,
 )
 from walshdiv.dyadic import DyadicPoint, xor_add
-from walshdiv.walsh import GridVector, dirichlet, fwht, walsh
+from walshdiv.walsh import dirichlet, fwht, walsh
 
-from oracles import low_pass
+from oracles import grid_of, low_pass, norm1, values_of
 
 
 def random_atom_sum(rng: random.Random) -> AtomSum:
@@ -67,7 +66,7 @@ class TestIndicatorAtom:
 
     def test_coefficient_table_matches_sampled_transform(self):
         a = self.atom()
-        sampled = GridVector.from_values(
+        sampled = grid_of(
             2, [a.value(DyadicPoint(i, 2)) for i in range(4)]
         )
         assert a.coefficient_table() == fwht(sampled)
@@ -173,7 +172,7 @@ class TestAtomSum:
                         default=0)
             for level in range(floor, 9):
                 low = fwht(low_pass(s, level).render(level))
-                assert low.values() == full.values()[: 1 << level]
+                assert values_of(low) == values_of(full)[: 1 << level]
 
     def test_partial_sum_beyond_spectrum_is_the_value(self):
         rng = random.Random(24)
@@ -185,7 +184,7 @@ class TestAtomSum:
         rng = random.Random(25)
         for _ in range(10):
             s = random_atom_sum(rng)
-            assert s.render(8).norm1() <= s.norm1_certificate()
+            assert norm1(s.render(8)) <= s.norm1_certificate()
 
     def test_level_and_spectral_bounds(self):
         s = AtomSum(
@@ -203,16 +202,3 @@ class TestAtomSum:
             s.render(8)  # atom level 10 > resolution 8
         with pytest.raises(ValueError):
             s.render(30)  # above the default cap
-
-    def test_uncuttable_indicator_raises_split_error(self):
-        # a mask above the coefficient-table cap cannot be cut mid-spectrum
-        level = 21
-        mask = np.zeros(1 << level, dtype=bool)
-        mask[0] = True
-        a = IndicatorAtom(1, level, mask, 0)
-        x = DyadicPoint(1, 4)
-        with pytest.raises(AtomSplitError):
-            a.prefix(3, x)
-        # cuts at or beyond the full span still work
-        assert a.prefix(1 << level, x) == a.value(x)
-        assert a.prefix(0, x) == 0

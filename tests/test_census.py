@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walshdiv import counterexample
 from walshdiv.counterexample import (
     ConstructionParams,
     WindowSums,
@@ -103,17 +104,18 @@ class TestDriftPoints:
             scaled, den = transform_scaled(params, x, N)
             assert counts == [_count_above(scaled, den, b) for b in self.THRESHOLDS]
 
-    def test_census_past_the_grid_cap_is_rejected(self):
+    def test_census_past_the_grid_cap_is_rejected(self, monkeypatch):
         params = ConstructionParams(2, 10)
         theta = params.theta(2)  # 5/2^4, drifting past u_2 = 2^40
         assert partial_sum_census(params, theta, params.u(2)).cuts == params.u(2)
         with pytest.raises(ValueError, match="drifts"):
             partial_sum_census(params, theta, params.u(2) + (1 << 26) + 1)
         # a lower cap: 64 table entries fit in 2^10, 2000 drifting cuts do not
+        monkeypatch.setattr(counterexample, "GRID_CAP", 10)
         params, theta = ConstructionParams(2, 3), ConstructionParams(2, 3).theta(2)
-        assert partial_sum_census(params, theta, params.u(2) + 1000, grid_cap=10)
+        assert partial_sum_census(params, theta, params.u(2) + 1000)
         with pytest.raises(ValueError, match="drifts"):
-            partial_sum_census(params, theta, params.u(2) + 2000, grid_cap=10)
+            partial_sum_census(params, theta, params.u(2) + 2000)
 
 
 class TestPastTheGrid:

@@ -166,8 +166,8 @@ class TestBuildFnCommand:
         assert _coefficient_rows(co) == expected
 
     def test_dump_requires_renderable_spectrum(self, capsys):
-        assert main(["build-fn", "--n", "2", "--c", "3", "--grid-cap", "12",
-                     "--dump-coefficients"]) == 2
+        # q = 2^30 at c = 5 is past the grid cap 2^26
+        assert main(["build-fn", "--n", "2", "--c", "5", "--dump-coefficients"]) == 2
         assert "coefficient dump" in one_error_line(capsys)
 
     def test_block_table(self, tmp_path, capsys):
@@ -179,6 +179,21 @@ class TestBuildFnCommand:
         assert lines[0] == "lo,hi,owners"
         assert lines[1] == '4,15,"indicator"'
         assert lines[-1] == '32768,262144,"pairs 1..3"'
+
+    def test_spectral_ends_past_60_digits_print_as_powers_of_two(self, tmp_path, capsys):
+        # q = 2^16432 has 4,947 decimal digits, past Python's int-to-str limit
+        out_file = tmp_path / "blocks.csv"
+        for extra in ([], ["--out", str(out_file)]):
+            assert main(["build-fn", "--n", "12", "--c", "4", *extra]) == 0
+            out = capsys.readouterr().out
+            assert "  spectral blocks: 4096, span [4, 2^16432)\n" in out
+        rows = [l for l in out_file.read_text().splitlines() if not l.startswith("#")]
+        assert len(rows) == 1 + 4096
+        assert rows[1] == '4,16377,"indicator"'
+        # u_1 = 2^52 has 16 digits, u_13 = 2^100 has 31 and u_16 = 2^112 has 34
+        assert rows[2] == '4503599627370496,72057594037927936,"pair 1"'
+        assert rows[14].startswith("1267650600228229401496703205376,")
+        assert rows[-1] == '2^16428,2^16432,"pairs 1..4095"'
 
 
 class TestLemma1Command:
@@ -402,10 +417,11 @@ class TestDeterminism:
     ["plot", "--table", "missing.csv", "--x-col", "0", "--y-col", "1", "--svg", "x.svg"],
     # 10^12 cuts would need terabytes: rejected before the series is built
     ["partial-sums", "--x", "7/2^5", "--l-max", "1000000000000"],
-    # a cap past GRID_CAP would lift that bound with it
-    ["partial-sums", "--x", "7/2^5", "--l-max", "1000000000000", "--grid-cap", "40"],
     # 2^32 cells would need 32 GiB per int64 array: rejected before the scan
     ["lemma2", "--n", "30", "--cap", "30"],
+    # c·4^n past the construction bound: rejected before the header is printed
+    ["lemma1", "--n", "20", "--x", "7/2^5"],
+    ["lemma1", "--n", "25"],
 ])
 def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
     # run in an empty directory, so the missing files really are missing
@@ -413,13 +429,14 @@ def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
                           capture_output=True, text=True, env=checkout_env(),
                           cwd=tmp_path, timeout=10)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("walshdiv: error: ")
     assert "Traceback" not in proc.stderr
 
 
 class TestPastTheGridCap:
-    """q past 2^grid_cap: the window census counts every cut, at every c."""
+    """q past 2^GRID_CAP: the window census counts every cut, at every c."""
 
     def test_lemma1_prints_an_exact_count(self, capsys):
         assert main(["lemma1", "--n", "2", "--c", "10", "--x", "1/2^5"]) == 0

@@ -21,14 +21,12 @@ from walshdiv.counterexample import (
     AssertionRecord,
     ConstructionParams,
     EmptySelectionError,
-    InfeasibleParameters,
     LemmaReport,
     build_fn,
     c3_holds,
     chain_check,
     en_cell_mask,
     integral_Dstar_closed,
-    integral_Dstar_grid,
     measure_En_range,
     minimal_n_for_c3,
     partial_sum_series,
@@ -41,7 +39,13 @@ from walshdiv.dyadic import DyadicPoint, containing_interval, xor_add
 from walshdiv.fourier import PhiSpec
 from walshdiv.walsh import GridVector, bit_reverse, dirichlet, walsh
 
-from oracles import _count_above, _partial_sums_scaled, lemma2_exhaustive_rows, measure_En
+from oracles import (
+    _count_above,
+    _partial_sums_scaled,
+    integral_Dstar_grid,
+    lemma2_exhaustive_rows,
+    measure_En,
+)
 
 EXP_POW_2 = PhiSpec.exp_power(2)
 
@@ -551,10 +555,9 @@ class TestVerifyLemma1:
         assert Fraction(low + p.q, 2 * p.q) == Fraction(8121, 8192)
 
     def test_large_n_is_infeasible(self):
-        with pytest.raises(InfeasibleParameters, match="chain_check"):
-            verify_lemma1(ConstructionParams(30), DyadicPoint.zero())
-        with pytest.raises(InfeasibleParameters):
-            verify_lemma1(ConstructionParams(25), DyadicPoint.zero())
+        for n in (14, 25, 30):  # c·4^n past the construction bound 2^28
+            with pytest.raises(ValueError, match="too large to build"):
+                verify_lemma1(ConstructionParams(n), DyadicPoint.zero())
 
 
 class TestChainCheck:

@@ -6,6 +6,7 @@ of values by ``np.unique``, so each test states its sums as a plain list.
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from walshdiv.fourier import (
 )
 from walshdiv.walsh import ExactSeries, GridVector, dirichlet, fwht
 
-from oracles import _partial_sums_scaled, census_of
+from oracles import _partial_sums_scaled, census_of, grid_of, series_of
 
 
 def exact_fraction(v: mpmath.mpf) -> Fraction:
@@ -38,7 +39,7 @@ def exact_fraction(v: mpmath.mpf) -> Fraction:
 
 
 def random_step_function(rng: random.Random, k: int) -> GridVector:
-    return GridVector.from_values(
+    return grid_of(
         k, [Fraction(rng.randrange(-20, 21), rng.randrange(1, 8)) for _ in range(1 << k)]
     )
 
@@ -73,19 +74,25 @@ class TestPartialSums:
     def test_rejects_unrepresentable_cuts(self):
         # the series holds every cut up to count, so count is bounded first
         params, x = ConstructionParams(2, 2), DyadicPoint(3, 4)
-        with pytest.raises(ValueError, match="grid cap"):
-            partial_sum_series(params, x, (1 << 12) + 1, grid_cap=12)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="grid cap"):
+                partial_sum_series(params, x, (1 << 26) + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a 2^26-entry series alone would take 512 MiB
         with pytest.raises(ValueError):
             partial_sum_series(params, x, 0)
-        assert len(partial_sum_series(params, x, 1 << 12, grid_cap=12)) == 1 << 12
+        assert len(partial_sum_series(params, x, 1 << 12)) == 1 << 12
 
     def test_linearity(self):
         rng = random.Random(4)
         xs = [Fraction(rng.randrange(-9, 10)) for _ in range(16)]
         ys = [Fraction(rng.randrange(-9, 10)) for _ in range(16)]
-        f = GridVector.from_values(4, xs)
-        g = GridVector.from_values(4, ys)
-        h = GridVector.from_values(4, [3 * a - 2 * b for a, b in zip(xs, ys)])
+        f = grid_of(4, xs)
+        g = grid_of(4, ys)
+        h = grid_of(4, [3 * a - 2 * b for a, b in zip(xs, ys)])
         x = DyadicPoint(7, 4)
         for sh, sf, sg in zip(*(grid_partial_sums(v, x) for v in (h, f, g))):
             assert sh == 3 * sf - 2 * sg
@@ -272,11 +279,11 @@ def series_and_cut(draw):
 class TestExactSeries:
     def test_of_is_exact_and_idempotent(self):
         xs = [Fraction(1, 6), Fraction(-(1 << 80), 4), 3]
-        series = ExactSeries.of(xs)
+        series = series_of(xs)
         assert list(series) == xs
         assert series.numerators.dtype == object
-        assert ExactSeries.of(series) is series
-        small = ExactSeries.of([Fraction(1, 2), Fraction(1, 3)])
+        assert series_of(series) is series
+        small = series_of([Fraction(1, 2), Fraction(1, 3)])
         assert small.numerators.dtype == np.int64
         assert small.denominator == 6
         fits = ExactSeries(np.array([1 << 61, -(1 << 61), 3], dtype=object), 5)
@@ -285,15 +292,15 @@ class TestExactSeries:
 
     def test_value_equality_across_denominators(self):
         a = ExactSeries(np.array([2, 4, -6]), 4)
-        b = ExactSeries.of([Fraction(1, 2), 1, Fraction(-3, 2)])
+        b = series_of([Fraction(1, 2), 1, Fraction(-3, 2)])
         assert a == b
-        assert a != ExactSeries.of([Fraction(1, 2), 1])
+        assert a != series_of([Fraction(1, 2), 1])
 
     @settings(max_examples=150, deadline=None)
     @given(series_and_cut(), st.fractions(min_value=0, max_denominator=60))
     def test_consumers_match_per_element_definitions(self, case, threshold):
         xs, N, s = case
-        census = census_of(ExactSeries.of(xs), N)
+        census = census_of(series_of(xs), N)
         for phi in (PhiSpec.power(2), PhiSpec.power(Fraction(3, 2)), PhiSpec.exp_linear(1)):
             assert strong_mean(census, phi, N, s=s) == mean_by_counter(xs, phi, N, s)
         square = PhiSpec.power(2)

@@ -65,3 +65,28 @@ def test_traced_exhaustive_lemma2_counts():
     assert values["kernels.cell_scan.cells"] == 1 << 21
     assert values["kernels.cell_scan.calls"] == 1
     assert values["bounds.exp_enclosure.calls"] == 1
+
+
+def test_traced_lemma1_builds_f_n_once_per_point():
+    # 32 level-5 cells, one WindowSums each, and f_n read from it
+    report = _traced(["lemma1", "--n", "3", "--c", "2"])
+    assert report["status"] == 0
+    values = report["values"]
+    assert values["counterexample.verify_lemma1.calls"] == 32
+    assert values["counterexample.build_fn.calls"] == 32
+
+
+def test_traced_coefficient_dump_counts():
+    # the indicator's 2^4-cell table and the 2^18-cell render of f_n
+    report = _traced(["build-fn", "--n", "2", "--c", "3", "--dump-coefficients"])
+    assert report["status"] == 0
+    values = report["values"]
+    assert values["walsh.fwht.calls"] == 2
+    assert values["kernels.hadamard_inplace.ops"] == 16 * 4 + (1 << 18) * 18  # 4,718,656
+
+
+def test_traced_partial_sums_counts():
+    report = _traced(["partial-sums", "--n", "2", "--c", "3", "--x", "7/2^5",
+                      "--l-max", "64"])
+    assert report["status"] == 0
+    assert report["values"]["counterexample.partial_sum_series.calls"] == 1
