@@ -37,13 +37,12 @@ from .counterexample import (
     MEASURE_BOUND_BITS,
     ConstructionParams,
     LemmaReport,
+    WindowSums,
     _dyadic,
     _frac,
-    build_fn,
     chain_check,
     measure_bound,
     measure_En_range,
-    partial_sum_census,
     partial_sum_series,
     verify_lemma1,
     verify_lemma2,
@@ -227,7 +226,11 @@ def _cmd_measure_en(ns: argparse.Namespace) -> int:
 def _cmd_build_fn(ns: argparse.Namespace) -> int:
     params = _construction(ns)
     n, c = params.n, params.c
-    fn = build_fn(params)
+    if ns.dump_coefficients and params.q_exponent > GRID_CAP:
+        raise ValueError(
+            f"coefficient dump needs q = 2^{params.q_exponent} <= 2^{GRID_CAP}"
+        )
+    fn = params.fn
     cert = fn.norm1_certificate()
     failures = _Failure()
     if cert > 4:
@@ -246,10 +249,6 @@ def _cmd_build_fn(ns: argparse.Namespace) -> int:
     print(f"  spectral blocks: {len(fn.spectral_blocks)}, "
           f"span [{_index(fn.spectral_blocks[0].lo)}, {_index(fn.max_spectral_index)})")
     if ns.dump_coefficients:
-        if params.q_exponent > GRID_CAP:
-            raise ValueError(
-                f"coefficient dump needs q = 2^{params.q_exponent} <= 2^{GRID_CAP}"
-            )
         co = fwht(fn.render(params.q_exponent))
         lines = ["index,value_exact,value_float", *_coefficient_rows(co)]
         _emit(ns, config, "\n".join(lines) + "\n")
@@ -275,19 +274,18 @@ def _cmd_lemma1(ns: argparse.Namespace) -> int:
         # one representative per level-(n+2) cell, dodging kernel supports
         count = 1 << (n + 2)
         points = (DyadicPoint(2 * i + 1, n + 3) for i in range(count))
+    # every point is verified before the header, so a rejected point prints nothing
+    reports = [verify_lemma1(params, x) for x in points]
     config = RunConfig(
         "lemma1", (("n", str(n)), ("c", str(c)), ("points", str(count))), ns.seed
     )
     print("\n".join(config.header_lines()))
     failures = _Failure()
-    csv_parts = []
-    for x in points:
-        report = verify_lemma1(params, x)
+    for report in reports:
         print(report.to_text(), end="")
-        csv_parts.append(report.to_csv())
         failures.absorb_report(report)
     if ns.out:
-        _emit(ns, config, "".join(csv_parts))
+        _emit(ns, config, "".join(report.to_csv() for report in reports))
     return failures.exit_code()
 
 
@@ -326,7 +324,8 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
         raise ValueError(f"bad N list {ns.n_list!r}")
     threshold = Fraction(ns.threshold) if ns.threshold else Fraction(n, 40)
     center = Fraction(ns.center)
-    censuses = {N: partial_sum_census(params, x, N) for N in n_list}
+    sums = WindowSums(params, x, n_list[-1])  # one build serves every N
+    censuses = {N: sums.census(N) for N in n_list}
     grid = params.q_exponent if params.q_exponent <= GRID_CAP else "symbolic"
     config = RunConfig(
         "strong-mean",

@@ -16,9 +16,9 @@ Pieces, bottom-up:
   as an :class:`~walshdiv.atoms.AtomSum` with exact spectral bookkeeping;
 - its partial sums S_1 … S_N(x) read off its window structure
   (:class:`WindowSums`): the indicator's coefficient table below u_1 and one
-  table of periodic residues per kernel window, giving the census
-  (:func:`partial_sum_census`), a drift-aware exceedance count and the
-  series at any c and N, with no grid and no transform;
+  table of periodic residues per kernel window, giving the census of every
+  N up to the cut count it was built for, a drift-aware exceedance count and
+  the series at any c and N, with no grid and no transform;
 - structured verifiers (:func:`verify_lemma2`, :func:`verify_lemma1`) that
   re-derive each identity and inequality along two independent paths and emit
   a :class:`LemmaReport`;
@@ -74,7 +74,6 @@ __all__ = [
     "build_fn",
     "progression_L",
     "WindowSums",
-    "partial_sum_census",
     "partial_sum_series",
     "verify_lemma1",
     "chain_check",
@@ -150,6 +149,11 @@ class ConstructionParams:
     @cached_property
     def gamma(self) -> int:
         return _gamma_of(self.n)
+
+    @cached_property
+    def fn(self) -> AtomSum:
+        """f_n, built once per parameter set by :func:`build_fn`."""
+        return build_fn(self)
 
     @property
     def p(self) -> int:
@@ -643,6 +647,11 @@ class _Run(NamedTuple):
     const: int = 0
     slope: int = 0
 
+    def clip(self, last: int) -> _Run:
+        """The run's cuts up to ``last`` (≥ first), its table sliced to match."""
+        length = min(self.length, last - self.first + 1)
+        return self._replace(length=length, table=self.table[: min(self.period, length)])
+
     def class_counts(self) -> tuple[int, int]:
         """(Q, R): class i holds Q + (i < R) cuts."""
         return divmod(self.length, self.period)
@@ -682,14 +691,14 @@ class WindowSums:
     digits) has D_l(y_j) = l: there S_l drifts by 2^-n per cut, and each
     residue class is an arithmetic progression.  The work is O(2^n·2^E) per
     window whatever c and N are; tables past 2^GRID_CAP entries in all are
-    rejected before they are allocated.  ``fn`` is the f_n they are read from.
+    rejected before they are allocated.  f_n is read from ``params.fn``.
     """
 
     def __init__(self, params: ConstructionParams, x: DyadicPoint, N: int):
         if N < 1:
             raise ValueError(f"cut count must be positive, got {N}")
         n, level = params.n, params.n + 2
-        self.fn = fn = build_fn(params)
+        fn = params.fn
         indicator = fn.atoms[0]
         table = indicator.coefficient_table()
         self.x, self.cuts = x, N
@@ -781,21 +790,29 @@ class WindowSums:
             total += int((counts - first_above).sum() + under.sum())
         return total
 
-    def census(self) -> Census:
+    def census(self, N: int | None = None) -> Census:
         """Distinct S_1 … S_N over one denominator, with counts, in order of first occurrence.
 
-        Off the drift a run's census comes from its residue table.  A
-        drifting run has about one value per cut, so it is expanded, and
+        N defaults to the cut count the sums were built for.  A smaller N
+        clips every run at cut N, tables included, so one build serves a
+        whole list of N, and each census equals that of a fresh
+        ``WindowSums(params, x, N)``: the same values and counts in the same
+        order.  Off the drift a run's census comes from its residue table.
+        A drifting run has about one value per cut, so it is expanded, and
         more than 2^GRID_CAP such cuts are rejected.
         """
-        drift = sum(run.length for run in self.runs if run.slope)
+        N = self.cuts if N is None else N
+        if not 1 <= N <= self.cuts:
+            raise ValueError(f"cut count {N} outside [1, {self.cuts}]")
+        runs = [run.clip(N) for run in self.runs if run.first <= N]
+        drift = sum(run.length for run in runs if run.slope)
         if drift > 1 << GRID_CAP:
             raise ValueError(
-                f"S_l drifts with l at x = {self.x.to_text()}: the census of {self.cuts} "
+                f"S_l drifts with l at x = {self.x.to_text()}: the census of {N} "
                 f"cuts holds about {drift} values, past the grid cap 2^{GRID_CAP}"
             )
         counts: dict[int, int] = {}
-        for run in self.runs:
+        for run in runs:
             if run.slope:
                 values, first, mult = np.unique(
                     run.expand(), return_index=True, return_counts=True
@@ -821,11 +838,6 @@ class WindowSums:
         return ExactSeries(
             np.concatenate([run.expand() for run in self.runs]), self.denominator
         )
-
-
-def partial_sum_census(params: ConstructionParams, x: DyadicPoint, N: int) -> Census:
-    """The census of S_1 … S_N(x, f_n), from :class:`WindowSums`."""
-    return WindowSums(params, x, N).census()
 
 
 def partial_sum_series(params: ConstructionParams, x: DyadicPoint, count: int) -> ExactSeries:
@@ -854,12 +866,13 @@ def verify_lemma1(params: ConstructionParams, x: DyadicPoint) -> LemmaReport:
 
     Every count and the "grid" side of each dual check read the window
     tables of :class:`WindowSums` (at most 2^GRID_CAP entries), at every c;
-    f_n is the one those tables are read from.
+    f_n is ``params.fn``, which those tables are read from too, so the points
+    of one parameter set share one build.
     """
     n = params.n
     q = params.q
     sums = WindowSums(params, x, 2 * q)
-    fn = sums.fn
+    fn = params.fn
     rows: list[AssertionRecord] = []
     parameters = [
         ("lemma", "1"),

@@ -10,15 +10,17 @@ the census of f_n's partial sums from the window structure of f_n.
 
 Exact steps: the census and its counts, the centering |S_k − s|, the strict
 threshold test, the exceedance density, and the rational enclosures of
-:func:`strong_mean_bounds` (one :meth:`PhiSpec.enclosure` per distinct
-magnitude), which carry every verdict.  In mpf: only Φ itself in
-:func:`strong_mean` (one :meth:`PhiSpec.value_mpf` per distinct magnitude),
-summed in order of first occurrence, for display.
+:func:`strong_mean_bounds`, which carry every verdict.  In mpf: only Φ itself
+in :func:`strong_mean`, summed in order of first occurrence, for display.
+Each :class:`PhiSpec` remembers what it has computed, so a table of means
+over several N with one Φ calls :meth:`PhiSpec.value_mpf` once per distinct
+(magnitude, working precision) and :meth:`PhiSpec.enclosure` once per
+distinct (magnitude, precision), however many N share a magnitude.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -39,6 +41,9 @@ __all__ = [
 #: mpf exponents beyond this magnitude report as +inf (overflow marker).
 _EXPONENT_CAP = 10**15
 
+#: Most Φ values one PhiSpec remembers; a full memo starts over.
+_MEMO_CAP = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # Φ growth functions
@@ -53,10 +58,14 @@ class PhiSpec:
       - ``power``      Φ(t) = t^p            (p > 0)
       - ``exp_linear`` Φ(t) = e^{c·t} − 1    (c > 0)
       - ``exp_power``  Φ(t) = e^{t^α} − 1    (α > 0)
+
+    The means of this module keep the values they compute in ``_memo``,
+    keyed by (method, t, precision); it plays no part in equality or hashing.
     """
 
     kind: str
     parameter: Fraction
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("power", "exp_linear", "exp_power"):
@@ -180,6 +189,18 @@ class Census(NamedTuple):
             yield Fraction(v, self.denominator), count
 
 
+def _memoized(phi: PhiSpec, method: str, t: Fraction, prec: int):
+    """``phi.value_mpf(t)`` at working precision ``prec``, or ``phi.enclosure(t, prec)``,
+    computed once per (method, t, prec) while the memo has room."""
+    key = (method, t, prec)
+    memo = phi._memo
+    if key not in memo:
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[key] = phi.value_mpf(t) if method == "mpf" else phi.enclosure(t, prec)
+    return memo[key]
+
+
 def _magnitudes(census: Census, N: int, s: Rat) -> dict[Fraction, int]:
     """Counts of |S_k − s| for k ≤ N, keyed in order of first occurrence."""
     if N < 1:
@@ -211,7 +232,7 @@ def strong_mean(
     with mpmath.workdps(dps):
         total = mpmath.mpf(0)
         for magnitude, count in magnitudes.items():
-            term = phi.value_mpf(magnitude)
+            term = _memoized(phi, "mpf", magnitude, mpmath.mp.prec)
             if mpmath.isinf(term):
                 return mpmath.mpf("+inf")
             total += count * term
@@ -229,7 +250,7 @@ def strong_mean_bounds(
     lo_total = Fraction(0)
     hi_total = Fraction(0)
     for magnitude, count in _magnitudes(census, N, s).items():
-        lo, hi = phi.enclosure(magnitude, prec)
+        lo, hi = _memoized(phi, "enclosure", magnitude, prec)
         lo_total += count * lo
         hi_total += count * hi
     return (lo_total / N, hi_total / N)

@@ -19,13 +19,13 @@ from walshdiv import bounds
 from walshdiv._kernels import cell_scan, hadamard_inplace
 from walshdiv.counterexample import (
     ConstructionParams,
+    WindowSums,
     build_fn,
     c3_holds,
     chain_check,
     en_cell_mask,
     integral_Dstar_closed,
     measure_En_range,
-    partial_sum_census,
     verify_lemma1,
     verify_lemma2,
 )
@@ -417,7 +417,8 @@ def test_acceptance_7_divergence_trend(capsys) -> None:
         failures.append(f"expected 2 progression witnesses, found {len(witnesses)}")
 
     for x in witnesses:
-        census = partial_sum_census(_DESK, x, N)
+        sums = WindowSums(_DESK, x, N)
+        census = sums.census()
         density = exceed_density(census, tau, N)
         mean_lo, mean_hi = strong_mean_bounds(census, phi, N)
         if density < Fraction(1, 1 << (2 * n + 1)):
@@ -430,7 +431,7 @@ def test_acceptance_7_divergence_trend(capsys) -> None:
         # The emitted tables must satisfy the same Markov inequality row by
         # row; re-derive every row of the CLI table exactly.
         for cut in (16, 256, 4096, 65_536):
-            cut_census = partial_sum_census(_DESK, x, cut)
+            cut_census = sums.census(cut)
             for spec in (PhiSpec.power(2), phi):
                 d = exceed_density(cut_census, tau, cut)
                 p_lo, _ = spec.enclosure(tau, 96)

@@ -13,11 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walshdiv import counterexample
-from walshdiv.counterexample import (
-    ConstructionParams,
-    WindowSums,
-    partial_sum_census,
-)
+from walshdiv.counterexample import ConstructionParams, WindowSums
 from walshdiv.dyadic import DyadicPoint
 from walshdiv.walsh import ExactSeries
 
@@ -44,15 +40,20 @@ def interesting_cuts(params):
     return sorted(N for N in cuts if 1 <= N <= ORACLE_CUTS)
 
 
+def draw_point(draw, params):
+    """x = 0, some θ_j, or a random point of at most 8 digits."""
+    special = [DyadicPoint.zero(), *params.thetas()]
+    e = draw(st.integers(0, 8))
+    return draw(st.sampled_from(special) | st.builds(DyadicPoint, st.integers(0, (1 << e) - 1),
+                                                     st.just(e)))
+
+
 @st.composite
 def case(draw):
     n = draw(st.integers(1, 3))
     c = draw(st.integers(2, 4))
     params = ConstructionParams(n, c)
-    special = [DyadicPoint.zero(), *params.thetas()]
-    e = draw(st.integers(0, 8))
-    x = draw(st.sampled_from(special) | st.builds(DyadicPoint, st.integers(0, (1 << e) - 1),
-                                                  st.just(e)))
+    x = draw_point(draw, params)
     N = draw(st.integers(1, min(2 * params.q, ORACLE_CUTS)))
     bounds = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=80),
                            min_size=1, max_size=3))
@@ -83,6 +84,65 @@ class TestCensusAgainstTheTransform:
                 assert sums.at(l) == Fraction(int(scaled[l - 1]), den)
 
 
+def assert_prefixes_match(params, x, cuts):
+    """Each census read off one build at the largest cut count equals a fresh build's."""
+    sums = WindowSums(params, x, max(cuts))
+    for N in cuts:
+        # Census equality covers values, counts, order and the denominator
+        assert sums.census(N) == WindowSums(params, x, N).census(), N
+
+
+@st.composite
+def prefix_case(draw):
+    n = draw(st.integers(1, 3))
+    c = draw(st.integers(2, 4))
+    params = ConstructionParams(n, c)
+    x = draw_point(draw, params)
+    cuts = draw(st.lists(st.integers(1, min(2 * params.q, 1 << 20)), min_size=1, max_size=4,
+                         unique=True))
+    return params, x, sorted(cuts)
+
+
+class TestCensusPrefixes:
+    """``census(N)`` of one build serves every N of a list, as a fresh build would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(prefix_case())
+    def test_random_points_and_cut_lists(self, drawn):
+        assert_prefixes_match(*drawn)
+
+    @pytest.mark.parametrize("n, c", [(1, 2), (1, 4), (2, 2), (2, 3), (3, 2)])
+    def test_every_translation_and_run_boundary(self, n, c):
+        # at x = θ_j, S_l drifts past u_j; the cuts include N ≤ 2^(n+2),
+        # every run boundary ± 1, one N in the middle of each window, and 2q
+        params = ConstructionParams(n, c)
+        middles = [(params.u(j) + params.u(j + 1)) // 2 for j in range(params.p)]
+        cuts = sorted({*interesting_cuts(params), *(N for N in middles if N <= ORACLE_CUTS)})
+        for x in (DyadicPoint.zero(), *params.thetas(), DyadicPoint(7, 5)):
+            assert_prefixes_match(params, x, cuts)
+
+    def test_past_the_grid(self):
+        # the 14-entry list 2^4, 2^12, ..., 2^108 of a paper-scale table
+        params = ConstructionParams(3, 10)
+        cuts = [1 << e for e in (4, *range(12, 109, 8))]
+        assert_prefixes_match(params, DyadicPoint(5, 6), cuts)
+
+    def test_cut_counts_outside_the_build_are_rejected(self):
+        sums = WindowSums(ConstructionParams(2, 3), DyadicPoint(7, 5), 4096)
+        for N in (0, 4097):
+            with pytest.raises(ValueError, match=f"cut count {N} outside"):
+                sums.census(N)
+
+    def test_drift_rejection_names_the_censused_cut_count(self):
+        params = ConstructionParams(2, 10)
+        theta = params.theta(2)  # 5/2^4, drifting past u_2 = 2^40
+        sums = WindowSums(params, theta, params.u(2) + (1 << 30))
+        assert sums.census(params.u(2)).cuts == params.u(2)
+        N = params.u(2) + (1 << 26) + 1
+        with pytest.raises(ValueError, match=f"the census of {N} cuts"):
+            sums.census(N)
+
+
 class TestDriftPoints:
     # x = θ_2, θ_4, θ_6 at n = 3: S_l drifts by l/8 past u_j, so S_1 … S_N
     # take about N distinct values; a census of them would cost O(N) memory
@@ -107,15 +167,15 @@ class TestDriftPoints:
     def test_census_past_the_grid_cap_is_rejected(self, monkeypatch):
         params = ConstructionParams(2, 10)
         theta = params.theta(2)  # 5/2^4, drifting past u_2 = 2^40
-        assert partial_sum_census(params, theta, params.u(2)).cuts == params.u(2)
+        assert WindowSums(params, theta, params.u(2)).census().cuts == params.u(2)
         with pytest.raises(ValueError, match="drifts"):
-            partial_sum_census(params, theta, params.u(2) + (1 << 26) + 1)
+            WindowSums(params, theta, params.u(2) + (1 << 26) + 1).census()
         # a lower cap: 64 table entries fit in 2^10, 2000 drifting cuts do not
         monkeypatch.setattr(counterexample, "GRID_CAP", 10)
         params, theta = ConstructionParams(2, 3), ConstructionParams(2, 3).theta(2)
-        assert partial_sum_census(params, theta, params.u(2) + 1000)
+        assert WindowSums(params, theta, params.u(2) + 1000).census()
         with pytest.raises(ValueError, match="drifts"):
-            partial_sum_census(params, theta, params.u(2) + 2000)
+            WindowSums(params, theta, params.u(2) + 2000).census()
 
 
 class TestPastTheGrid:
@@ -125,7 +185,7 @@ class TestPastTheGrid:
     def test_census_at_c10(self, x):
         params = ConstructionParams(2, 10)
         for N in (params.u(2) + 12345, 2 * params.q):
-            assert list(partial_sum_census(params, x, N).items()) == symbolic_census(params, x, N)
+            assert list(WindowSums(params, x, N).census().items()) == symbolic_census(params, x, N)
 
     def test_counts_at_n3_c10(self):
         params = ConstructionParams(3, 10)

@@ -422,6 +422,13 @@ class TestDeterminism:
     # c·4^n past the construction bound: rejected before the header is printed
     ["lemma1", "--n", "20", "--x", "7/2^5"],
     ["lemma1", "--n", "25"],
+    # rejected after the construction is known, still before any output
+    ["build-fn", "--n", "2", "--c", "5", "--dump-coefficients"],
+    ["lemma1", "--n", "2", "--c", "10", "--x", "11/2^4"],
+    # all cells: the fourth point's progression is past the cap
+    ["lemma1", "--n", "2", "--c", "10"],
+    # an N list whose largest N drifts past the grid cap at x = θ_2
+    ["strong-mean", "--n", "2", "--c", "10", "--x", "5/2^4", "--N-list", "16,2199023255552"],
 ])
 def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
     # run in an empty directory, so the missing files really are missing

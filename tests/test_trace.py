@@ -43,8 +43,20 @@ def test_traced_strong_mean_counts():
     assert report["status"] == 0
     values = report["values"]
     assert values["fourier.terms"] == 12336  # 3 consumers x (16 + 4096) cuts
-    assert values["fourier.PhiSpec.value_mpf.calls"] == 7
-    assert values["fourier.PhiSpec.enclosure.calls"] == 8
+    # one f_n for the whole N list, and Φ once per distinct magnitude (5 in
+    # all) plus the threshold's enclosure, however many N share a magnitude
+    assert values["counterexample.build_fn.calls"] == 1
+    assert values["fourier.PhiSpec.value_mpf.calls"] == 5
+    assert values["fourier.PhiSpec.enclosure.calls"] == 6
+    assert values["bounds.exp_enclosure.calls"] == 10
+
+
+def test_traced_paper_scale_strong_mean_builds_f_n_once():
+    cuts = ",".join(str(1 << e) for e in (4, *range(12, 109, 8)))  # 2^4, 2^12, ..., 2^108
+    report = _traced(["strong-mean", "--n", "3", "--c", "10", "--x", "5/2^6",
+                      "--N-list", cuts])
+    assert report["status"] == 0
+    assert report["values"]["counterexample.build_fn.calls"] == 1
 
 
 def test_traced_measure_table_counts():
@@ -67,13 +79,13 @@ def test_traced_exhaustive_lemma2_counts():
     assert values["bounds.exp_enclosure.calls"] == 1
 
 
-def test_traced_lemma1_builds_f_n_once_per_point():
-    # 32 level-5 cells, one WindowSums each, and f_n read from it
+def test_traced_lemma1_builds_f_n_once():
+    # 32 level-5 cells, one WindowSums each, all reading the one f_n of params
     report = _traced(["lemma1", "--n", "3", "--c", "2"])
     assert report["status"] == 0
     values = report["values"]
     assert values["counterexample.verify_lemma1.calls"] == 32
-    assert values["counterexample.build_fn.calls"] == 32
+    assert values["counterexample.build_fn.calls"] == 1
 
 
 def test_traced_coefficient_dump_counts():
