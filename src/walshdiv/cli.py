@@ -188,6 +188,8 @@ def _finish_report(ns: argparse.Namespace, config: RunConfig, report: LemmaRepor
 def _cmd_lemma2(ns: argparse.Namespace) -> int:
     n = _resolve(ns, "n", 12)
     samples = _resolve(ns, "samples", 10_000)
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     report = verify_lemma2(n, mode=ns.mode, samples=samples, seed=ns.seed,
                            cap=_resolve(ns, "cap", EXHAUSTIVE_CAP))
     options = [("n", str(n)), ("mode", ns.mode)]
@@ -319,7 +321,10 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
     n, c = params.n, params.c
     x = parse_point(ns.x)
     phis = [parse_phi(text) for text in (ns.phi or ["exppow:2"])]
-    n_list = sorted({int(tok) for tok in ns.n_list.split(",") if tok})
+    try:
+        n_list = sorted({int(tok) for tok in ns.n_list.split(",") if tok})
+    except ValueError:
+        n_list = []
     if not n_list or n_list[0] < 1:
         raise ValueError(f"bad N list {ns.n_list!r}")
     threshold = Fraction(ns.threshold) if ns.threshold else Fraction(n, 40)
@@ -524,56 +529,60 @@ def _cmd_plot(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="walshdiv",
-        description="Exact verification tools for a Walsh-series divergence "
-        "construction.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file (n, c, samples)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled modes (echoed in every header)")
-    common.add_argument("--out", help="write CSV output to this path")
-    construction = argparse.ArgumentParser(add_help=False, parents=[common])
-    construction.add_argument("--n", type=int)
-    construction.add_argument("--c", type=int)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in one ``walshdiv: error:`` line; subparsers inherit it."""
 
-    p = sub.add_parser("lemma2", parents=[common],
-                       help="verify the sign-change lemma")
+    def error(self, message: str):
+        self.exit(2, f"walshdiv: error: {message}\n")
+
+
+def _common_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="key=value file (n, c, samples)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for sampled modes (echoed in every header)")
+    p.add_argument("--out", help="write CSV output to this path")
+
+
+def _construction_options(p: argparse.ArgumentParser) -> None:
+    _common_options(p)
+    p.add_argument("--n", type=int)
+    p.add_argument("--c", type=int)
+
+
+def _lemma2_options(p: argparse.ArgumentParser) -> None:
+    _common_options(p)
     p.add_argument("--n", type=int)
     p.add_argument("--mode", choices=("exhaustive", "sample"),
                    default="exhaustive")
     p.add_argument("--samples", type=int)
     p.add_argument("--cap", type=int, help="exhaustive-mode cap on n")
-    p.set_defaults(handler=_cmd_lemma2)
 
-    p = sub.add_parser("measure-en", parents=[common],
-                       help="exact measure table against the bound")
+
+def _measure_en_options(p: argparse.ArgumentParser) -> None:
+    _common_options(p)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=100)
-    p.set_defaults(handler=_cmd_measure_en)
 
-    p = sub.add_parser("build-fn", parents=[construction],
-                       help="construction summary / coefficient dump")
+
+def _build_fn_options(p: argparse.ArgumentParser) -> None:
+    _construction_options(p)
     p.add_argument("--dump-coefficients", action="store_true")
-    p.set_defaults(handler=_cmd_build_fn)
 
-    p = sub.add_parser("lemma1", parents=[construction],
-                       help="partial-sum verification at a point")
+
+def _lemma1_options(p: argparse.ArgumentParser) -> None:
+    _construction_options(p)
     p.add_argument("--x", help="evaluation point a/2^e (default: all cells)")
-    p.set_defaults(handler=_cmd_lemma1)
 
-    p = sub.add_parser("partial-sums", parents=[construction],
-                       help="S_l table over a cut range")
+
+def _partial_sums_options(p: argparse.ArgumentParser) -> None:
+    _construction_options(p)
     p.add_argument("--x", required=True, help="evaluation point a/2^e")
     p.add_argument("--l-min", type=int, default=1)
     p.add_argument("--l-max", type=int, required=True)
-    p.set_defaults(handler=_cmd_partial_sums)
 
-    p = sub.add_parser("strong-mean", parents=[construction],
-                       help="strong means table over N")
+
+def _strong_mean_options(p: argparse.ArgumentParser) -> None:
+    _construction_options(p)
     p.add_argument("--x", required=True, help="evaluation point a/2^e")
     p.add_argument("--phi", action="append",
                    help="growth function pow:p | exp:c | exppow:a (repeatable)")
@@ -581,29 +590,64 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated cut counts")
     p.add_argument("--threshold", help="exceedance threshold (default n/40)")
     p.add_argument("--center", default="0", help="center s of |S_k - s|")
-    p.set_defaults(handler=_cmd_strong_mean)
 
-    p = sub.add_parser("chain-check", parents=[common],
-                       help="scalar inequality chains")
+
+def _chain_check_options(p: argparse.ArgumentParser) -> None:
+    _common_options(p)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--phi", default="exppow:2")
-    p.set_defaults(handler=_cmd_chain_check)
 
-    p = sub.add_parser("plot", parents=[common],
-                       help="CSV table to SVG polyline")
+
+def _plot_options(p: argparse.ArgumentParser) -> None:
+    _common_options(p)
     p.add_argument("--table", required=True, help="input CSV path")
     p.add_argument("--x-col", required=True, help="column name or index")
     p.add_argument("--y-col", required=True, help="column name or index")
     p.add_argument("--svg", required=True, help="output SVG path")
     p.add_argument("--log-y", action="store_true")
     p.add_argument("--title", default="")
-    p.set_defaults(handler=_cmd_plot)
+
+
+# subcommand -> (help, handler, options), in the order help lists them
+_SUBCOMMANDS = {
+    "lemma2": ("verify the sign-change lemma", _cmd_lemma2, _lemma2_options),
+    "measure-en": ("exact measure table against the bound", _cmd_measure_en,
+                   _measure_en_options),
+    "build-fn": ("construction summary / coefficient dump", _cmd_build_fn,
+                 _build_fn_options),
+    "lemma1": ("partial-sum verification at a point", _cmd_lemma1, _lemma1_options),
+    "partial-sums": ("S_l table over a cut range", _cmd_partial_sums,
+                     _partial_sums_options),
+    "strong-mean": ("strong means table over N", _cmd_strong_mean,
+                    _strong_mean_options),
+    "chain-check": ("scalar inequality chains", _cmd_chain_check,
+                    _chain_check_options),
+    "plot": ("CSV table to SVG polyline", _cmd_plot, _plot_options),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Only the subparser ``argv[0]`` names, or all of them when it names none,
+    so top-level help and the invalid-choice error list every subcommand."""
+    parser = _Parser(
+        prog="walshdiv",
+        description="Exact verification tools for a Walsh-series divergence "
+        "construction.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        help_text, handler, add_options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = _build_parser(argv).parse_args(argv)
     try:
         ns.config_values = _load_config(ns.config) if ns.config else {}
         return ns.handler(ns)

@@ -442,8 +442,11 @@ def verify_lemma2(
 
     Exhaustive mode certifies every level-(n+2) cell of E_n (left endpoints
     minimize every descent term over their cell, so cell lefts bound all x);
-    sample mode draws cells uniformly with the given seed and checks members.
+    sample mode draws cells uniformly with the given seed and checks members,
+    and its integral row is ``vacuous`` when no draw is a member.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     rows = [_measure_bound_row(n)]
@@ -572,7 +575,7 @@ def verify_lemma2(
                 "integral >= n/30 on sampled E_n",
                 str(members - failures),
                 str(members),
-                "pass" if failures == 0 else "fail",
+                "fail" if failures else "pass" if members else "vacuous",
                 (
                     f"min integral {_frac(min_integral)} at {min_witness}"
                     if min_integral is not None

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, headers, tables, config, and plots."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -14,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walshdiv.cli import _coefficient_rows, _float, _frac, main
+from walshdiv.cli import (
+    _SUBCOMMANDS, _build_parser, _coefficient_rows, _float, _frac, main,
+)
 from walshdiv.counterexample import ConstructionParams, build_fn, verify_lemma2
 from walshdiv.walsh import GridVector, fwht
 
@@ -429,6 +432,12 @@ class TestDeterminism:
     ["lemma1", "--n", "2", "--c", "10"],
     # an N list whose largest N drifts past the grid cap at x = θ_2
     ["strong-mean", "--n", "2", "--c", "10", "--x", "5/2^4", "--N-list", "16,2199023255552"],
+    # usage errors: argparse's message alone, without its usage block
+    ["strong-mean", "--n", "x"],
+    ["lemma2", "--mode", "nope"],
+    ["strong-mean", "--x", "7/2^5", "extra"],
+    ["bogus"],
+    [],
 ])
 def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
     # run in an empty directory, so the missing files really are missing
@@ -440,6 +449,67 @@ def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("walshdiv: error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lemma2", "--n", "0"], "n must be positive, got 0"),
+    (["lemma2", "--n", "0", "--mode", "sample"], "n must be positive, got 0"),
+    (["lemma2", "--mode", "sample", "--samples", "0"], "samples must be positive, got 0"),
+    (["lemma2", "--mode", "sample", "--samples", "-5"], "samples must be positive, got -5"),
+    (["strong-mean", "--x", "7/2^5", "--N-list", "16,a"], "bad N list '16,a'"),
+])
+def test_rejected_values_are_named(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"walshdiv: error: {message}\n")
+
+
+def registered(parser: argparse.ArgumentParser) -> list[str]:
+    """The subcommands a parser holds a subparser for."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+class TestParserPerCommand:
+    """A command builds only its own subparser, and prints what the full parser would."""
+
+    def test_a_subcommand_builds_only_its_subparser(self):
+        assert registered(_build_parser(ARGS)) == ["strong-mean"]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--seed", "3"]])
+    def test_no_subcommand_builds_all_eight(self, argv):
+        assert registered(_build_parser(argv)) == list(_SUBCOMMANDS)
+        assert len(_SUBCOMMANDS) == 8
+
+    @staticmethod
+    def outputs(argv, capsys) -> list[tuple[int, str, str]]:
+        """(exit status, stdout, stderr) of parsing argv, per-command and full."""
+        runs = []
+        for parser in (_build_parser(argv), _build_parser([])):
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args(argv)
+            runs.append((exit_.value.code, *capsys.readouterr()))
+        return runs
+
+    @pytest.mark.parametrize("name", [None, *_SUBCOMMANDS])
+    def test_help_equals_the_full_parsers(self, name, capsys):
+        argv = [name, "-h"] if name else ["-h"]
+        mine, full = self.outputs(argv, capsys)
+        assert mine == full
+        assert mine[0] == 0 and mine[1].startswith("usage: walshdiv")
+
+    @pytest.mark.parametrize("argv", [
+        ["strong-mean", "--n", "x"],
+        ["lemma2", "--mode", "nope"],
+        ["strong-mean", "--x", "7/2^5", "extra"],
+        ["plot", "--table", "t.csv"],
+        ["bogus"],
+        [],
+    ])
+    def test_usage_errors_equal_the_full_parsers(self, argv, capsys):
+        mine, full = self.outputs(argv, capsys)
+        assert mine == full
+        assert mine[0] == 2 and mine[1] == ""
+        assert mine[2].startswith("walshdiv: error: ") and mine[2].count("\n") == 1
 
 
 class TestPastTheGridCap:

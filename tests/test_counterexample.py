@@ -297,11 +297,21 @@ class TestVerifyLemma2:
         # 2^22-cell scan peaked at about 108 MiB
         assert peak < 64 << 20
 
+    @pytest.mark.parametrize("n, samples", [(1, 100), (3, 100), (12, 0), (12, -5)])
+    def test_sampled_mode_without_members_is_vacuous(self, n, samples):
+        # E_1 and E_3 are empty, and a draw count of 0 or less draws nothing
+        row = row_map(verify_lemma2(n, mode="sample", samples=samples))[
+            "integral >= n/30 on sampled E_n"]
+        assert (row.verdict, row.witness) == ("vacuous", "no members sampled")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_lemma2(17)
         with pytest.raises(ValueError):
             verify_lemma2(4, mode="qualitative")
+        for mode in ("exhaustive", "sample"):
+            with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+                verify_lemma2(0, mode=mode)
 
 
 class TestBuildFn:

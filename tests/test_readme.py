@@ -1,7 +1,13 @@
-"""The README quick start runs as written against the current API."""
+"""The README quick start runs as written against the current API, and its
+command lines parse with the current command line."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from walshdiv.cli import _SUBCOMMANDS, _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,3 +24,21 @@ def test_quick_start_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "5/2"  # the L1 certificate the README comments promise
     assert lines[1] == "True"
+
+
+def command_lines() -> list[str]:
+    section = README.read_text().split("## Command line", 1)[1]
+    match = re.search(r"```sh\n(.*?)```", section, re.DOTALL)
+    assert match, "README command line section has no sh block"
+    return [line for line in match.group(1).splitlines()
+            if line.startswith("python3 -m walshdiv.cli ")]
+
+
+def test_command_lines_cover_every_subcommand():
+    assert {line.split()[3] for line in command_lines()} == set(_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("line", command_lines())
+def test_command_line_parses(line):
+    argv = shlex.split(line, comments=True)[3:]
+    assert _build_parser(argv).parse_args(argv).subcommand == argv[0]
