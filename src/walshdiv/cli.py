@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-``lemma2``        sign-change-set verification (exhaustive or sampled)
+``lemma2``        sign-change-set verification (exhaustive scan or closed form)
 ``measure-en``    exact |E_n| table against the exponential bound
 ``build-fn``      construction summary, optional coefficient dump
 ``lemma1``        partial-sum verification at a point or all base cells
@@ -12,7 +12,7 @@ Subcommands
 ``plot``          CSV table → SVG 1.1 polyline
 
 Conventions: every output starts with ``#`` comment lines echoing the
-subcommand, seed, and effective parameters; identical invocations produce
+subcommand and effective parameters; identical invocations produce
 byte-identical output.  The exit status is 0 exactly when no asserted row
 failed, 1 when one did, and 2 when the parameters are rejected or a file
 cannot be read or written (one ``walshdiv: error:`` line on stderr).
@@ -56,14 +56,15 @@ __all__ = ["RunConfig", "main"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective invocation: subcommand, resolved parameters, seed."""
+    """Effective invocation: subcommand and resolved parameters."""
 
     subcommand: str
     options: tuple[tuple[str, str], ...]
-    seed: int
 
     def header_lines(self) -> list[str]:
-        lines = [f"# walshdiv {self.subcommand}", f"# seed={self.seed}"]
+        # no command draws at random; the line stays because the outputs
+        # recorded in perfbench/digests.json hold it
+        lines = [f"# walshdiv {self.subcommand}", "# seed=0"]
         lines += [f"# {key}={value}" for key, value in sorted(self.options)]
         return lines
 
@@ -96,7 +97,7 @@ class _Failure:
 # config plumbing
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"n": int, "c": int, "samples": int}
+_CONFIG_KEYS = {"n": int, "c": int}
 
 
 def _load_config(path: str) -> dict[str, int]:
@@ -187,22 +188,14 @@ def _finish_report(ns: argparse.Namespace, config: RunConfig, report: LemmaRepor
 
 def _cmd_lemma2(ns: argparse.Namespace) -> int:
     n = _resolve(ns, "n", 12)
-    samples = _resolve(ns, "samples", 10_000)
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    report = verify_lemma2(n, mode=ns.mode, samples=samples, seed=ns.seed,
-                           cap=_resolve(ns, "cap", EXHAUSTIVE_CAP))
-    options = [("n", str(n)), ("mode", ns.mode)]
-    if ns.mode == "sample":
-        options.append(("samples", str(samples)))
-    return _finish_report(ns, RunConfig("lemma2", tuple(options), ns.seed), report)
+    report = verify_lemma2(n, cap=ns.cap)
+    options = (("n", str(n)), ("mode", dict(report.parameters)["mode"]))
+    return _finish_report(ns, RunConfig("lemma2", options), report)
 
 
 def _cmd_measure_en(ns: argparse.Namespace) -> int:
     n_min, n_max = ns.n_min, ns.n_max
-    config = RunConfig(
-        "measure-en", (("n_min", str(n_min)), ("n_max", str(n_max))), ns.seed
-    )
+    config = RunConfig("measure-en", (("n_min", str(n_min)), ("n_max", str(n_max))))
     failures = _Failure()
     lines = ["n,measure_exact,measure_float,bound_upper_float,margin_float,verdict"]
     bits = MEASURE_BOUND_BITS
@@ -240,7 +233,6 @@ def _cmd_build_fn(ns: argparse.Namespace) -> int:
     config = RunConfig(
         "build-fn",
         (("n", str(n)), ("c", str(c)), ("grid", str(params.q_exponent))),
-        ns.seed,
     )
     print("\n".join(config.header_lines()))
     print(f"construction n={n} c={c}: gamma={params.gamma} "
@@ -278,9 +270,7 @@ def _cmd_lemma1(ns: argparse.Namespace) -> int:
         points = (DyadicPoint(2 * i + 1, n + 3) for i in range(count))
     # every point is verified before the header, so a rejected point prints nothing
     reports = [verify_lemma1(params, x) for x in points]
-    config = RunConfig(
-        "lemma1", (("n", str(n)), ("c", str(c)), ("points", str(count))), ns.seed
-    )
+    config = RunConfig("lemma1", (("n", str(n)), ("c", str(c)), ("points", str(count))))
     print("\n".join(config.header_lines()))
     failures = _Failure()
     for report in reports:
@@ -304,7 +294,6 @@ def _cmd_partial_sums(ns: argparse.Namespace) -> int:
         (("n", str(n)), ("c", str(c)), ("x", x.to_text()),
          ("l_min", str(ns.l_min)), ("l_max", str(ns.l_max)),
          ("grid", str(grid))),
-        ns.seed,
     )
     lines = ["l,value_exact,value_float"]
     for l in range(ns.l_min, ns.l_max + 1):
@@ -338,7 +327,6 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
          ("threshold", _frac(threshold)), ("center", _frac(center)),
          ("grid", str(grid)),
          ("phis", ";".join(p.to_text() for p in phis))),
-        ns.seed,
     )
     failures = _Failure()
     lines = ["phi,N,mean,density_exact,density_float,markov_lhs_float,verdict"]
@@ -378,7 +366,6 @@ def _cmd_chain_check(ns: argparse.Namespace) -> int:
     config = RunConfig(
         "chain-check",
         (("n", str(n)), ("k", str(ns.k)), ("phi", phi.to_text())),
-        ns.seed,
     )
     return _finish_report(ns, config, report)
 
@@ -537,9 +524,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value file (n, c, samples)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled modes (echoed in every header)")
+    p.add_argument("--config", help="key=value file (n, c)")
     p.add_argument("--out", help="write CSV output to this path")
 
 
@@ -552,10 +537,9 @@ def _construction_options(p: argparse.ArgumentParser) -> None:
 def _lemma2_options(p: argparse.ArgumentParser) -> None:
     _common_options(p)
     p.add_argument("--n", type=int)
-    p.add_argument("--mode", choices=("exhaustive", "sample"),
-                   default="exhaustive")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--cap", type=int, help="exhaustive-mode cap on n")
+    p.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP,
+                   help="scan every order up to this cap (default: %(default)s); "
+                   "the closed form decides the others where it can")
 
 
 def _measure_en_options(p: argparse.ArgumentParser) -> None:

@@ -31,13 +31,16 @@ contribute 2^n to m and break the m < 2^n contract that every spectral
 argument relies on.  The count bound ν ≥ n/6 - 1 survives the restriction:
 membership forces more than n/3 sign changes, descents make up at least
 ⌈changes/2⌉ - 1 of the positions below n, and ⌈(n/3)/2⌉ - 1 ≥ n/6 - 1.
+Each descent adds at least 1/4 to the kernel integral, and the count is at
+least ν_min = ⌈(⌊n/3⌋+1)/2⌉ - 1 ≥ (n-5)/6, so ν_min/4 ≥ n/30 settles the
+integral bound at every n ≥ 25 and at every smaller n outside
+{1-5, 8-11, 16, 17, 23}.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -81,7 +84,7 @@ __all__ = [
     "minimal_n_for_c3",
 ]
 
-#: Default cap on exhaustive cell enumeration (2^(cap+2) cells).
+#: Default order up to which :func:`verify_lemma2` scans all 2^(n+2) cells.
 EXHAUSTIVE_CAP = 16
 
 #: Most progression cuts one lemma1 window may check symbolically: n = 2 at
@@ -431,160 +434,125 @@ def _measure_bound_row(n: int) -> AssertionRecord:
     )
 
 
-def verify_lemma2(
-    n: int,
-    mode: str = "exhaustive",
-    samples: int = 10_000,
-    seed: int = 0,
-    cap: int = EXHAUSTIVE_CAP,
-) -> LemmaReport:
+def verify_lemma2(n: int, cap: int = EXHAUSTIVE_CAP) -> LemmaReport:
     """Check the sign-change lemma: measure bound plus per-point integrals.
 
-    Exhaustive mode certifies every level-(n+2) cell of E_n (left endpoints
-    minimize every descent term over their cell, so cell lefts bound all x);
-    sample mode draws cells uniformly with the given seed and checks members,
-    and its integral row is ``vacuous`` when no draw is a member.
+    Orders up to ``cap``, and the orders the closed form leaves undecided (all
+    below 24), take the exhaustive scan (mode ``exhaustive``): it certifies
+    every level-(n+2) cell of E_n, as left endpoints minimize every descent
+    term over their cell, so cell lefts bound all x.  Every other order takes
+    the closed-form certificate of the module docstring (mode ``certify``):
+    at least ν_min(n) descents, each adding at least 1/4 to the integral.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if mode not in ("exhaustive", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
     rows = [_measure_bound_row(n)]
-    params = [("lemma", "2"), ("n", str(n)), ("mode", mode)]
+    nu_min = _nu_min(n)
+    if n > cap and 30 * nu_min >= 4 * n:  # ν_min/4 >= n/30: the closed form decides
+        counted = "nu_min(n) descents from > n/3 sign changes"
+        rows += [
+            AssertionRecord("selector nonempty on E_n", str(nu_min), "1",
+                            "pass" if nu_min >= 1 else "fail", counted),
+            AssertionRecord("6*nu >= n - 6 on E_n", str(nu_min),
+                            _frac(Fraction(n - 6, 6)),
+                            "pass" if 6 * nu_min >= n - 6 else "fail", counted),
+            AssertionRecord("integral >= n/30 on E_n", _frac(Fraction(nu_min, 4)),
+                            _frac(Fraction(n, 30)), "pass", "each descent adds >= 1/4"),
+        ]
+        params = (("lemma", "2"), ("n", str(n)), ("mode", "certify"))
+        return LemmaReport("lemma2", tuple(rows), params)
 
-    if mode == "exhaustive":
-        if n > cap:
-            raise ValueError(f"exhaustive mode capped at n <= {cap}, got {n}")
-        if n + 2 > GRID_CAP:
-            raise ValueError(
-                f"exhaustive mode scans 2^(n+2) cells; n + 2 = {n + 2} "
-                f"exceeds the grid cap {GRID_CAP}"
-            )
-        member, m_vals, nu, int_scaled = cell_scan(n)
-        # the scan covers the cells with x_1 = 0, and the other half repeats
-        # it: counts double, while extremes and first occurrences are the
-        # scan's own.  Masked reductions, not index gathers, keep temporaries
-        # to bool masks; the argmax of a mask is its first true index
-        members = 2 * int(np.count_nonzero(member))
-        scale = 1 << (n + 2)
-        rows.append(
-            AssertionRecord(
-                "member cells at level n+2",
-                str(members),
-                f"of {scale}",
-                "reported",
-            )
+    params = [("lemma", "2"), ("n", str(n)), ("mode", "exhaustive")]
+    if n + 2 > GRID_CAP:
+        raise ValueError(
+            f"exhaustive mode scans 2^(n+2) cells; n + 2 = {n + 2} "
+            f"exceeds the grid cap {GRID_CAP}"
         )
-        if members == 0:
-            rows.append(
-                AssertionRecord(
-                    "integral >= n/30 on E_n",
-                    "-",
-                    _frac(Fraction(n, 30)),
-                    "vacuous",
-                    "E_n empty",
-                )
-            )
-            return LemmaReport("lemma2", tuple(rows), tuple(params))
-
-        checkable = member & (nu > 0)
-        n_checkable = 2 * int(np.count_nonzero(checkable))
-        n_empty = members - n_checkable
-        rows.append(
-            AssertionRecord(
-                "selector nonempty on E_n",
-                str(n_checkable),
-                str(members),
-                "pass" if n_empty == 0 else "fail",
-                f"x={_cell_left(n, int(np.argmax(member & (nu == 0))))}" if n_empty else "",
-            )
+    member, m_vals, nu, int_scaled = cell_scan(n)
+    # the scan covers the cells with x_1 = 0, and the other half repeats
+    # it: counts double, while extremes and first occurrences are the
+    # scan's own.  Masked reductions, not index gathers, keep temporaries
+    # to bool masks; the argmax of a mask is its first true index
+    members = 2 * int(np.count_nonzero(member))
+    scale = 1 << (n + 2)
+    rows.append(
+        AssertionRecord(
+            "member cells at level n+2",
+            str(members),
+            f"of {scale}",
+            "reported",
         )
-        max_m = int(m_vals.max(where=member, initial=0))
-        rows.append(
-            AssertionRecord(
-                "m < 2^n on E_n",
-                str(max_m),
-                str(1 << n),
-                "pass" if max_m < (1 << n) else "fail",
-            )
-        )
-        worst_nu = int(nu.min(where=member, initial=n))
-        rows.append(
-            AssertionRecord(
-                "6*nu >= n - 6 on E_n",
-                str(worst_nu),
-                _frac(Fraction(n - 6, 6)),
-                "pass" if 6 * worst_nu >= n - 6 else "fail",
-                f"x={_cell_left(n, int(np.argmax(member & (nu == worst_nu))))}",
-            )
-        )
-        # integral >= n/30 for every x via the left endpoints; for the integer
-        # I, 30·I >= n·scale iff I >= ⌈n·scale/30⌉
-        n_bad = 2 * int(np.count_nonzero(checkable & (int_scaled < -(-n * scale // 30))))
-        if n_checkable:
-            low = int(int_scaled.min(where=checkable, initial=np.iinfo(np.int64).max))
-            arg = int(np.argmax(checkable & (int_scaled == low)))
-            witness = f"x={_cell_left(n, arg)} integral={_frac(Fraction(low, scale))}"
-        else:
-            witness = "no checkable cells"
-        if n_empty:
-            witness += f"; {n_empty} cells lack a selector"
+    )
+    if members == 0:
         rows.append(
             AssertionRecord(
                 "integral >= n/30 on E_n",
-                str(n_checkable - n_bad),
-                str(n_checkable),
-                "fail" if n_bad or n_empty else "pass",
-                witness,
+                "-",
+                _frac(Fraction(n, 30)),
+                "vacuous",
+                "E_n empty",
             )
         )
-        params.append(("cells", str(scale)))
+        return LemmaReport("lemma2", tuple(rows), tuple(params))
+
+    checkable = member & (nu > 0)
+    n_checkable = 2 * int(np.count_nonzero(checkable))
+    n_empty = members - n_checkable
+    rows.append(
+        AssertionRecord(
+            "selector nonempty on E_n",
+            str(n_checkable),
+            str(members),
+            "pass" if n_empty == 0 else "fail",
+            f"x={_cell_left(n, int(np.argmax(member & (nu == 0))))}" if n_empty else "",
+        )
+    )
+    max_m = int(m_vals.max(where=member, initial=0))
+    rows.append(
+        AssertionRecord(
+            "m < 2^n on E_n",
+            str(max_m),
+            str(1 << n),
+            "pass" if max_m < (1 << n) else "fail",
+        )
+    )
+    worst_nu = int(nu.min(where=member, initial=n))
+    rows.append(
+        AssertionRecord(
+            "6*nu >= n - 6 on E_n",
+            str(worst_nu),
+            _frac(Fraction(n - 6, 6)),
+            "pass" if 6 * worst_nu >= n - 6 else "fail",
+            f"x={_cell_left(n, int(np.argmax(member & (nu == worst_nu))))}",
+        )
+    )
+    # integral >= n/30 for every x via the left endpoints; for the integer
+    # I, 30·I >= n·scale iff I >= ⌈n·scale/30⌉
+    n_bad = 2 * int(np.count_nonzero(checkable & (int_scaled < -(-n * scale // 30))))
+    if n_checkable:
+        low = int(int_scaled.min(where=checkable, initial=np.iinfo(np.int64).max))
+        arg = int(np.argmax(checkable & (int_scaled == low)))
+        witness = f"x={_cell_left(n, arg)} integral={_frac(Fraction(low, scale))}"
     else:
-        rng = random.Random(seed)
-        size = 1 << (n + 2)
-        members = 0
-        failures = 0
-        min_integral: Fraction | None = None
-        min_witness = ""
-        empty_sel = 0
-        for _ in range(samples):
-            j = rng.randrange(size)
-            if not _cell_member(n, j):
-                continue
-            members += 1
-            x = DyadicPoint(j, n + 2)
-            try:
-                sel = select_m(x, n)
-            except EmptySelectionError:
-                empty_sel += 1
-                failures += 1
-                continue
-            value = integral_Dstar_closed(sel.m, x)
-            if min_integral is None or value < min_integral:
-                min_integral, min_witness = value, x.to_text()
-            if 30 * value < n:
-                failures += 1
-        params += [("samples", str(samples)), ("seed", str(seed))]
-        rows.append(
-            AssertionRecord(
-                "sampled members of E_n", str(members), str(samples), "reported"
-            )
+        witness = "no checkable cells"
+    if n_empty:
+        witness += f"; {n_empty} cells lack a selector"
+    rows.append(
+        AssertionRecord(
+            "integral >= n/30 on E_n",
+            str(n_checkable - n_bad),
+            str(n_checkable),
+            "fail" if n_bad or n_empty else "pass",
+            witness,
         )
-        rows.append(
-            AssertionRecord(
-                "integral >= n/30 on sampled E_n",
-                str(members - failures),
-                str(members),
-                "fail" if failures else "pass" if members else "vacuous",
-                (
-                    f"min integral {_frac(min_integral)} at {min_witness}"
-                    if min_integral is not None
-                    else "no members sampled"
-                )
-                + (f"; {empty_sel} empty selectors" if empty_sel else ""),
-            )
-        )
+    )
+    params.append(("cells", str(scale)))
     return LemmaReport("lemma2", tuple(rows), tuple(params))
+
+
+def _nu_min(n: int) -> int:
+    """ν_min of the module docstring: the fewest descents below n on E_n."""
+    return (n // 3 + 2) // 2 - 1
 
 
 def _cell_left(n: int, index: int) -> str:
@@ -1204,6 +1172,8 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
     Φ is eventually large enough); when it holds, the final divergence
     display is asserted on top of it.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     gamma = _gamma_of(n)

@@ -64,15 +64,14 @@ class TestLemma2Command:
         assert text.startswith("# walshdiv lemma2\n")
         assert "lemma,assertion,lhs_exact,rhs_exact,verdict,witness" in text
 
-    def test_seed_is_echoed(self, capsys):
-        code = main(
-            ["lemma2", "--n", "30", "--mode", "sample", "--samples", "50",
-             "--seed", "5"]
-        )
-        assert code == 0
+    @pytest.mark.parametrize("n, code", [(24, 0), (10_000, 1)])
+    def test_orders_past_the_cap_are_certified_quickly(self, n, code, capsys):
+        start = time.perf_counter()
+        assert main(["lemma2", "--n", str(n)]) == code
+        assert time.perf_counter() - start < 1
         out = capsys.readouterr().out
-        assert "# seed=5" in out
-        assert "# samples=50" in out
+        assert out.startswith(f"# walshdiv lemma2\n# seed=0\n# mode=certify\n# n={n}\n")
+        assert "PASS     integral >= n/30 on E_n" in out
 
 
 class TestMeasureEnCommand:
@@ -123,7 +122,7 @@ class TestMeasureEnCommand:
     def test_lemma2_measure_row_has_the_table_verdict(self, n, capsys):
         main(["measure-en", "--n-min", str(n), "--n-max", str(n)])
         table_verdict = capsys.readouterr().out.splitlines()[-1].rsplit(",", 1)[1]
-        row = verify_lemma2(n, mode="sample", samples=0).rows[0]
+        row = verify_lemma2(n).rows[0]
         # lemma2 prints a vacuous bound as a pass with a "(vacuous)" witness
         lemma2_verdict = "vacuous" if "vacuous" in row.witness else row.verdict
         assert lemma2_verdict == table_verdict
@@ -412,7 +411,6 @@ class TestDeterminism:
 
 
 @pytest.mark.parametrize("args", [
-    ["lemma2", "--n", "20"],
     ["build-fn", "--n", "0", "--c", "3"],
     ["lemma1", "--n", "30", "--x", "7/2^5"],
     ["partial-sums", "--x", "1/2^2", "--l-min", "9", "--l-max", "5"],
@@ -438,6 +436,10 @@ class TestDeterminism:
     ["strong-mean", "--x", "7/2^5", "extra"],
     ["bogus"],
     [],
+    # options that no longer exist
+    ["lemma2", "--mode", "sample"],
+    ["lemma2", "--samples", "5"],
+    ["chain-check", "--seed", "3"],
 ])
 def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
     # run in an empty directory, so the missing files really are missing
@@ -453,9 +455,9 @@ def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["lemma2", "--n", "0"], "n must be positive, got 0"),
-    (["lemma2", "--n", "0", "--mode", "sample"], "n must be positive, got 0"),
-    (["lemma2", "--mode", "sample", "--samples", "0"], "samples must be positive, got 0"),
-    (["lemma2", "--mode", "sample", "--samples", "-5"], "samples must be positive, got -5"),
+    (["chain-check", "--n", "0"], "n must be positive, got 0"),
+    (["chain-check", "--n", "-5"], "n must be positive, got -5"),
+    (["lemma2", "--n", "-5"], "n must be positive, got -5"),
     (["strong-mean", "--x", "7/2^5", "--N-list", "16,a"], "bad N list '16,a'"),
 ])
 def test_rejected_values_are_named(argv, message, capsys):
@@ -463,21 +465,21 @@ def test_rejected_values_are_named(argv, message, capsys):
     assert capsys.readouterr() == ("", f"walshdiv: error: {message}\n")
 
 
-def registered(parser: argparse.ArgumentParser) -> list[str]:
-    """The subcommands a parser holds a subparser for."""
+def subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subparsers a parser holds, by subcommand."""
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(action.choices)
+    return action.choices
 
 
 class TestParserPerCommand:
     """A command builds only its own subparser, and prints what the full parser would."""
 
     def test_a_subcommand_builds_only_its_subparser(self):
-        assert registered(_build_parser(ARGS)) == ["strong-mean"]
+        assert list(subparsers(_build_parser(ARGS))) == ["strong-mean"]
 
-    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--seed", "3"]])
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--out", "t.csv"]])
     def test_no_subcommand_builds_all_eight(self, argv):
-        assert registered(_build_parser(argv)) == list(_SUBCOMMANDS)
+        assert list(subparsers(_build_parser(argv))) == list(_SUBCOMMANDS)
         assert len(_SUBCOMMANDS) == 8
 
     @staticmethod
@@ -504,12 +506,39 @@ class TestParserPerCommand:
         ["plot", "--table", "t.csv"],
         ["bogus"],
         [],
+        ["lemma2", "--mode", "sample"],
+        ["lemma2", "--samples", "5"],
+        ["chain-check", "--seed", "3"],
     ])
     def test_usage_errors_equal_the_full_parsers(self, argv, capsys):
         mine, full = self.outputs(argv, capsys)
         assert mine == full
         assert mine[0] == 2 and mine[1] == ""
         assert mine[2].startswith("walshdiv: error: ") and mine[2].count("\n") == 1
+
+
+#: every option each subcommand accepts, in the order its help lists them
+OPTIONS = {
+    "lemma2": ["--config", "--out", "--n", "--cap"],
+    "measure-en": ["--config", "--out", "--n-min", "--n-max"],
+    "build-fn": ["--config", "--out", "--n", "--c", "--dump-coefficients"],
+    "lemma1": ["--config", "--out", "--n", "--c", "--x"],
+    "partial-sums": ["--config", "--out", "--n", "--c", "--x", "--l-min", "--l-max"],
+    "strong-mean": ["--config", "--out", "--n", "--c", "--x", "--phi", "--N-list",
+                    "--threshold", "--center"],
+    "chain-check": ["--config", "--out", "--n", "--k", "--phi"],
+    "plot": ["--config", "--out", "--table", "--x-col", "--y-col", "--svg", "--log-y",
+             "--title"],
+}
+
+
+def test_option_inventory():
+    # a new knob has to show up here as a diff
+    options = {
+        name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, p in subparsers(_build_parser([])).items()
+    }
+    assert options == OPTIONS
 
 
 class TestPastTheGridCap:
@@ -605,7 +634,7 @@ def test_lemma1_over_all_cells_rejects_a_huge_order_before_allocating():
 
 @pytest.mark.parametrize("argv", [
     ["measure-en", "--n-max", "15000"],
-    ["lemma2", "--mode", "sample", "--n", "20000"],
+    ["lemma2", "--n", "20000"],
 ])
 def test_orders_past_the_measure_bound_fail_fast(argv):
     # rejected before the |E_n| recurrence, not after computing every row

@@ -22,6 +22,7 @@ from walshdiv.counterexample import (
     ConstructionParams,
     EmptySelectionError,
     LemmaReport,
+    _nu_min,
     build_fn,
     c3_holds,
     chain_check,
@@ -264,21 +265,6 @@ class TestVerifyLemma2:
         assert rows["integral >= n/30 on E_n"].verdict == "vacuous"
         assert rows["integral >= n/30 on E_n"].witness == "E_n empty"
 
-    def test_sampled_mode_is_deterministic(self):
-        a = verify_lemma2(60, mode="sample", samples=400, seed=7)
-        b = verify_lemma2(60, mode="sample", samples=400, seed=7)
-        assert a.to_csv() == b.to_csv()
-        assert a.ok
-        rows = row_map(a)
-        assert rows["sampled members of E_n"].lhs_exact == "394"
-        assert rows["integral >= n/30 on sampled E_n"].verdict == "pass"
-        assert ("seed", "7") in a.parameters
-
-    def test_sampled_mode_seed_changes_draws(self):
-        a = verify_lemma2(60, mode="sample", samples=400, seed=7)
-        b = verify_lemma2(60, mode="sample", samples=400, seed=8)
-        assert a.to_csv() != b.to_csv()
-
     @pytest.mark.parametrize("n", range(1, 21))
     def test_exhaustive_rows_equal_the_full_scan(self, n):
         # counts over the x_1 = 0 half, doubled, and its first-index
@@ -297,21 +283,47 @@ class TestVerifyLemma2:
         # 2^22-cell scan peaked at about 108 MiB
         assert peak < 64 << 20
 
-    @pytest.mark.parametrize("n, samples", [(1, 100), (3, 100), (12, 0), (12, -5)])
-    def test_sampled_mode_without_members_is_vacuous(self, n, samples):
-        # E_1 and E_3 are empty, and a draw count of 0 or less draws nothing
-        row = row_map(verify_lemma2(n, mode="sample", samples=samples))[
-            "integral >= n/30 on sampled E_n"]
-        assert (row.verdict, row.witness) == ("vacuous", "no members sampled")
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_certificate_agrees_with_the_scan(self, n):
+        # cap=0 certifies every order the closed form decides and scans the rest
+        closed = row_map(verify_lemma2(n, cap=0))
+        scan = row_map(verify_lemma2(n, cap=20))
+        shared = closed.keys() & scan.keys()
+        assert {"measure > 1 - 2*exp(-n/36)", "integral >= n/30 on E_n"} <= shared
+        assert {a: closed[a].verdict for a in shared} == {a: scan[a].verdict for a in shared}
+        if "6*nu >= n - 6 on E_n" in scan:  # E_n nonempty: ν_min is the scan's least ν
+            row, want = closed["6*nu >= n - 6 on E_n"], scan["6*nu >= n - 6 on E_n"]
+            assert (row.lhs_exact, row.rhs_exact) == (want.lhs_exact, want.rhs_exact)
+            assert want.lhs_exact == str(_nu_min(n))
+
+    def test_closed_form_is_too_weak_only_below_24(self):
+        # ν_min/4 >= n/30 reads 30·ν_min >= 4n; past 24 it holds by algebra
+        weak = {n for n in range(1, 10_001) if 30 * _nu_min(n) < 4 * n}
+        assert weak == {1, 2, 3, 4, 5, 8, 9, 10, 11, 16, 17, 23}
+        for n in (24, 25, 999):
+            assert dict(verify_lemma2(n, cap=0).parameters)["mode"] == "certify"
+
+    def test_integral_fails_exactly_at_the_weak_orders(self):
+        # at the default cap: scanned up to 16, and at 17 and 23, certified at the rest
+        verdicts = {
+            n: row_map(verify_lemma2(n))["integral >= n/30 on E_n"].verdict
+            for n in range(1, 25)
+        }
+        fails = {n for n, v in verdicts.items() if v == "fail"}
+        assert fails == {2, 4, 5, 8, 9, 10, 11, 16, 17, 23}
+        assert {n for n, v in verdicts.items() if v == "vacuous"} == {1, 3}
+
+    def test_certificate_far_past_the_scan(self):
+        assert verify_lemma2(2303).ok
+        report = verify_lemma2(10_000)
+        assert dict(report.parameters)["mode"] == "certify"
+        assert [r.assertion for r in report.failures()] == ["measure > 1 - 2*exp(-n/36)"]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            verify_lemma2(17)
-        with pytest.raises(ValueError):
-            verify_lemma2(4, mode="qualitative")
-        for mode in ("exhaustive", "sample"):
-            with pytest.raises(ValueError, match="^n must be positive, got 0$"):
-                verify_lemma2(0, mode=mode)
+        with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+            verify_lemma2(0)
+        with pytest.raises(ValueError, match="grid cap"):
+            verify_lemma2(30, cap=30)
 
 
 class TestBuildFn:
@@ -612,6 +624,8 @@ class TestChainCheck:
     def test_validation(self):
         with pytest.raises(ValueError):
             chain_check(151, 0, EXP_POW_2)
+        with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+            chain_check(0, 1, EXP_POW_2)
 
 
 class TestGrowthThreshold:
