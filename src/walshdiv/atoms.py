@@ -18,8 +18,9 @@ whole-sum partial sums closed-form:
   coefficient table and hence any prefix.
 
 Spectral blocks are recorded on the AtomSum as half-open index intervals
-[lo, hi) with owner labels; builders that know about cancellations (kernel
-pairs sharing a shift) record the tighter truth.
+[lo, hi) with owner labels.  The builder supplies them, sorted and pairwise
+disjoint, because only it knows the cancellations (kernel pairs sharing a
+shift) that make the recorded spectrum tight; the sum stores them as given.
 
 Atoms and sums are immutable after construction; all methods are pure.
 """
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -180,9 +181,6 @@ class KernelAtom:
             return Fraction(0)
         return self.coefficient * dirichlet(effective, xor_add(x, self.shift))
 
-    def spectral_block(self) -> SpectralBlock:
-        return SpectralBlock(0, self.order, ("kernel",))
-
     def norm1(self) -> Fraction:
         return abs(self.coefficient)  # ∫ |D_u| = u · (1/u) = 1
 
@@ -199,19 +197,13 @@ Atom = IndicatorAtom | KernelAtom
 
 
 class AtomSum:
-    """A finite sum of atoms with recorded spectral blocks."""
+    """A finite sum of atoms with the spectral blocks its builder records."""
 
     __slots__ = ("atoms", "spectral_blocks")
 
-    def __init__(
-        self,
-        atoms: Iterable[Atom],
-        spectral_blocks: Sequence[SpectralBlock] | None = None,
-    ):
+    def __init__(self, atoms: Iterable[Atom], spectral_blocks: Iterable[SpectralBlock]):
         self.atoms = tuple(atoms)
-        if spectral_blocks is None:
-            spectral_blocks = _default_blocks(self.atoms)
-        self.spectral_blocks = _canonical_blocks(spectral_blocks)
+        self.spectral_blocks = tuple(spectral_blocks)
 
     # -- geometry ------------------------------------------------------------
 
@@ -272,28 +264,3 @@ class AtomSum:
             a.render_into(nums, resolution, den)
         return GridVector(resolution, nums, den)
 
-
-def _default_blocks(atoms: tuple[Atom, ...]) -> list[SpectralBlock]:
-    return [a.spectral_block() for a in atoms]
-
-
-def _canonical_blocks(
-    blocks: Sequence[SpectralBlock],
-) -> tuple[SpectralBlock, ...]:
-    """Sort and merge overlapping blocks so the stored list is disjoint.
-
-    Owner labels of merged blocks are concatenated (deduplicated, ordered);
-    adjacent-but-disjoint blocks are kept separate.
-    """
-    pending = sorted(blocks, key=lambda b: (b.lo, b.hi))
-    merged: list[SpectralBlock] = []
-    for block in pending:
-        if merged and block.lo < merged[-1].hi:
-            last = merged[-1]
-            owners = last.owners + tuple(
-                o for o in block.owners if o not in last.owners
-            )
-            merged[-1] = SpectralBlock(last.lo, max(last.hi, block.hi), owners)
-        else:
-            merged.append(block)
-    return tuple(merged)

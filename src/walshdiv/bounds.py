@@ -81,13 +81,14 @@ def ln2_enclosure(prec: int = _DEFAULT_PREC) -> Enclosure:
 def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     """Enclosure of e**x for rational x.
 
-    For x <= -64 a deliberately crude enclosure [0, 2**-floor(-x)] is
-    returned (e > 2 makes it valid).  Log-space comparisons, whose gaps dwarf
-    that width, are not its only consumers: ``counterexample.measure_bound``
-    asks for e^{-n/36}, and from n = 2304 on the lower end 0 puts the upper
-    end of 1 - 2e^{-n/36} at 1, so every such order prints a false FAIL
-    (ROADMAP item 3a gives the fix).  Arguments above
-    2**20 are rejected: their values are astronomically large and every
+    For x <= -64 a deliberately crude enclosure [0, 2**-min(floor(-x), prec)]
+    is returned (e > 2 makes it valid); capping the exponent at ``prec`` keeps
+    its denominator at most 2**prec however far negative x is.  Log-space
+    comparisons, whose gaps dwarf that width, are not its only consumers:
+    ``counterexample.measure_bound`` asks for e^{-n/36}, and from n = 2304 on
+    the lower end 0 puts the upper end of 1 - 2e^{-n/36} at 1, so every such
+    order prints a false FAIL (ROADMAP item 1a gives the fix).  Arguments
+    above 2**20 are rejected: their values are astronomically large and every
     caller is expected to compare in log space instead.
     """
     if x > (1 << 20):
@@ -95,7 +96,7 @@ def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
             f"exp argument {x} too large for direct enclosure; compare logs"
         )
     if x <= -64:
-        return Fraction(0), Fraction(1, 1 << ((-x).numerator // (-x).denominator))
+        return Fraction(0), Fraction(1, 1 << min((-x).numerator // (-x).denominator, prec))
     if x < 0:
         # reciprocal: e**x = 1 / e**(-x); endpoints swap
         w = prec + 8
@@ -209,17 +210,17 @@ def log1p_exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
 def decide_less(
     lhs: Callable[[int], Enclosure],
     rhs: Callable[[int], Enclosure],
-    start_prec: int = _DEFAULT_PREC,
     max_prec: int = 1 << 16,
 ) -> bool:
     """Certified truth of lhs < rhs, refining precision until separated.
 
-    ``lhs`` and ``rhs`` map a precision to an enclosure of their value.
+    ``lhs`` and ``rhs`` map a precision to an enclosure of their value; the
+    first try is at 96 bits, and each further one doubles the precision.
     Raises if the two stay inseparable at ``max_prec`` (which indicates the
     compared values may be equal — callers only compare values known to
     differ).
     """
-    prec = start_prec
+    prec = _DEFAULT_PREC
     while prec <= max_prec:
         llo, lhi = lhs(prec)
         rlo, rhi = rhs(prec)
@@ -231,9 +232,10 @@ def decide_less(
     raise ArithmeticError("comparison undecidable at maximum precision")
 
 
-def floor_enclosed(value: Callable[[int], Enclosure], start_prec: int = 32) -> int:
-    """Floor of an (irrational) real given by refinable enclosures."""
-    prec = start_prec
+def floor_enclosed(value: Callable[[int], Enclosure]) -> int:
+    """Floor of an (irrational) real given by refinable enclosures, from 32 bits
+    up, doubling the precision until the floor is settled."""
+    prec = 32
     while prec <= (1 << 16):
         lo, hi = value(prec)
         flo = lo.numerator // lo.denominator

@@ -11,11 +11,14 @@ Subcommands
 ``chain-check``   scalar inequality chains at (n, k, Φ)
 ``plot``          CSV table → SVG 1.1 polyline
 
-Conventions: every output starts with ``#`` comment lines echoing the
-subcommand and effective parameters; identical invocations produce
-byte-identical output.  The exit status is 0 exactly when no asserted row
-failed, 1 when one did, and 2 when the parameters are rejected or a file
-cannot be read or written (one ``walshdiv: error:`` line on stderr).
+Conventions: parameters come from flags only, each with its default in the
+subcommand's parser.  Every output starts with ``#`` comment lines echoing
+the subcommand and effective parameters; identical invocations produce
+byte-identical output.  With ``--out`` the file is written before anything
+is printed, so a path that cannot be written leaves stdout empty.  The exit
+status is 0 exactly when no asserted row failed, 1 when one did, and 2 when
+the parameters are rejected or a file cannot be read or written (one
+``walshdiv: error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,90 +53,37 @@ from .dyadic import DyadicPoint, parse_point
 from .fourier import exceed_density, parse_phi, strong_mean, strong_mean_bounds
 from .walsh import GridVector, fwht
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective invocation: subcommand and resolved parameters."""
-
-    subcommand: str
-    options: tuple[tuple[str, str], ...]
-
-    def header_lines(self) -> list[str]:
-        # no command draws at random; the line stays because the outputs
-        # recorded in perfbench/digests.json hold it
-        lines = [f"# walshdiv {self.subcommand}", "# seed=0"]
-        lines += [f"# {key}={value}" for key, value in sorted(self.options)]
-        return lines
+def _header(subcommand: str, options: tuple[tuple[str, str], ...]) -> str:
+    """The ``#`` lines that open every output: subcommand, then sorted options."""
+    # no command draws at random; the line stays because the outputs
+    # recorded in perfbench/digests.json hold it
+    lines = [f"# walshdiv {subcommand}", "# seed=0"]
+    lines += [f"# {key}={value}" for key, value in sorted(options)]
+    return "\n".join(lines) + "\n"
 
 
-class _Failure:
-    """First-failure tracker mapped to the exit status."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.first: str | None = None
-
-    def add(self, message: str) -> None:
-        self.count += 1
-        if self.first is None:
-            self.first = message
-
-    def absorb_report(self, report: LemmaReport) -> None:
-        for row in report.failures():
-            witness = f" [{row.witness}]" if row.witness else ""
-            self.add(f"{report.lemma}: {row.assertion}{witness}")
-
-    def exit_code(self) -> int:
-        if self.count:
-            print(f"FAILED ({self.count}): {self.first}", file=sys.stderr)
-            return 1
-        return 0
+def _exit_code(failures: list[str]) -> int:
+    """1 after naming the first of ``failures`` on stderr, 0 when there are none."""
+    if failures:
+        print(f"FAILED ({len(failures)}): {failures[0]}", file=sys.stderr)
+        return 1
+    return 0
 
 
-# ---------------------------------------------------------------------------
-# config plumbing
-# ---------------------------------------------------------------------------
+def _emit(ns: argparse.Namespace, shown: str, text: str) -> None:
+    """Print ``shown``, then ``text`` too, or write ``text`` to --out and say so.
 
-_CONFIG_KEYS = {"n": int, "c": int}
-
-
-def _load_config(path: str) -> dict[str, int]:
-    values: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: expected one of "
-                             f"{sorted(_CONFIG_KEYS)} as 'key=value', got {raw!r}")
-        values[key] = _CONFIG_KEYS[key](value)
-    return values
-
-
-def _resolve(ns: argparse.Namespace, key: str, default: int) -> int:
-    """Flag value if given, else config-file value, else the default."""
-    flag = getattr(ns, key, None)
-    if flag is not None:
-        return flag
-    return ns.config_values.get(key, default)
-
-
-def _construction(ns: argparse.Namespace) -> ConstructionParams:
-    """The construction named by --n and --c."""
-    return ConstructionParams(_resolve(ns, "n", 2), _resolve(ns, "c", 3))
-
-
-def _emit(ns: argparse.Namespace, config: RunConfig, payload: str) -> None:
-    """Write header + payload to --out (and stdout for table subcommands)."""
-    text = "\n".join(config.header_lines()) + "\n" + payload
+    The file is written before anything is printed, so a path that cannot be
+    written leaves stdout empty.
+    """
     if ns.out:
         Path(ns.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        text = f"wrote {ns.out}\n"
+    sys.stdout.write(shown)
+    sys.stdout.write(text)
 
 
 def _float(v) -> str:
@@ -175,28 +124,29 @@ def _index(v: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _finish_report(ns: argparse.Namespace, config: RunConfig, report: LemmaReport) -> int:
-    """Print the report, write its CSV to --out if given, and map it to an exit code."""
-    print("\n".join(config.header_lines()))
-    print(report.to_text(), end="")
+def _finish_reports(ns: argparse.Namespace, header: str, reports: list[LemmaReport]) -> int:
+    """Write the reports' CSV to --out if given, print them, and map them to an
+    exit code."""
     if ns.out:
-        _emit(ns, config, report.to_csv())
-    failures = _Failure()
-    failures.absorb_report(report)
-    return failures.exit_code()
+        Path(ns.out).write_text(header + "".join(report.to_csv() for report in reports))
+    sys.stdout.write(header + "".join(report.to_text() for report in reports))
+    return _exit_code([
+        f"{report.lemma}: {row.assertion}" + (f" [{row.witness}]" if row.witness else "")
+        for report in reports
+        for row in report.failures()
+    ])
 
 
 def _cmd_lemma2(ns: argparse.Namespace) -> int:
-    n = _resolve(ns, "n", 12)
-    report = verify_lemma2(n, cap=ns.cap)
-    options = (("n", str(n)), ("mode", dict(report.parameters)["mode"]))
-    return _finish_report(ns, RunConfig("lemma2", options), report)
+    report = verify_lemma2(ns.n, cap=ns.cap)
+    options = (("n", str(ns.n)), ("mode", dict(report.parameters)["mode"]))
+    return _finish_reports(ns, _header("lemma2", options), [report])
 
 
 def _cmd_measure_en(ns: argparse.Namespace) -> int:
     n_min, n_max = ns.n_min, ns.n_max
-    config = RunConfig("measure-en", (("n_min", str(n_min)), ("n_max", str(n_max))))
-    failures = _Failure()
+    header = _header("measure-en", (("n_min", str(n_min)), ("n_max", str(n_max))))
+    failures = []
     lines = ["n,measure_exact,measure_float,bound_upper_float,margin_float,verdict"]
     bits = MEASURE_BOUND_BITS
     for n, hits in measure_En_range(n_min, n_max):
@@ -206,20 +156,18 @@ def _cmd_measure_en(ns: argparse.Namespace) -> int:
         margin = (hits << bits) - (bound_hi << n)  # over 2^(n + bits)
         bound_text = _float(bound_hi / (1 << bits))
         if verdict == "fail":
-            failures.add(f"measure-en: |E_{n}| is {_float(-margin / (1 << (n + bits)))} "
-                         f"below the bound {bound_text}")
+            failures.append(f"measure-en: |E_{n}| is {_float(-margin / (1 << (n + bits)))} "
+                            f"below the bound {bound_text}")
         lines.append(
             f"{n},{_dyadic(hits, n)},{_float(hits / (1 << n))},{bound_text},"
             f"{_float(margin / (1 << (n + bits)))},{verdict}"
         )
-    _emit(ns, config, "\n".join(lines) + "\n")
-    if ns.out:
-        print(f"wrote {ns.out}")
-    return failures.exit_code()
+    _emit(ns, "", header + "\n".join(lines) + "\n")
+    return _exit_code(failures)
 
 
 def _cmd_build_fn(ns: argparse.Namespace) -> int:
-    params = _construction(ns)
+    params = ConstructionParams(ns.n, ns.c)
     n, c = params.n, params.c
     if ns.dump_coefficients and params.q_exponent > GRID_CAP:
         raise ValueError(
@@ -227,39 +175,37 @@ def _cmd_build_fn(ns: argparse.Namespace) -> int:
         )
     fn = params.fn
     cert = fn.norm1_certificate()
-    failures = _Failure()
+    failures = []
     if cert > 4:
-        failures.add(f"build-fn: norm certificate {_frac(cert)} exceeds 4")
-    config = RunConfig(
+        failures.append(f"build-fn: norm certificate {_frac(cert)} exceeds 4")
+    header = _header(
         "build-fn",
         (("n", str(n)), ("c", str(c)), ("grid", str(params.q_exponent))),
     )
-    print("\n".join(config.header_lines()))
-    print(f"construction n={n} c={c}: gamma={params.gamma} "
-          f"p=2^{n} q=2^{params.q_exponent}")
-    print(f"  atoms: 1 indicator + {2 * params.p} kernels")
-    print(f"  L1 certificate: {_frac(cert)} ({_float(cert)}) <= 4: "
-          f"{'yes' if cert <= 4 else 'NO'}")
-    print(f"  spectral blocks: {len(fn.spectral_blocks)}, "
-          f"span [{_index(fn.spectral_blocks[0].lo)}, {_index(fn.max_spectral_index)})")
+    summary = (
+        f"construction n={n} c={c}: gamma={params.gamma} "
+        f"p=2^{n} q=2^{params.q_exponent}\n"
+        f"  atoms: 1 indicator + {2 * params.p} kernels\n"
+        f"  L1 certificate: {_frac(cert)} ({_float(cert)}) <= 4: "
+        f"{'yes' if cert <= 4 else 'NO'}\n"
+        f"  spectral blocks: {len(fn.spectral_blocks)}, "
+        f"span [{_index(fn.spectral_blocks[0].lo)}, {_index(fn.max_spectral_index)})\n"
+    )
+    lines = []
     if ns.dump_coefficients:
         co = fwht(fn.render(params.q_exponent))
         lines = ["index,value_exact,value_float", *_coefficient_rows(co)]
-        _emit(ns, config, "\n".join(lines) + "\n")
-        if ns.out:
-            print(f"wrote {ns.out}")
     elif ns.out:
         lines = ["lo,hi,owners"]
         for b in fn.spectral_blocks:
             owners = ";".join(b.owners)
             lines.append(f'{_index(b.lo)},{_index(b.hi)},"{owners}"')
-        _emit(ns, config, "\n".join(lines) + "\n")
-        print(f"wrote {ns.out}")
-    return failures.exit_code()
+    _emit(ns, header + summary, header + "\n".join(lines) + "\n" if lines else "")
+    return _exit_code(failures)
 
 
 def _cmd_lemma1(ns: argparse.Namespace) -> int:
-    params = _construction(ns)
+    params = ConstructionParams(ns.n, ns.c)
     n, c = params.n, params.c
     params.check_buildable()  # before the header and any of the 2^(n+2) points
     if ns.x is not None:
@@ -270,26 +216,19 @@ def _cmd_lemma1(ns: argparse.Namespace) -> int:
         points = (DyadicPoint(2 * i + 1, n + 3) for i in range(count))
     # every point is verified before the header, so a rejected point prints nothing
     reports = [verify_lemma1(params, x) for x in points]
-    config = RunConfig("lemma1", (("n", str(n)), ("c", str(c)), ("points", str(count))))
-    print("\n".join(config.header_lines()))
-    failures = _Failure()
-    for report in reports:
-        print(report.to_text(), end="")
-        failures.absorb_report(report)
-    if ns.out:
-        _emit(ns, config, "".join(report.to_csv() for report in reports))
-    return failures.exit_code()
+    header = _header("lemma1", (("n", str(n)), ("c", str(c)), ("points", str(count))))
+    return _finish_reports(ns, header, reports)
 
 
 def _cmd_partial_sums(ns: argparse.Namespace) -> int:
-    params = _construction(ns)
+    params = ConstructionParams(ns.n, ns.c)
     n, c = params.n, params.c
     x = parse_point(ns.x)
     if ns.l_max < ns.l_min or ns.l_min < 1:
         raise ValueError(f"bad cut range [{ns.l_min}, {ns.l_max}]")
     series = partial_sum_series(params, x, ns.l_max)
     grid = params.q_exponent if params.q_exponent <= GRID_CAP else "symbolic"
-    config = RunConfig(
+    header = _header(
         "partial-sums",
         (("n", str(n)), ("c", str(c)), ("x", x.to_text()),
          ("l_min", str(ns.l_min)), ("l_max", str(ns.l_max)),
@@ -299,14 +238,12 @@ def _cmd_partial_sums(ns: argparse.Namespace) -> int:
     for l in range(ns.l_min, ns.l_max + 1):
         v = series[l - 1]
         lines.append(f"{l},{_frac(v)},{_float(v)}")
-    _emit(ns, config, "\n".join(lines) + "\n")
-    if ns.out:
-        print(f"wrote {ns.out}")
+    _emit(ns, "", header + "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_strong_mean(ns: argparse.Namespace) -> int:
-    params = _construction(ns)
+    params = ConstructionParams(ns.n, ns.c)
     n, c = params.n, params.c
     x = parse_point(ns.x)
     phis = [parse_phi(text) for text in (ns.phi or ["exppow:2"])]
@@ -321,14 +258,14 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
     sums = WindowSums(params, x, n_list[-1])  # one build serves every N
     censuses = {N: sums.census(N) for N in n_list}
     grid = params.q_exponent if params.q_exponent <= GRID_CAP else "symbolic"
-    config = RunConfig(
+    header = _header(
         "strong-mean",
         (("n", str(n)), ("c", str(c)), ("x", x.to_text()),
          ("threshold", _frac(threshold)), ("center", _frac(center)),
          ("grid", str(grid)),
          ("phis", ";".join(p.to_text() for p in phis))),
     )
-    failures = _Failure()
+    failures = []
     lines = ["phi,N,mean,density_exact,density_float,markov_lhs_float,verdict"]
     for phi in phis:
         phi_lo, phi_hi = phi.enclosure(threshold)
@@ -344,7 +281,7 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
                     verdict = "pass"
                 elif density * phi_lo > mean_hi:
                     verdict = "fail"
-                    failures.add(
+                    failures.append(
                         f"strong-mean: density*phi > mean at phi={phi.to_text()} N={N}"
                     )
                 else:
@@ -353,21 +290,18 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
                 f"{phi.to_text()},{N},{_mean_str(mean)},{_frac(density)},"
                 f"{_float(density)},{_float(lhs_hi)},{verdict}"
             )
-    _emit(ns, config, "\n".join(lines) + "\n")
-    if ns.out:
-        print(f"wrote {ns.out}")
-    return failures.exit_code()
+    _emit(ns, "", header + "\n".join(lines) + "\n")
+    return _exit_code(failures)
 
 
 def _cmd_chain_check(ns: argparse.Namespace) -> int:
-    n = _resolve(ns, "n", 151)
     phi = parse_phi(ns.phi)
-    report = chain_check(n, ns.k, phi)
-    config = RunConfig(
+    report = chain_check(ns.n, ns.k, phi)
+    header = _header(
         "chain-check",
-        (("n", str(n)), ("k", str(ns.k)), ("phi", phi.to_text())),
+        (("n", str(ns.n)), ("k", str(ns.k)), ("phi", phi.to_text())),
     )
-    return _finish_report(ns, config, report)
+    return _finish_reports(ns, header, [report])
 
 
 # ---------------------------------------------------------------------------
@@ -524,19 +458,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value file (n, c)")
     p.add_argument("--out", help="write CSV output to this path")
 
 
 def _construction_options(p: argparse.ArgumentParser) -> None:
     _common_options(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--c", type=int)
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--c", type=int, default=3)
 
 
 def _lemma2_options(p: argparse.ArgumentParser) -> None:
     _common_options(p)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=12)
     p.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP,
                    help="scan every order up to this cap (default: %(default)s); "
                    "the closed form decides the others where it can")
@@ -578,7 +511,7 @@ def _strong_mean_options(p: argparse.ArgumentParser) -> None:
 
 def _chain_check_options(p: argparse.ArgumentParser) -> None:
     _common_options(p)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, default=151)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--phi", default="exppow:2")
 
@@ -633,7 +566,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     ns = _build_parser(argv).parse_args(argv)
     try:
-        ns.config_values = _load_config(ns.config) if ns.config else {}
         return ns.handler(ns)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"walshdiv: error: {exc}", file=sys.stderr)

@@ -98,6 +98,9 @@ MEASURE_N_MAX = 10_000
 #: Bits of the fixed-point enclosure of e^{-n/36} behind :func:`measure_bound`.
 MEASURE_BOUND_BITS = 96
 
+#: Precision at which :func:`c3_holds` gives up on separating the two sides.
+_C3_MAX_PREC = 1 << 14
+
 
 class EmptySelectionError(ValueError):
     """No descent position exists: m is undefined at this point."""
@@ -1041,7 +1044,7 @@ def _phi_main_exponent(phi: PhiSpec, t: Fraction):
     return None
 
 
-def c3_holds(phi: PhiSpec, n: int, k: int, max_prec: int = 1 << 14) -> bool:
+def c3_holds(phi: PhiSpec, n: int, k: int) -> bool:
     """Certified decision of Φ(n / (50·2^k)) > e^{2n}.
 
     For exponential Φ = e^X - 1 the comparison is X > ln(1 + e^{2n}); since
@@ -1059,7 +1062,7 @@ def c3_holds(phi: PhiSpec, n: int, k: int, max_prec: int = 1 << 14) -> bool:
             return (phi.parameter * lo, phi.parameter * hi)
 
         return bounds.decide_less(
-            lambda prec: (Fraction(2 * n), Fraction(2 * n)), lhs, max_prec=max_prec
+            lambda prec: (Fraction(2 * n), Fraction(2 * n)), lhs, max_prec=_C3_MAX_PREC
         )
     X = _phi_main_exponent(phi, t)
     if X is not None:
@@ -1068,7 +1071,7 @@ def c3_holds(phi: PhiSpec, n: int, k: int, max_prec: int = 1 << 14) -> bool:
         return bounds.decide_less(
             lambda prec: bounds.log1p_exp_enclosure(Fraction(2 * n), prec),
             lambda prec: (X, X),
-            max_prec=max_prec,
+            max_prec=_C3_MAX_PREC,
         )
     # non-integer exp_power exponent: enclose t^alpha
     lo, hi = bounds.pow_enclosure(t, phi.parameter, 96)
@@ -1081,7 +1084,7 @@ def c3_holds(phi: PhiSpec, n: int, k: int, max_prec: int = 1 << 14) -> bool:
     return bounds.decide_less(
         lambda prec: bounds.log1p_exp_enclosure(Fraction(2 * n), prec),
         lambda prec: bounds.pow_enclosure(t, phi.parameter, prec),
-        max_prec=max_prec,
+        max_prec=_C3_MAX_PREC,
     )
 
 

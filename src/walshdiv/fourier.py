@@ -54,10 +54,11 @@ _MEMO_CAP = 1 << 16
 class PhiSpec:
     """An increasing continuous growth function Φ with Φ(0) = 0.
 
-    kinds:
-      - ``power``      Φ(t) = t^p            (p > 0)
-      - ``exp_linear`` Φ(t) = e^{c·t} − 1    (c > 0)
-      - ``exp_power``  Φ(t) = e^{t^α} − 1    (α > 0)
+    Build one as ``PhiSpec(kind, parameter)`` or from text with
+    :func:`parse_phi`.  kinds (text tag in brackets):
+      - ``power``      [pow]     Φ(t) = t^p            (p > 0)
+      - ``exp_linear`` [exp]     Φ(t) = e^{c·t} − 1    (c > 0)
+      - ``exp_power``  [exppow]  Φ(t) = e^{t^α} − 1    (α > 0)
 
     The means of this module keep the values they compute in ``_memo``,
     keyed by (method, t, precision); it plays no part in equality or hashing.
@@ -74,19 +75,7 @@ class PhiSpec:
         if self.parameter <= 0:
             raise ValueError(f"Phi parameter must be positive, got {self.parameter}")
 
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def power(cls, p: Fraction | int) -> "PhiSpec":
-        return cls("power", Fraction(p))
-
-    @classmethod
-    def exp_linear(cls, c: Fraction | int) -> "PhiSpec":
-        return cls("exp_linear", Fraction(c))
-
-    @classmethod
-    def exp_power(cls, alpha: Fraction | int) -> "PhiSpec":
-        return cls("exp_power", Fraction(alpha))
+    # -- text ------------------------------------------------------------------
 
     def to_text(self) -> str:
         p = self.parameter
@@ -220,16 +209,15 @@ def strong_mean(
     phi: PhiSpec,
     N: int,
     s: Rat = 0,
-    dps: int = 30,
 ) -> mpmath.mpf:
-    """(1/N) Σ_{k=1}^{N} Φ(|S_k − s|) in high-precision floating point.
+    """(1/N) Σ_{k=1}^{N} Φ(|S_k − s|) in 30-digit floating point.
 
     ``census`` holds S_1 … S_N; ``s`` is the optional centering constant (0
     for the uncentered mean).  Partial sums stay exact; only Φ is evaluated
     in floating point, once per distinct magnitude.  Returns +inf on overflow.
     """
     magnitudes = _magnitudes(census, N, s)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         total = mpmath.mpf(0)
         for magnitude, count in magnitudes.items():
             term = _memoized(phi, "mpf", magnitude, mpmath.mp.prec)
@@ -244,13 +232,13 @@ def strong_mean_bounds(
     phi: PhiSpec,
     N: int,
     s: Rat = 0,
-    prec: int = 96,
 ) -> bounds.Enclosure:
-    """Certified rational enclosure of the strong mean (for sound verdicts)."""
+    """Certified rational enclosure of the strong mean (for sound verdicts),
+    from 96-bit enclosures of each Φ value."""
     lo_total = Fraction(0)
     hi_total = Fraction(0)
     for magnitude, count in _magnitudes(census, N, s).items():
-        lo, hi = _memoized(phi, "enclosure", magnitude, prec)
+        lo, hi = _memoized(phi, "enclosure", magnitude, 96)
         lo_total += count * lo
         hi_total += count * hi
     return (lo_total / N, hi_total / N)

@@ -46,7 +46,7 @@ import numpy as np
 
 from walshdiv import bounds
 from walshdiv._kernels import bit_reversal_table, hadamard_inplace, walsh_sign_row
-from walshdiv.atoms import AtomSum, KernelAtom
+from walshdiv.atoms import AtomSum, KernelAtom, SpectralBlock
 from walshdiv.cli import _float
 from walshdiv.counterexample import (
     AssertionRecord,
@@ -157,10 +157,12 @@ def low_pass(s: AtomSum, level: int) -> AtomSum:
     2**level cells holds the first 2**level coefficients of s.
     """
     return AtomSum(
-        KernelAtom(a.coefficient, min(a.order, 1 << level),
-                   DyadicPoint(containing_interval(a.shift, level).index, level))
-        if isinstance(a, KernelAtom) else a
-        for a in s.atoms
+        (KernelAtom(a.coefficient, min(a.order, 1 << level),
+                    DyadicPoint(containing_interval(a.shift, level).index, level))
+         if isinstance(a, KernelAtom) else a
+         for a in s.atoms),
+        (SpectralBlock(b.lo, min(b.hi, 1 << level), b.owners)
+         for b in s.spectral_blocks if b.lo < 1 << level),
     )
 
 

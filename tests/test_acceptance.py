@@ -369,7 +369,7 @@ def test_acceptance_5_desk_instance(capsys) -> None:
 def test_acceptance_6_constant_chains(capsys) -> None:
     t0 = time.perf_counter()
     failures: list[str] = []
-    phi = PhiSpec.exp_power(2)
+    phi = PhiSpec("exp_power", 2)
 
     bad = [n for n in range(151, 301) if not chain_check(n, 1, phi).ok]
     if bad:
@@ -401,7 +401,7 @@ def test_acceptance_6_constant_chains(capsys) -> None:
 def test_acceptance_7_divergence_trend(capsys) -> None:
     t0 = time.perf_counter()
     failures: list[str] = []
-    phi = PhiSpec.exp_power(2)
+    phi = PhiSpec("exp_power", 2)
     n = _DESK.n
     N = 2 * _DESK.q
     tau = Fraction(n, 40)
@@ -432,7 +432,7 @@ def test_acceptance_7_divergence_trend(capsys) -> None:
         # row; re-derive every row of the CLI table exactly.
         for cut in (16, 256, 4096, 65_536):
             cut_census = sums.census(cut)
-            for spec in (PhiSpec.power(2), phi):
+            for spec in (PhiSpec("power", 2), phi):
                 d = exceed_density(cut_census, tau, cut)
                 p_lo, _ = spec.enclosure(tau, 96)
                 _, m_hi = strong_mean_bounds(cut_census, spec, cut)

@@ -1,10 +1,13 @@
-"""Every exported name has a caller in the library or the benchmark.
+"""Every exported name, and every public method of an exported class, has a
+caller in the library or the benchmark.
 
 A name in a module's ``__all__`` counts as used when some code in
 ``src/walshdiv`` or ``perfbench`` refers to it outside its own definition: as
 a name or attribute in code, or, in ``perfbench``, as a string naming a
-wrapped target (``"AtomSum.render"``).  Imports, docstrings, comments and
-``__all__`` entries do not count.  Tests are not callers.
+wrapped target (``"AtomSum.render"``).  A method counts as used when its name
+appears the same way as an attribute, or as such a string, outside the
+method's own body.  Imports, docstrings, comments and ``__all__`` entries do
+not count.  Tests are not callers.
 """
 
 import ast
@@ -37,16 +40,17 @@ def _definition_lines(tree: ast.Module, name: str) -> set[int]:
     return lines
 
 
-def _references(path: Path, with_strings: bool) -> list[tuple[str, int]]:
-    """(identifier, line) for every name and attribute use in the file's code."""
+def _references(path: Path, with_strings: bool) -> list[tuple[str, int, bool]]:
+    """(identifier, line, is_name) for every name and attribute use in the
+    file's code; ``is_name`` is false for attributes and strings."""
     out = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
+            out.append((node.attr, node.lineno, False))
         elif with_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.extend((part, node.lineno) for part in node.value.split("."))
+            out.extend((part, node.lineno, False) for part in node.value.split("."))
     return out
 
 
@@ -65,14 +69,43 @@ def _exported() -> list[tuple[str, str]]:
     ]
 
 
+def _callers(name: str, own: Path, skip: set[int], attributes_only: bool) -> list[str]:
+    return [
+        f"{path.name}:{line}"
+        for path, refs in REFERENCES.items()
+        for ident, line, is_name in refs
+        if ident == name and not (attributes_only and is_name)
+        and not (path == own and line in skip)
+    ]
+
+
+def _exported_methods() -> list:
+    """(module, ``Class.method``, lines of its body) for every public method of
+    an exported class."""
+    out = []
+    for module, name in _exported():
+        for node in ast.parse(_source_path(module).read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name == name:
+                out += [
+                    pytest.param(module, f"{name}.{item.name}",
+                                 set(range(item.lineno, item.end_lineno + 1)),
+                                 id=f"{module}-{name}-{item.name}")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return out
+
+
 @pytest.mark.parametrize("module, name", _exported())
 def test_exported_name_has_a_caller_outside_tests(module, name):
     own = _source_path(module)
     skip = _definition_lines(ast.parse(own.read_text()), name)
-    callers = [
-        f"{path.name}:{line}"
-        for path, refs in REFERENCES.items()
-        for ident, line in refs
-        if ident == name and not (path == own and line in skip)
-    ]
-    assert callers, f"{module}.{name} is exported but only tests call it"
+    assert _callers(name, own, skip, attributes_only=False), (
+        f"{module}.{name} is exported but only tests call it")
+
+
+@pytest.mark.parametrize("module, method, body", _exported_methods())
+def test_public_method_has_a_caller_outside_tests(module, method, body):
+    name = method.rpartition(".")[2]
+    assert _callers(name, _source_path(module), body, attributes_only=True), (
+        f"{module}.{method} is public but only tests call it")

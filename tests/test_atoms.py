@@ -38,7 +38,8 @@ def random_atom_sum(rng: random.Random) -> AtomSum:
             shift = DyadicPoint(rng.randrange(0, 1 << 6), 6)
             coef = Fraction(rng.randrange(-6, 7) or 1, rng.randrange(1, 5))
             atoms.append(KernelAtom(coef, order, shift))
-    return AtomSum(atoms)
+    # every atom's spectrum lies below 2^level, the atom's own or the sum's
+    return AtomSum(atoms, [SpectralBlock(0, 1 << max(a.level for a in atoms))])
 
 
 class TestSpectralBlock:
@@ -142,7 +143,7 @@ class TestAtomSum:
         sums.append(AtomSum([
             KernelAtom(Fraction(1 << 62, 3), 4, DyadicPoint(5, 6)),
             IndicatorAtom(-1, 2, np.array([True, False, True, True]), 3),
-        ]))
+        ], [SpectralBlock(0, 4)]))
         for s in sums:
             g = s.render(8)
             for i in (0, 1, 17, 100, 255):
@@ -191,13 +192,14 @@ class TestAtomSum:
             [
                 KernelAtom(1, 16, DyadicPoint(1, 6)),
                 IndicatorAtom(1, 3, np.ones(8, dtype=bool), 0),
-            ]
+            ],
+            [SpectralBlock(0, 16, ("kernel", "indicator"))],
         )
         assert s.level == 6
-        assert s.max_spectral_index >= 16
+        assert s.max_spectral_index == 16
 
     def test_render_rejects_finer_atoms_and_big_grids(self):
-        s = AtomSum([KernelAtom(1, 1 << 10, DyadicPoint.zero())])
+        s = AtomSum([KernelAtom(1, 1 << 10, DyadicPoint.zero())], [SpectralBlock(0, 1 << 10)])
         with pytest.raises(ValueError):
             s.render(8)  # atom level 10 > resolution 8
         with pytest.raises(ValueError):

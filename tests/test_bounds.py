@@ -158,6 +158,13 @@ class TestEnclosures:
         assert lo == 0
         assert hi >= mpf_ref(mpmath.exp, Fraction(-100))
 
+    def test_exp_far_negative_keeps_a_bounded_denominator(self):
+        # 2^-floor(-x) here would be a 10^12-bit denominator
+        lo, hi = exp_enclosure(Fraction(-10**12), 96)
+        assert lo == 0
+        assert hi.denominator <= 1 << 96
+        assert mpmath.log(hi.numerator) - mpmath.log(hi.denominator) >= -10**12
+
     @pytest.mark.parametrize(
         "x", [Fraction(1, 7), Fraction(1), Fraction(2), Fraction(1000, 3)]
     )

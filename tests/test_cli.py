@@ -1,4 +1,4 @@
-"""Command-line behavior: exit codes, headers, tables, config, and plots."""
+"""Command-line behavior: exit codes, headers, tables, and plots."""
 
 import argparse
 import hashlib
@@ -282,6 +282,15 @@ class TestStrongMeanCommand:
 
 
 class TestChainCheckCommand:
+    @pytest.mark.parametrize("k", [8, 12, 24])
+    def test_far_growth_thresholds_are_quick(self, k, capsys):
+        # the threshold search encloses e^{-2n} for n up to about 2^62; an
+        # n-bit denominator there would take seconds, then all memory
+        start = time.perf_counter()
+        assert main(["chain-check", "--k", str(k)]) == 0
+        assert time.perf_counter() - start < 1
+        assert f"lhs={5000 * 4**k + 1} rhs=" in capsys.readouterr().out
+
     def test_pass_and_fail_codes(self, capsys):
         assert main(["chain-check", "--n", "151"]) == 0
         capsys.readouterr()
@@ -296,34 +305,6 @@ class TestChainCheckCommand:
         text = out_file.read_text()
         assert "# phi=exppow:2" in text
         assert "gamma = floor(log2 exp(n/36))" in text
-
-
-class TestConfigFile:
-    def test_config_supplies_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\nn = 1\nc = 2\n")
-        assert main(["build-fn", "--config", str(cfg)]) == 0
-        out = capsys.readouterr().out
-        assert "construction n=1 c=2" in out
-
-    def test_flag_overrides_config(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n=1\nc=2\n")
-        assert main(["build-fn", "--config", str(cfg), "--n", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "construction n=3 c=2" in out
-
-    def test_rejects_unknown_keys(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("resolution=9\n")
-        assert main(["build-fn", "--config", str(cfg)]) == 2
-        assert "expected one of" in one_error_line(capsys)
-
-    def test_rejects_malformed_lines(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n: 4\n")
-        assert main(["build-fn", "--config", str(cfg)]) == 2
-        assert "run.cfg:1: expected one of" in one_error_line(capsys)
 
 
 class TestPlotCommand:
@@ -414,7 +395,6 @@ class TestDeterminism:
     ["build-fn", "--n", "0", "--c", "3"],
     ["lemma1", "--n", "30", "--x", "7/2^5"],
     ["partial-sums", "--x", "1/2^2", "--l-min", "9", "--l-max", "5"],
-    ["lemma2", "--config", "missing.cfg"],
     ["plot", "--table", "missing.csv", "--x-col", "0", "--y-col", "1", "--svg", "x.svg"],
     # 10^12 cuts would need terabytes: rejected before the series is built
     ["partial-sums", "--x", "7/2^5", "--l-max", "1000000000000"],
@@ -440,6 +420,7 @@ class TestDeterminism:
     ["lemma2", "--mode", "sample"],
     ["lemma2", "--samples", "5"],
     ["chain-check", "--seed", "3"],
+    ["lemma2", "--config", "missing.cfg"],
 ])
 def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
     # run in an empty directory, so the missing files really are missing
@@ -451,6 +432,42 @@ def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("walshdiv: error: ")
     assert "Traceback" not in proc.stderr
+
+
+#: one successful invocation of each subcommand that takes --out
+WRITERS = [
+    ["lemma2", "--n", "5"],
+    ["measure-en", "--n-max", "5"],
+    ["build-fn"],
+    ["lemma1", "--n", "1", "--c", "2"],
+    ["partial-sums", "--x", "7/2^5", "--l-max", "4"],
+    ["strong-mean", "--x", "7/2^5", "--N-list", "16"],
+    ["chain-check"],
+]
+PLOT = ["plot", "--table", "t.csv", "--x-col", "0", "--y-col", "1", "--svg", "x.svg"]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+def test_an_unwritable_out_prints_nothing(argv, tmp_path, capsys):
+    # a directory cannot be written as a file; nothing reaches stdout first
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("walshdiv: error: ")
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["lemma2"], "# walshdiv lemma2\n# seed=0\n# mode=exhaustive\n# n=12\n"),
+    (["build-fn"], "# walshdiv build-fn\n# seed=0\n# c=3\n# grid=18\n# n=2\n"),
+    (["chain-check"], "# walshdiv chain-check\n# seed=0\n# k=1\n# n=151\n"
+                      "# phi=exppow:2\n"),
+    (["strong-mean", "--x", "7/2^5", "--N-list", "16"],
+     "# walshdiv strong-mean\n# seed=0\n# c=3\n# center=0\n# grid=18\n# n=2\n"
+     "# phis=exppow:2\n# threshold=1/20\n# x=7/2^5\n"),
+], ids=["lemma2", "build-fn", "chain-check", "strong-mean"])
+def test_default_n_and_c_give_the_documented_headers(argv, header, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(header)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -509,6 +526,7 @@ class TestParserPerCommand:
         ["lemma2", "--mode", "sample"],
         ["lemma2", "--samples", "5"],
         ["chain-check", "--seed", "3"],
+        *([*argv, "--config", "run.cfg"] for argv in [*WRITERS, PLOT]),
     ])
     def test_usage_errors_equal_the_full_parsers(self, argv, capsys):
         mine, full = self.outputs(argv, capsys)
@@ -519,15 +537,15 @@ class TestParserPerCommand:
 
 #: every option each subcommand accepts, in the order its help lists them
 OPTIONS = {
-    "lemma2": ["--config", "--out", "--n", "--cap"],
-    "measure-en": ["--config", "--out", "--n-min", "--n-max"],
-    "build-fn": ["--config", "--out", "--n", "--c", "--dump-coefficients"],
-    "lemma1": ["--config", "--out", "--n", "--c", "--x"],
-    "partial-sums": ["--config", "--out", "--n", "--c", "--x", "--l-min", "--l-max"],
-    "strong-mean": ["--config", "--out", "--n", "--c", "--x", "--phi", "--N-list",
+    "lemma2": ["--out", "--n", "--cap"],
+    "measure-en": ["--out", "--n-min", "--n-max"],
+    "build-fn": ["--out", "--n", "--c", "--dump-coefficients"],
+    "lemma1": ["--out", "--n", "--c", "--x"],
+    "partial-sums": ["--out", "--n", "--c", "--x", "--l-min", "--l-max"],
+    "strong-mean": ["--out", "--n", "--c", "--x", "--phi", "--N-list",
                     "--threshold", "--center"],
-    "chain-check": ["--config", "--out", "--n", "--k", "--phi"],
-    "plot": ["--config", "--out", "--table", "--x-col", "--y-col", "--svg", "--log-y",
+    "chain-check": ["--out", "--n", "--k", "--phi"],
+    "plot": ["--out", "--table", "--x-col", "--y-col", "--svg", "--log-y",
              "--title"],
 }
 

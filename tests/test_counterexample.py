@@ -48,7 +48,7 @@ from oracles import (
     measure_En,
 )
 
-EXP_POW_2 = PhiSpec.exp_power(2)
+EXP_POW_2 = PhiSpec("exp_power", 2)
 
 
 def digit(x: DyadicPoint, j: int) -> int:
@@ -338,6 +338,14 @@ class TestBuildFn:
             (1 << 15, 1 << 18, ("pairs 1..3",)),
         ]
 
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_blocks_are_sorted_and_disjoint(self, n, c):
+        # AtomSum stores the blocks as given; the CLI's summary and block
+        # table read them in order
+        blocks = build_fn(ConstructionParams(n, c)).spectral_blocks
+        assert all(a.hi <= b.lo for a, b in zip(blocks, blocks[1:]))
+
     def test_certificate_formula(self):
         # 2^gamma (1 - |E_n|) + 2, for a few small parameter sets
         for n, c in ((1, 2), (2, 2), (3, 2), (6, 2)):
@@ -608,14 +616,14 @@ class TestChainCheck:
     def test_divergence_display_fails_honestly_in_thin_band(self):
         # at n = 1 the growth condition holds but the displayed constant
         # inequality (and the n > 120 margins) genuinely fail
-        report = chain_check(1, 1, PhiSpec.exp_linear(250))
+        report = chain_check(1, 1, PhiSpec("exp_linear", 250))
         assert not report.ok
         rows = row_map(report)
         assert rows["Phi(n/(50*2^k)) > exp(2n)"].witness == "holds"
         assert rows["2^(-2n-1)*Phi(t) >= (e/2)^(2n)"].verdict == "fail"
 
     def test_never_attaining_kinds_report_none(self):
-        report = chain_check(200, 1, PhiSpec.power(2))
+        report = chain_check(200, 1, PhiSpec("power", 2))
         rows = row_map(report)
         row = rows["minimal n with Phi(n/(50*2^k)) > exp(2n)"]
         assert row.lhs_exact == "none"
@@ -630,9 +638,9 @@ class TestChainCheck:
 
 class TestGrowthThreshold:
     def test_exact_false_branches(self):
-        assert not c3_holds(PhiSpec.exp_linear(100), 400, 1)  # X = n <= 2n
-        assert not c3_holds(PhiSpec.power(2), 10, 1)  # t <= 1
-        assert not c3_holds(PhiSpec.power(2), 200, 1)  # p ln t far below 2n
+        assert not c3_holds(PhiSpec("exp_linear", 100), 400, 1)  # X = n <= 2n
+        assert not c3_holds(PhiSpec("power", 2), 10, 1)  # t <= 1
+        assert not c3_holds(PhiSpec("power", 2), 200, 1)  # p ln t far below 2n
 
     def test_threshold_boundary(self):
         assert not c3_holds(EXP_POW_2, 20000, 1)
@@ -645,17 +653,17 @@ class TestGrowthThreshold:
 
     def test_minimal_n_for_fast_exponential(self):
         # c > 100*2^k: threshold where cn/(50*2^k) - 2n clears ln(1+e^{2n})
-        n = minimal_n_for_c3(PhiSpec.exp_linear(300), 1)
-        assert not c3_holds(PhiSpec.exp_linear(300), n - 1, 1)
-        assert c3_holds(PhiSpec.exp_linear(300), n, 1)
+        n = minimal_n_for_c3(PhiSpec("exp_linear", 300), 1)
+        assert not c3_holds(PhiSpec("exp_linear", 300), n - 1, 1)
+        assert c3_holds(PhiSpec("exp_linear", 300), n, 1)
 
     def test_rejects_kinds_without_a_threshold(self):
         with pytest.raises(ValueError):
-            minimal_n_for_c3(PhiSpec.power(5), 1)
+            minimal_n_for_c3(PhiSpec("power", 5), 1)
         with pytest.raises(ValueError):
-            minimal_n_for_c3(PhiSpec.exp_power(1), 1)
+            minimal_n_for_c3(PhiSpec("exp_power", 1), 1)
         with pytest.raises(ValueError):
-            minimal_n_for_c3(PhiSpec.exp_linear(200), 1)  # needs c > 100*2^k
+            minimal_n_for_c3(PhiSpec("exp_linear", 200), 1)  # needs c > 100*2^k
 
 
 class TestReports:
