@@ -21,8 +21,11 @@ Implementation notes:
   value, so the endpoints equal those of exact Fraction arithmetic followed
   by the same outward roundings, bit for bit.
 - Callers that need a strict decision use :func:`decide_less`, which refines
-  precision until the interval separates the operands (the compared values
-  in this package are never equal to the rational side, so this terminates).
+  precision, up to a fixed 2**16 bits, until the intervals separate the
+  operands.  That terminates because no caller compares equal values: the
+  growth condition (c3) in ``counterexample.c3_holds`` decides its exact
+  ties by a rational test before it calls :func:`decide_less`, after which
+  it sets the transcendental ln(1 + e^{2n}) against an algebraic exponent.
 """
 
 from __future__ import annotations
@@ -208,20 +211,18 @@ def log1p_exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
 
 
 def decide_less(
-    lhs: Callable[[int], Enclosure],
-    rhs: Callable[[int], Enclosure],
-    max_prec: int = 1 << 16,
+    lhs: Callable[[int], Enclosure], rhs: Callable[[int], Enclosure]
 ) -> bool:
     """Certified truth of lhs < rhs, refining precision until separated.
 
     ``lhs`` and ``rhs`` map a precision to an enclosure of their value; the
-    first try is at 96 bits, and each further one doubles the precision.
-    Raises if the two stay inseparable at ``max_prec`` (which indicates the
-    compared values may be equal — callers only compare values known to
-    differ).
+    first try is at 96 bits, and each further one doubles the precision up to
+    a fixed 2**16 bits.  Equal values never separate, so callers compare only
+    values known to differ; ``counterexample.c3_holds`` settles its exact ties
+    (X = 2n) rationally first.  Raises if the two stay inseparable at the cap.
     """
     prec = _DEFAULT_PREC
-    while prec <= max_prec:
+    while prec <= 1 << 16:
         llo, lhi = lhs(prec)
         rlo, rhi = rhs(prec)
         if lhi < rlo:

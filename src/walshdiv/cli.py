@@ -517,7 +517,6 @@ def _chain_check_options(p: argparse.ArgumentParser) -> None:
 
 
 def _plot_options(p: argparse.ArgumentParser) -> None:
-    _common_options(p)
     p.add_argument("--table", required=True, help="input CSV path")
     p.add_argument("--x-col", required=True, help="column name or index")
     p.add_argument("--y-col", required=True, help="column name or index")

@@ -43,7 +43,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import ClassVar, Iterator, NamedTuple
 
 import numpy as np
@@ -97,9 +97,6 @@ MEASURE_N_MAX = 10_000
 
 #: Bits of the fixed-point enclosure of e^{-n/36} behind :func:`measure_bound`.
 MEASURE_BOUND_BITS = 96
-
-#: Precision at which :func:`c3_holds` gives up on separating the two sides.
-_C3_MAX_PREC = 1 << 14
 
 
 class EmptySelectionError(ValueError):
@@ -1035,21 +1032,22 @@ def verify_lemma1(params: ConstructionParams, x: DyadicPoint) -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 
-def _phi_main_exponent(phi: PhiSpec, t: Fraction):
-    """For exponential kinds, X with Φ(t) = e^X - 1: exact Fraction or None."""
+def _exponent(phi: PhiSpec, t: Fraction, prec: int) -> bounds.Enclosure:
+    """Enclosure of X with Φ(t) = e^X - 1, for the two exponential kinds."""
     if phi.kind == "exp_linear":
-        return phi.parameter * t
-    if phi.kind == "exp_power" and phi.parameter.denominator == 1:
-        return t ** int(phi.parameter)
-    return None
+        X = phi.parameter * t
+        return (X, X)
+    return bounds.pow_enclosure(t, phi.parameter, prec)
 
 
 def c3_holds(phi: PhiSpec, n: int, k: int) -> bool:
     """Certified decision of Φ(n / (50·2^k)) > e^{2n}.
 
-    For exponential Φ = e^X - 1 the comparison is X > ln(1 + e^{2n}); since
-    ln(1 + e^{2n}) > 2n always, a rational X ≤ 2n decides falsity exactly and
-    avoids evaluating the huge exponential.
+    For exponential Φ = e^X - 1 the comparison is X > ln(1 + e^{2n}).  Since
+    ln(1 + e^{2n}) > 2n always, an exact rational test of X ≤ 2n decides
+    falsity, ties included: c·t ≤ 2n for exp_linear, t^a ≤ (2n)^b for
+    exp_power at α = a/b.  Past that test X is algebraic and ln(1 + e^{2n})
+    transcendental, so the two differ and their enclosures separate.
     """
     t = Fraction(n, 50 << k)
     if phi.kind == "power":
@@ -1061,64 +1059,59 @@ def c3_holds(phi: PhiSpec, n: int, k: int) -> bool:
             lo, hi = bounds.ln_enclosure(t, prec)
             return (phi.parameter * lo, phi.parameter * hi)
 
-        return bounds.decide_less(
-            lambda prec: (Fraction(2 * n), Fraction(2 * n)), lhs, max_prec=_C3_MAX_PREC
-        )
-    X = _phi_main_exponent(phi, t)
-    if X is not None:
-        if X <= 2 * n:
-            return False
-        return bounds.decide_less(
-            lambda prec: bounds.log1p_exp_enclosure(Fraction(2 * n), prec),
-            lambda prec: (X, X),
-            max_prec=_C3_MAX_PREC,
-        )
-    # non-integer exp_power exponent: enclose t^alpha
-    lo, hi = bounds.pow_enclosure(t, phi.parameter, 96)
-    if hi <= 2 * n:
+        return bounds.decide_less(lambda prec: (Fraction(2 * n), Fraction(2 * n)), lhs)
+    if phi.kind == "exp_linear":
+        at_most_2n = phi.parameter * t <= 2 * n
+    else:
+        at_most_2n = t**phi.parameter.numerator <= (2 * n) ** phi.parameter.denominator
+    if at_most_2n:
         return False
-    if lo <= 2 * n:  # refine once before conceding to the interval decision
-        lo, hi = bounds.pow_enclosure(t, phi.parameter, 512)
-        if hi <= 2 * n:
-            return False
     return bounds.decide_less(
         lambda prec: bounds.log1p_exp_enclosure(Fraction(2 * n), prec),
-        lambda prec: bounds.pow_enclosure(t, phi.parameter, prec),
-        max_prec=_C3_MAX_PREC,
+        lambda prec: _exponent(phi, t, prec),
     )
 
 
-@lru_cache(maxsize=64)
+def _iroot(x: int, m: int) -> int:
+    """⌊x^(1/m)⌋ for integers x ≥ 1 and m ≥ 1, by Newton steps from above."""
+    r = 1 << -(-x.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + x // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
+
+
 def minimal_n_for_c3(phi: PhiSpec, k: int) -> int:
     """Smallest n with Φ(n/(50·2^k)) > e^{2n}, when one exists.
 
     Supported when the inequality holds for all large n: exp_power with
     α > 1, or exp_linear with c > 100·2^k.  Other kinds either never exceed
     e^{2n} or do so only on a bounded window, and are rejected.
+
+    Let n0 be the least n with X > 2n; below it (c3) is false by the exact
+    test of :func:`c3_holds`.  For exp_power at α = a/b, t^a > (2n)^b reads
+    n^(a-b) > 2^b·(50·2^k)^a, so
+    n0 = ⌊(2^b·(50·2^k)^a)^(1/(a-b))⌋ + 1; for exp_linear n0 = 1.  From n0 on,
+    X - 2n grows and ln(1 + e^{2n}) - 2n shrinks, so the first n ≥ n0 where
+    (c3) holds is the least.
     """
     if phi.kind == "exp_power":
         if phi.parameter <= 1:
             raise ValueError("exp_power needs alpha > 1 for (c3) to eventually hold")
+        a, b = phi.parameter.numerator, phi.parameter.denominator
+        n = _iroot((1 << b) * (50 << k) ** a, a - b) + 1
     elif phi.kind == "exp_linear":
         if phi.parameter <= 100 << k:
             raise ValueError(
                 "exp_linear needs c > 100*2^k for (c3) to eventually hold"
             )
+        n = 1
     else:
         raise ValueError(f"(c3) does not eventually hold for kind {phi.kind!r}")
-    hi = 1
-    while not c3_holds(phi, hi, k):
-        hi <<= 1
-        if hi > 1 << 62:
-            raise ArithmeticError("no (c3) threshold found below 2^62")
-    lo = hi >> 1  # c3 fails at lo (or lo = 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if c3_holds(phi, mid, k):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    while not c3_holds(phi, n, k):
+        n += 1
+    return n
 
 
 def _ln_phi_enclosure(phi: PhiSpec, t: Fraction, prec: int) -> bounds.Enclosure:
@@ -1126,11 +1119,7 @@ def _ln_phi_enclosure(phi: PhiSpec, t: Fraction, prec: int) -> bounds.Enclosure:
     if phi.kind == "power":
         lo, hi = bounds.ln_enclosure(t, prec)
         return (phi.parameter * lo, phi.parameter * hi)
-    X = _phi_main_exponent(phi, t)
-    if X is None:
-        X_lo, X_hi = bounds.pow_enclosure(t, phi.parameter, prec)
-    else:
-        X_lo = X_hi = X
+    X_lo, X_hi = _exponent(phi, t, prec)
     if X_lo < 1:
         raise ArithmeticError("ln Phi enclosure needs the exponent to exceed 1")
     # ln(e^X - 1) = X + ln(1 - e^-X), and 0 > ln(1 - u) >= -2u for u <= 1/2
@@ -1247,24 +1236,19 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
     if not c3:
         try:
             minimal = minimal_n_for_c3(phi, k)
-            rows.append(
-                AssertionRecord(
-                    "minimal n with Phi(n/(50*2^k)) > exp(2n)",
-                    str(minimal),
-                    "",
-                    "reported",
-                )
-            )
         except ValueError as err:
-            rows.append(
-                AssertionRecord(
-                    "minimal n with Phi(n/(50*2^k)) > exp(2n)",
-                    "none",
-                    "",
-                    "reported",
-                    str(err),
-                )
+            lhs, witness = "none", str(err)
+        else:
+            lhs, witness = str(minimal), ""
+        rows.append(
+            AssertionRecord(
+                "minimal n with Phi(n/(50*2^k)) > exp(2n)",
+                lhs,
+                "",
+                "reported",
+                witness,
             )
+        )
     else:
         rows.append(_final_display_row(phi, n, k))
     return LemmaReport(

@@ -23,6 +23,10 @@ The window census of f_n's partial sums:
   periodicity D_l(y) = D_{l mod 2^E}(y) with the library, so it also reaches
   orders q far past any grid; it does not apply where S_l drifts (x = θ_j).
 
+The growth condition (c3), Φ(n/(50·2^k)) > e^{2n} at Φ = e^X - 1, is held
+against :func:`c3_by_enclosures`, which decides it by enclosures alone: no
+exact test of X ≤ 2n, so it cannot settle an exact tie.
+
 The sign-change set E_n and its checks are held against Fraction arithmetic
 and a scan of every cell:
 
@@ -56,8 +60,25 @@ from walshdiv.counterexample import (
     build_fn,
 )
 from walshdiv.dyadic import DyadicPoint, containing_interval
-from walshdiv.fourier import Census
+from walshdiv.fourier import Census, PhiSpec
 from walshdiv.walsh import ExactSeries, GridVector, _normalized, bit_reverse, fwht
+
+
+# ---------------------------------------------------------------------------
+# the growth condition (c3)
+# ---------------------------------------------------------------------------
+
+
+def c3_by_enclosures(phi: PhiSpec, n: int, k: int) -> bool:
+    """ln(1 + e^{2n}) < X at t = n/(50·2^k), X = c·t or t^α, by enclosures only."""
+    t = Fraction(n, 50 << k)
+    if phi.kind == "exp_linear":
+        exponent = lambda prec: (phi.parameter * t, phi.parameter * t)
+    else:
+        exponent = lambda prec: bounds.pow_enclosure(t, phi.parameter, prec)
+    return bounds.decide_less(
+        lambda prec: bounds.log1p_exp_enclosure(Fraction(2 * n), prec), exponent
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -282,10 +282,10 @@ class TestStrongMeanCommand:
 
 
 class TestChainCheckCommand:
-    @pytest.mark.parametrize("k", [8, 12, 24])
+    @pytest.mark.parametrize("k", [8, 12, 24, 25, 100, 1000])
     def test_far_growth_thresholds_are_quick(self, k, capsys):
-        # the threshold search encloses e^{-2n} for n up to about 2^62; an
-        # n-bit denominator there would take seconds, then all memory
+        # the least n is one integer root and one (c3) decision there, with
+        # e^{-2n} enclosed at 2^-prec however large n is
         start = time.perf_counter()
         assert main(["chain-check", "--k", str(k)]) == 0
         assert time.perf_counter() - start < 1
@@ -476,6 +476,9 @@ def test_default_n_and_c_give_the_documented_headers(argv, header, capsys):
     (["chain-check", "--n", "-5"], "n must be positive, got -5"),
     (["lemma2", "--n", "-5"], "n must be positive, got -5"),
     (["strong-mean", "--x", "7/2^5", "--N-list", "16,a"], "bad N list '16,a'"),
+    # the least n has 4,821 digits, past what Python prints
+    (["chain-check", "--k", "8000"], "Exceeds the limit (4300 digits) for integer "
+     "string conversion; use sys.set_int_max_str_digits() to increase the limit"),
 ])
 def test_rejected_values_are_named(argv, message, capsys):
     assert main(argv) == 2
@@ -527,6 +530,7 @@ class TestParserPerCommand:
         ["lemma2", "--samples", "5"],
         ["chain-check", "--seed", "3"],
         *([*argv, "--config", "run.cfg"] for argv in [*WRITERS, PLOT]),
+        [*PLOT, "--out", "y.csv"],
     ])
     def test_usage_errors_equal_the_full_parsers(self, argv, capsys):
         mine, full = self.outputs(argv, capsys)
@@ -545,7 +549,7 @@ OPTIONS = {
     "strong-mean": ["--out", "--n", "--c", "--x", "--phi", "--N-list",
                     "--threshold", "--center"],
     "chain-check": ["--out", "--n", "--k", "--phi"],
-    "plot": ["--out", "--table", "--x-col", "--y-col", "--svg", "--log-y",
+    "plot": ["--table", "--x-col", "--y-col", "--svg", "--log-y",
              "--title"],
 }
 

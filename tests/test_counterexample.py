@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from walshdiv._kernels import walsh_sign_row
 from walshdiv.counterexample import (
@@ -43,6 +43,7 @@ from walshdiv.walsh import GridVector, bit_reverse, dirichlet, walsh
 from oracles import (
     _count_above,
     _partial_sums_scaled,
+    c3_by_enclosures,
     integral_Dstar_grid,
     lemma2_exhaustive_rows,
     measure_En,
@@ -647,9 +648,61 @@ class TestGrowthThreshold:
         assert c3_holds(EXP_POW_2, 20001, 1)
 
     def test_minimal_n_frozen(self):
-        assert [minimal_n_for_c3(EXP_POW_2, k) for k in range(5)] == [
-            5001, 20001, 80001, 320001, 1280001,
-        ]
+        minima = [minimal_n_for_c3(EXP_POW_2, k) for k in range(25)]
+        assert minima[:5] == [5001, 20001, 80001, 320001, 1280001]
+        # t^2 > 2n reads n > 2·(50·2^k)^2 = 5000·4^k
+        assert minima == [5000 * 4**k + 1 for k in range(25)]
+
+    @pytest.mark.parametrize("alpha, minima", [
+        (Fraction(3, 2), [4000001, 32000001, 256000001]),
+        (Fraction(5, 3), [282843, 1600001]),
+    ])
+    def test_minimal_n_at_fractional_alpha(self, alpha, minima):
+        phi = PhiSpec("exp_power", alpha)
+        assert [minimal_n_for_c3(phi, k) for k in range(1, len(minima) + 1)] == minima
+
+    @pytest.mark.parametrize("c, k, n", [
+        (300, 1, 1), (201, 1, 2), (101, 0, 2), (1001, 3, 1),
+        (100 * 2**10 + 1, 10, 5), (100 * 2**40 + 1, 40, 15),
+    ])
+    def test_minimal_n_for_exp_linear_frozen(self, c, k, n):
+        assert minimal_n_for_c3(PhiSpec("exp_linear", c), k) == n
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_exact_tie_is_decided(self, k):
+        # at n = 4·(50·2^k)^3, t^(3/2) = 2n exactly: no enclosure separates
+        # X from 2n, and ln(1 + e^{2n}) > 2n makes (c3) false there
+        phi = PhiSpec("exp_power", Fraction(3, 2))
+        n = 4 * (50 << k) ** 3
+        assert not c3_holds(phi, n, k)
+        assert c3_holds(phi, n + 1, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda b: st.tuples(st.integers(b + 1, 3 * b), st.just(b))
+        ),
+        st.integers(0, 8),
+        st.integers(-64, 64),
+        st.integers(1, 10**6),
+    )
+    def test_exact_decision_matches_enclosures(self, ab, k, offset, n_far):
+        # n near the closed-form threshold, where the two sides are closest
+        a, b = ab
+        phi = PhiSpec("exp_power", Fraction(a, b))
+        near = round((2**b * (50 << k) ** a) ** (1 / (a - b)))
+        for n in (max(1, near + offset), n_far):
+            t = Fraction(n, 50 << k)
+            assume(t**a != (2 * n) ** b)
+            assert c3_holds(phi, n, k) == c3_by_enclosures(phi, n, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 8), st.integers(-50, 50), st.integers(1, 40))
+    def test_exact_linear_decision_matches_enclosures(self, k, dc, n):
+        # c = 100·2^k + dc, so c·t - 2n = n·dc/(50·2^k)
+        assume(dc != 0)
+        phi = PhiSpec("exp_linear", (100 << k) + dc)
+        assert c3_holds(phi, n, k) == c3_by_enclosures(phi, n, k)
 
     def test_minimal_n_for_fast_exponential(self):
         # c > 100*2^k: threshold where cn/(50*2^k) - 2n clears ln(1+e^{2n})

@@ -102,3 +102,17 @@ def test_traced_partial_sums_counts():
                       "--l-max", "64"])
     assert report["status"] == 0
     assert report["values"]["counterexample.partial_sum_series.calls"] == 1
+
+
+def test_traced_chain_check_decides_c3_once():
+    # the γ row plus one (c3) decision at the closed-form threshold
+    report = _traced(["chain-check", "--k", "24"])
+    assert report["status"] == 0
+    assert report["values"]["bounds.decide_less.calls"] == 2
+
+
+def test_traced_chain_check_at_fractional_alpha_needs_no_refinement():
+    # the threshold n = 4·100^3 + 1 lies one above the exact tie t^(3/2) = 2n
+    report = _traced(["chain-check", "--k", "1", "--phi", "exppow:3/2"])
+    assert report["status"] == 0
+    assert report["values"]["bounds.decide_less.max_prec"] == 96
