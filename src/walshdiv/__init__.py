@@ -8,7 +8,7 @@ Subpackages:
   densities;
 - :mod:`walshdiv.counterexample` — the divergence construction and its
   lemma-level machine checks;
-- :mod:`walshdiv.cli` — verification command line (CSV reports, SVG plots).
+- :mod:`walshdiv.cli` — verification command line (CSV reports).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Command-line front end: verifications, tables, and SVG plots.
+"""Command-line front end: verifications and CSV tables.
 
 Subcommands
 -----------
@@ -9,26 +9,29 @@ Subcommands
 ``partial-sums``  S_l table over a cut range at a point
 ``strong-mean``   strong means table over N for a list of growth functions
 ``chain-check``   scalar inequality chains at (n, k, Φ)
-``plot``          CSV table → SVG 1.1 polyline
 
-Conventions: parameters come from flags only, each with its default in the
-subcommand's parser.  Every output starts with ``#`` comment lines echoing
-the subcommand and effective parameters; identical invocations produce
-byte-identical output.  With ``--out`` the file is written before anything
-is printed, so a path that cannot be written leaves stdout empty.  The exit
-status is 0 exactly when no asserted row failed, 1 when one did, and 2 when
-the parameters are rejected or a file cannot be read or written (one
-``walshdiv: error:`` line on stderr).
+Conventions: parameters come from flags only.  One table, ``_SUBCOMMANDS``,
+holds each subcommand's options with their converters and defaults; the
+parser walks ``argv`` against it and help is printed from it.  A flag is
+spelled out in full (no abbreviations) and takes its value as
+``--flag value`` or ``--flag=value``; the token after a flag is its value
+even when it starts with ``-``, so ``--center -1/2`` works.  Every output
+starts with ``#`` comment lines echoing the subcommand and effective
+parameters; identical invocations produce byte-identical output.  With
+``--out`` the file is written before anything is printed, so a path that
+cannot be written leaves stdout empty.  The exit status is 0 exactly when no
+asserted row failed, 1 when one did, and 2 when the parameters are rejected
+or a file cannot be read or written (one ``walshdiv: error:`` line on
+stderr, nothing on stdout).
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import math
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -73,7 +76,7 @@ def _exit_code(failures: list[str]) -> int:
     return 0
 
 
-def _emit(ns: argparse.Namespace, shown: str, text: str) -> None:
+def _emit(ns: SimpleNamespace, shown: str, text: str) -> None:
     """Print ``shown``, then ``text`` too, or write ``text`` to --out and say so.
 
     The file is written before anything is printed, so a path that cannot be
@@ -124,7 +127,7 @@ def _index(v: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _finish_reports(ns: argparse.Namespace, header: str, reports: list[LemmaReport]) -> int:
+def _finish_reports(ns: SimpleNamespace, header: str, reports: list[LemmaReport]) -> int:
     """Write the reports' CSV to --out if given, print them, and map them to an
     exit code."""
     if ns.out:
@@ -137,13 +140,13 @@ def _finish_reports(ns: argparse.Namespace, header: str, reports: list[LemmaRepo
     ])
 
 
-def _cmd_lemma2(ns: argparse.Namespace) -> int:
+def _cmd_lemma2(ns: SimpleNamespace) -> int:
     report = verify_lemma2(ns.n, cap=ns.cap)
     options = (("n", str(ns.n)), ("mode", dict(report.parameters)["mode"]))
     return _finish_reports(ns, _header("lemma2", options), [report])
 
 
-def _cmd_measure_en(ns: argparse.Namespace) -> int:
+def _cmd_measure_en(ns: SimpleNamespace) -> int:
     n_min, n_max = ns.n_min, ns.n_max
     header = _header("measure-en", (("n_min", str(n_min)), ("n_max", str(n_max))))
     failures = []
@@ -166,7 +169,7 @@ def _cmd_measure_en(ns: argparse.Namespace) -> int:
     return _exit_code(failures)
 
 
-def _cmd_build_fn(ns: argparse.Namespace) -> int:
+def _cmd_build_fn(ns: SimpleNamespace) -> int:
     params = ConstructionParams(ns.n, ns.c)
     n, c = params.n, params.c
     if ns.dump_coefficients and params.q_exponent > GRID_CAP:
@@ -204,7 +207,7 @@ def _cmd_build_fn(ns: argparse.Namespace) -> int:
     return _exit_code(failures)
 
 
-def _cmd_lemma1(ns: argparse.Namespace) -> int:
+def _cmd_lemma1(ns: SimpleNamespace) -> int:
     params = ConstructionParams(ns.n, ns.c)
     n, c = params.n, params.c
     params.check_buildable()  # before the header and any of the 2^(n+2) points
@@ -220,7 +223,7 @@ def _cmd_lemma1(ns: argparse.Namespace) -> int:
     return _finish_reports(ns, header, reports)
 
 
-def _cmd_partial_sums(ns: argparse.Namespace) -> int:
+def _cmd_partial_sums(ns: SimpleNamespace) -> int:
     params = ConstructionParams(ns.n, ns.c)
     n, c = params.n, params.c
     x = parse_point(ns.x)
@@ -242,19 +245,21 @@ def _cmd_partial_sums(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_strong_mean(ns: argparse.Namespace) -> int:
+def _cmd_strong_mean(ns: SimpleNamespace) -> int:
     params = ConstructionParams(ns.n, ns.c)
     n, c = params.n, params.c
     x = parse_point(ns.x)
-    phis = [parse_phi(text) for text in (ns.phi or ["exppow:2"])]
+    phis = [parse_phi(text) for text in ns.phi]
     try:
         n_list = sorted({int(tok) for tok in ns.n_list.split(",") if tok})
     except ValueError:
         n_list = []
     if not n_list or n_list[0] < 1:
         raise ValueError(f"bad N list {ns.n_list!r}")
-    threshold = Fraction(ns.threshold) if ns.threshold else Fraction(n, 40)
-    center = Fraction(ns.center)
+    threshold = Fraction(n, 40) if ns.threshold is None else ns.threshold
+    if threshold < 0:
+        raise ValueError(f"--threshold must be at least 0, got {_frac(threshold)}")
+    center = ns.center
     sums = WindowSums(params, x, n_list[-1])  # one build serves every N
     censuses = {N: sums.census(N) for N in n_list}
     grid = params.q_exponent if params.q_exponent <= GRID_CAP else "symbolic"
@@ -294,7 +299,7 @@ def _cmd_strong_mean(ns: argparse.Namespace) -> int:
     return _exit_code(failures)
 
 
-def _cmd_chain_check(ns: argparse.Namespace) -> int:
+def _cmd_chain_check(ns: SimpleNamespace) -> int:
     phi = parse_phi(ns.phi)
     report = chain_check(ns.n, ns.k, phi)
     header = _header(
@@ -305,267 +310,155 @@ def _cmd_chain_check(ns: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# plotting
+# option table and parser
 # ---------------------------------------------------------------------------
 
 
-def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    data_lines = [
-        line
-        for line in Path(path).read_text().splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not data_lines:
-        raise ValueError(f"{path}: no table found")
-    parsed = list(csv.reader(data_lines))
-    header = [c.strip() for c in parsed[0]]
-    rows = [[c.strip() for c in row] for row in parsed[1:]]
-    return header, rows
+def _rational(text: str) -> Fraction:
+    return Fraction(text)
 
 
-def _column(header: list[str], rows: list[list[str]], spec: str) -> list[float]:
-    if spec.isdigit():
-        idx = int(spec)
-        if idx >= len(header):
-            raise ValueError(f"column index {idx} out of range for {header}")
-    else:
-        try:
-            idx = header.index(spec)
-        except ValueError:
-            raise ValueError(f"no column {spec!r} in {header}") from None
-    out = []
-    for row in rows:
-        cell = row[idx]
-        try:
-            out.append(float(Fraction(cell)))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"column {spec!r}: non-numeric cell {cell!r}") from None
-    return out
+_REQUIRED = object()  # the default of an option that must be given
 
+_OUT = ("--out", str, None, "write the CSV table to this path")
+_N_C = (("--n", int, 2, "construction order"), ("--c", int, 3, "growth constant"))
+_X = "evaluation point a/2^e"
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
-
-
-def _svg_polyline(
-    xs: list[float],
-    ys: list[float],
-    title: str,
-    log_y: bool,
-) -> str:
-    width, height, margin = 640.0, 420.0, 56.0
-    if log_y:
-        if min(ys) <= 0:
-            raise ValueError("log scale requires strictly positive y values")
-        ys = [math.log10(v) for v in ys]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    span_x, span_y = x_hi - x_lo, y_hi - y_lo
-    inner_w, inner_h = width - 2 * margin, height - 2 * margin
-
-    def px(vx: float) -> float:
-        return margin + (vx - x_lo) / span_x * inner_w
-
-    def py(vy: float) -> float:
-        return height - margin - (vy - y_lo) / span_y * inner_h
-
-    def fmt_tick(v: float) -> str:
-        return f"{10.0 ** v:.3g}" if log_y else f"{v:.6g}"
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" '
-        f'fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="monospace" font-size="13">{_xml_escape(title)}</text>',
-        f'<line x1="{margin:.1f}" y1="{height - margin:.1f}" '
-        f'x2="{width - margin:.1f}" y2="{height - margin:.1f}" '
-        f'stroke="black" stroke-width="1"/>',
-        f'<line x1="{margin:.1f}" y1="{margin:.1f}" '
-        f'x2="{margin:.1f}" y2="{height - margin:.1f}" '
-        f'stroke="black" stroke-width="1"/>',
-    ]
-    for tick in _ticks(x_lo, x_hi):
-        tx = px(tick)
-        parts.append(
-            f'<line x1="{tx:.2f}" y1="{height - margin:.1f}" '
-            f'x2="{tx:.2f}" y2="{height - margin + 5:.1f}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{tx:.2f}" y="{height - margin + 18:.1f}" '
-            f'text-anchor="middle" font-family="monospace" font-size="11">'
-            f"{tick:.6g}</text>"
-        )
-    for tick in _ticks(y_lo, y_hi):
-        ty = py(tick)
-        parts.append(
-            f'<line x1="{margin - 5:.1f}" y1="{ty:.2f}" '
-            f'x2="{margin:.1f}" y2="{ty:.2f}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{margin - 8:.1f}" y="{ty + 4:.2f}" text-anchor="end" '
-            f'font-family="monospace" font-size="11">{fmt_tick(tick)}</text>'
-        )
-    points = " ".join(f"{px(vx):.2f},{py(vy):.2f}" for vx, vy in zip(xs, ys))
-    parts.append(
-        f'<polyline fill="none" stroke="#1f6feb" stroke-width="1.5" '
-        f'points="{points}"/>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def _xml_escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
-
-
-def _cmd_plot(ns: argparse.Namespace) -> int:
-    header, rows = _read_table(ns.table)
-    if not rows:
-        raise ValueError(f"{ns.table}: table has no data rows")
-    xs = _column(header, rows, ns.x_col)
-    ys = _column(header, rows, ns.y_col)
-    title = ns.title or f"{ns.y_col} vs {ns.x_col}"
-    svg = _svg_polyline(xs, ys, title, ns.log_y)
-    Path(ns.svg).write_text(svg)
-    print(f"wrote {ns.svg} ({len(rows)} points)")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# argument parsing
-# ---------------------------------------------------------------------------
-
-
-class _Parser(argparse.ArgumentParser):
-    """Usage errors end in one ``walshdiv: error:`` line; subparsers inherit it."""
-
-    def error(self, message: str):
-        self.exit(2, f"walshdiv: error: {message}\n")
-
-
-def _common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write CSV output to this path")
-
-
-def _construction_options(p: argparse.ArgumentParser) -> None:
-    _common_options(p)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--c", type=int, default=3)
-
-
-def _lemma2_options(p: argparse.ArgumentParser) -> None:
-    _common_options(p)
-    p.add_argument("--n", type=int, default=12)
-    p.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP,
-                   help="scan every order up to this cap (default: %(default)s); "
-                   "the closed form decides the others where it can")
-
-
-def _measure_en_options(p: argparse.ArgumentParser) -> None:
-    _common_options(p)
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=100)
-
-
-def _build_fn_options(p: argparse.ArgumentParser) -> None:
-    _construction_options(p)
-    p.add_argument("--dump-coefficients", action="store_true")
-
-
-def _lemma1_options(p: argparse.ArgumentParser) -> None:
-    _construction_options(p)
-    p.add_argument("--x", help="evaluation point a/2^e (default: all cells)")
-
-
-def _partial_sums_options(p: argparse.ArgumentParser) -> None:
-    _construction_options(p)
-    p.add_argument("--x", required=True, help="evaluation point a/2^e")
-    p.add_argument("--l-min", type=int, default=1)
-    p.add_argument("--l-max", type=int, required=True)
-
-
-def _strong_mean_options(p: argparse.ArgumentParser) -> None:
-    _construction_options(p)
-    p.add_argument("--x", required=True, help="evaluation point a/2^e")
-    p.add_argument("--phi", action="append",
-                   help="growth function pow:p | exp:c | exppow:a (repeatable)")
-    p.add_argument("--N-list", dest="n_list", default="16,256,4096",
-                   help="comma-separated cut counts")
-    p.add_argument("--threshold", help="exceedance threshold (default n/40)")
-    p.add_argument("--center", default="0", help="center s of |S_k - s|")
-
-
-def _chain_check_options(p: argparse.ArgumentParser) -> None:
-    _common_options(p)
-    p.add_argument("--n", type=int, default=151)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--phi", default="exppow:2")
-
-
-def _plot_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--table", required=True, help="input CSV path")
-    p.add_argument("--x-col", required=True, help="column name or index")
-    p.add_argument("--y-col", required=True, help="column name or index")
-    p.add_argument("--svg", required=True, help="output SVG path")
-    p.add_argument("--log-y", action="store_true")
-    p.add_argument("--title", default="")
-
-
-# subcommand -> (help, handler, options), in the order help lists them
+# subcommand -> (help, handler, options), in the order help lists them.  An
+# option is (flag, converter, default, help): converter None makes a switch,
+# a list default a repeatable option whose given values replace the default.
 _SUBCOMMANDS = {
-    "lemma2": ("verify the sign-change lemma", _cmd_lemma2, _lemma2_options),
-    "measure-en": ("exact measure table against the bound", _cmd_measure_en,
-                   _measure_en_options),
-    "build-fn": ("construction summary / coefficient dump", _cmd_build_fn,
-                 _build_fn_options),
-    "lemma1": ("partial-sum verification at a point", _cmd_lemma1, _lemma1_options),
-    "partial-sums": ("S_l table over a cut range", _cmd_partial_sums,
-                     _partial_sums_options),
-    "strong-mean": ("strong means table over N", _cmd_strong_mean,
-                    _strong_mean_options),
-    "chain-check": ("scalar inequality chains", _cmd_chain_check,
-                    _chain_check_options),
-    "plot": ("CSV table to SVG polyline", _cmd_plot, _plot_options),
+    "lemma2": ("verify the sign-change lemma", _cmd_lemma2, (
+        _OUT,
+        ("--n", int, 12, "order"),
+        ("--cap", int, EXHAUSTIVE_CAP, "scan every order up to this cap; the "
+         "closed form decides the others where it can"),
+    )),
+    "measure-en": ("exact measure table against the bound", _cmd_measure_en, (
+        _OUT,
+        ("--n-min", int, 1, "first order"),
+        ("--n-max", int, 100, "last order"),
+    )),
+    "build-fn": ("construction summary / coefficient dump", _cmd_build_fn, (
+        _OUT, *_N_C,
+        ("--dump-coefficients", None, False, "tabulate every nonzero coefficient"),
+    )),
+    "lemma1": ("partial-sum verification at a point", _cmd_lemma1, (
+        _OUT, *_N_C,
+        ("--x", str, None, f"{_X} (default: all cells)"),
+    )),
+    "partial-sums": ("S_l table over a cut range", _cmd_partial_sums, (
+        _OUT, *_N_C,
+        ("--x", str, _REQUIRED, _X),
+        ("--l-min", int, 1, "first cut"),
+        ("--l-max", int, _REQUIRED, "last cut"),
+    )),
+    "strong-mean": ("strong means table over N", _cmd_strong_mean, (
+        _OUT, *_N_C,
+        ("--x", str, _REQUIRED, _X),
+        ("--phi", str, ["exppow:2"], "growth function pow:p | exp:c | exppow:a"),
+        ("--N-list", str, "16,256,4096", "comma-separated cut counts"),
+        ("--threshold", _rational, None, "exceedance threshold (default: n/40)"),
+        ("--center", _rational, Fraction(0), "center s of |S_k - s|"),
+    )),
+    "chain-check": ("scalar inequality chains", _cmd_chain_check, (
+        _OUT,
+        ("--n", int, 151, "order"),
+        ("--k", int, 1, "stage"),
+        ("--phi", str, "exppow:2", "growth function pow:p | exp:c | exppow:a"),
+    )),
 }
 
+_HELP = ("-h", "--help")
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """Only the subparser ``argv[0]`` names, or all of them when it names none,
-    so top-level help and the invalid-choice error list every subcommand."""
-    parser = _Parser(
-        prog="walshdiv",
-        description="Exact verification tools for a Walsh-series divergence "
-        "construction.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
-    for name in names:
-        help_text, handler, add_options = _SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_options(p)
-        p.set_defaults(handler=handler)
-    return parser
+
+def _help(name: str | None) -> str:
+    """Usage of ``name``, or of the whole command line when it is None."""
+    if name is None:
+        lines = ["usage: walshdiv SUBCOMMAND [OPTIONS]", "",
+                 "Exact verification tools for a Walsh-series divergence "
+                 "construction.", "", "subcommands:"]
+        lines += [f"  {sub:<14}{spec[0]}" for sub, spec in _SUBCOMMANDS.items()]
+        lines += ["", "'walshdiv SUBCOMMAND -h' lists its options."]
+    else:
+        help_text, _, options = _SUBCOMMANDS[name]
+        lines = [f"usage: walshdiv {name} [OPTIONS]", "", help_text, "", "options:",
+                 "  -h, --help              show this help"]
+        for flag, convert, default, text in options:
+            if convert is not None:
+                flag = f"{flag} {flag[2:].upper().replace('-', '_')}"
+            if default is _REQUIRED:
+                text += " (required)"
+            elif isinstance(default, list):
+                text += f" (repeatable; default: {', '.join(default)})"
+            elif default is not None and convert is not None:
+                text += f" (default: {default})"
+            lines.append(f"  {flag:<24}{text}")
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace] | None:
+    """The handler ``argv`` names and its options, as ``ns.n``, ``ns.n_list``, …
+
+    Returns None after printing help; every misuse raises ValueError with a
+    one-line message.
+    """
+    if not argv:
+        raise ValueError(f"missing subcommand; choose from {', '.join(_SUBCOMMANDS)}")
+    name, *args = argv
+    if name in _HELP:
+        sys.stdout.write(_help(None))
+        return None
+    if name not in _SUBCOMMANDS:
+        raise ValueError(f"unknown subcommand {name!r}; choose from "
+                         f"{', '.join(_SUBCOMMANDS)}")
+    _, handler, options = _SUBCOMMANDS[name]
+    specs = {spec[0]: spec for spec in options}
+    given: dict[str, object] = {}
+    tokens = iter(args)
+    for token in tokens:
+        if token in _HELP:
+            sys.stdout.write(_help(name))
+            return None
+        flag, eq, text = token.partition("=")
+        if flag not in specs:
+            kind = "option" if token.startswith("-") else "argument"
+            raise ValueError(f"{name}: unknown {kind} {flag!r}")
+        _, convert, default, _ = specs[flag]
+        if convert is None:
+            if eq:
+                raise ValueError(f"{flag} takes no value")
+            given[flag] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise ValueError(f"{flag} needs a value")
+        try:
+            value = convert(text)
+        except (ValueError, ArithmeticError):
+            kind = convert.__name__.strip("_")
+            raise ValueError(f"{flag}: invalid {kind} value {text!r}") from None
+        if isinstance(default, list):
+            given.setdefault(flag, []).append(value)
+        else:
+            given[flag] = value
+    values = {}
+    for flag, _, default, _ in options:
+        if default is _REQUIRED and flag not in given:
+            raise ValueError(f"{name} needs {flag}")
+        values[flag[2:].replace("-", "_").lower()] = given.get(flag, default)
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ns = _build_parser(argv).parse_args(argv)
     try:
-        return ns.handler(ns)
+        parsed = _parse(argv)
+        if parsed is None:
+            return 0
+        handler, ns = parsed
+        return handler(ns)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"walshdiv: error: {exc}", file=sys.stderr)
         return 2

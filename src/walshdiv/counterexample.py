@@ -1114,6 +1114,17 @@ def minimal_n_for_c3(phi: PhiSpec, k: int) -> int:
     return n
 
 
+#: decimal digits of the longest integer a report prints: CPython's default
+#: limit on int-to-str conversion
+_PRINT_DIGITS = 4300
+
+
+def _digit_count(v: int) -> int:
+    """Decimal digits of v ≥ 1, without ``str(v)``, which CPython caps."""
+    d = int(math.log10(v)) + 1
+    return d - (v < 10 ** (d - 1)) + (v >= 10**d)
+
+
 def _ln_phi_enclosure(phi: PhiSpec, t: Fraction, prec: int) -> bounds.Enclosure:
     """Enclosure of ln Φ(t), requiring Φ(t) comfortably above 1."""
     if phi.kind == "power":
@@ -1169,6 +1180,20 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     gamma = _gamma_of(n)
+    c3 = c3_holds(phi, n, k)
+    minimal, why_none = None, ""
+    if not c3:
+        try:
+            minimal = minimal_n_for_c3(phi, k)
+        except ValueError as err:
+            why_none = str(err)
+        else:
+            if minimal >= 10**_PRINT_DIGITS:
+                raise ValueError(
+                    f"the least n with Phi(n/(50*2^k)) > exp(2n) at k={k} has "
+                    f"{_digit_count(minimal)} digits, more than the "
+                    f"{_PRINT_DIGITS} a report prints"
+                )
     rows = [
         AssertionRecord(
             "gamma = floor(log2 exp(n/36))", str(gamma), "", "reported"
@@ -1223,7 +1248,6 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
         )
     )
     t = Fraction(n, 50 << k)
-    c3 = c3_holds(phi, n, k)
     rows.append(
         AssertionRecord(
             "Phi(n/(50*2^k)) > exp(2n)",
@@ -1234,19 +1258,13 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
         )
     )
     if not c3:
-        try:
-            minimal = minimal_n_for_c3(phi, k)
-        except ValueError as err:
-            lhs, witness = "none", str(err)
-        else:
-            lhs, witness = str(minimal), ""
         rows.append(
             AssertionRecord(
                 "minimal n with Phi(n/(50*2^k)) > exp(2n)",
-                lhs,
+                "none" if minimal is None else str(minimal),
                 "",
                 "reported",
-                witness,
+                why_none,
             )
         )
     else:

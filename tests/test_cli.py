@@ -1,23 +1,20 @@
-"""Command-line behavior: exit codes, headers, tables, and plots."""
+"""Command-line behavior: exit codes, headers, tables, and option parsing."""
 
-import argparse
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 import time
-import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from walshdiv.cli import (
-    _SUBCOMMANDS, _build_parser, _coefficient_rows, _float, _frac, main,
-)
+from walshdiv.cli import _SUBCOMMANDS, _coefficient_rows, _float, _frac, main
 from walshdiv.counterexample import ConstructionParams, build_fn, verify_lemma2
 from walshdiv.walsh import GridVector, fwht
 
@@ -291,6 +288,13 @@ class TestChainCheckCommand:
         assert time.perf_counter() - start < 1
         assert f"lhs={5000 * 4**k + 1} rhs=" in capsys.readouterr().out
 
+    def test_the_longest_printable_threshold(self, capsys):
+        # 5000·4^7136 + 1 has 4,300 digits, CPython's default str limit;
+        # k = 7137 is rejected in test_rejected_values_are_named
+        assert main(["chain-check", "--k", "7136"]) == 0
+        row = capsys.readouterr().out.splitlines()[-2]
+        assert len(row.split("lhs=")[1].split()[0]) == 4300
+
     def test_pass_and_fail_codes(self, capsys):
         assert main(["chain-check", "--n", "151"]) == 0
         capsys.readouterr()
@@ -305,65 +309,6 @@ class TestChainCheckCommand:
         text = out_file.read_text()
         assert "# phi=exppow:2" in text
         assert "gamma = floor(log2 exp(n/36))" in text
-
-
-class TestPlotCommand:
-    def make_table(self, tmp_path):
-        table = tmp_path / "measure.csv"
-        assert main(
-            ["measure-en", "--n-min", "1", "--n-max", "30", "--out", str(table)]
-        ) == 0
-        return table
-
-    def test_writes_valid_svg(self, tmp_path, capsys):
-        table = self.make_table(tmp_path)
-        capsys.readouterr()
-        svg = tmp_path / "measure.svg"
-        code = main(
-            ["plot", "--table", str(table), "--x-col", "n",
-             "--y-col", "measure_float", "--svg", str(svg),
-             "--title", "measure <of> E_n"]
-        )
-        assert code == 0
-        assert "30 points" in capsys.readouterr().out
-        root = ET.fromstring(svg.read_text())
-        assert root.tag.endswith("svg")
-        body = svg.read_text()
-        assert "<polyline" in body
-        assert "measure &lt;of&gt; E_n" in body
-
-    def test_numeric_column_indices(self, tmp_path, capsys):
-        table = self.make_table(tmp_path)
-        svg = tmp_path / "by-index.svg"
-        assert main(
-            ["plot", "--table", str(table), "--x-col", "0", "--y-col", "2",
-             "--svg", str(svg)]
-        ) == 0
-        assert svg.exists()
-
-    def test_log_scale_guard(self, tmp_path, capsys):
-        table = self.make_table(tmp_path)
-        capsys.readouterr()
-        # |E_1| = 0, so a log-scale measure plot must be refused
-        assert main(["plot", "--table", str(table), "--x-col", "n",
-                     "--y-col", "measure_float", "--svg",
-                     str(tmp_path / "x.svg"), "--log-y"]) == 2
-        assert "strictly positive" in one_error_line(capsys)
-
-    def test_rejects_unknown_and_textual_columns(self, tmp_path, capsys):
-        table = self.make_table(tmp_path)
-        capsys.readouterr()
-        assert main(["plot", "--table", str(table), "--x-col", "nope",
-                     "--y-col", "n", "--svg", str(tmp_path / "x.svg")]) == 2
-        assert "no column" in one_error_line(capsys)
-        assert main(["plot", "--table", str(table), "--x-col", "n",
-                     "--y-col", "verdict", "--svg", str(tmp_path / "x.svg")]) == 2
-        assert "non-numeric" in one_error_line(capsys)
-
-    def test_svg_flag_is_required(self):
-        with pytest.raises(SystemExit) as err:
-            main(["plot", "--table", "t.csv", "--x-col", "0", "--y-col", "1"])
-        assert err.value.code == 2
 
 
 def _point(text: str):
@@ -410,7 +355,7 @@ class TestDeterminism:
     ["lemma1", "--n", "2", "--c", "10"],
     # an N list whose largest N drifts past the grid cap at x = θ_2
     ["strong-mean", "--n", "2", "--c", "10", "--x", "5/2^4", "--N-list", "16,2199023255552"],
-    # usage errors: argparse's message alone, without its usage block
+    # usage errors: one line, without a usage block
     ["strong-mean", "--n", "x"],
     ["lemma2", "--mode", "nope"],
     ["strong-mean", "--x", "7/2^5", "extra"],
@@ -444,6 +389,7 @@ WRITERS = [
     ["strong-mean", "--x", "7/2^5", "--N-list", "16"],
     ["chain-check"],
 ]
+#: the removed plot subcommand, now an unknown one
 PLOT = ["plot", "--table", "t.csv", "--x-col", "0", "--y-col", "1", "--svg", "x.svg"]
 
 
@@ -476,67 +422,36 @@ def test_default_n_and_c_give_the_documented_headers(argv, header, capsys):
     (["chain-check", "--n", "-5"], "n must be positive, got -5"),
     (["lemma2", "--n", "-5"], "n must be positive, got -5"),
     (["strong-mean", "--x", "7/2^5", "--N-list", "16,a"], "bad N list '16,a'"),
-    # the least n has 4,821 digits, past what Python prints
-    (["chain-check", "--k", "8000"], "Exceeds the limit (4300 digits) for integer "
-     "string conversion; use sys.set_int_max_str_digits() to increase the limit"),
+    # least n past the 4,300 digits a report prints, named with k
+    (["chain-check", "--k", "7137"], "the least n with Phi(n/(50*2^k)) > exp(2n) at "
+     "k=7137 has 4301 digits, more than the 4300 a report prints"),
+    (["chain-check", "--k", "8000"], "the least n with Phi(n/(50*2^k)) > exp(2n) at "
+     "k=8000 has 4821 digits, more than the 4300 a report prints"),
+    (["chain-check", "--k", "15000"], "the least n with Phi(n/(50*2^k)) > exp(2n) at "
+     "k=15000 has 9035 digits, more than the 4300 a report prints"),
+    # rational options name themselves, before any census is built
+    (["strong-mean", "--x", "7/2^5", "--center", "1/0"],
+     "--center: invalid rational value '1/0'"),
+    (["strong-mean", "--x", "7/2^5", "--threshold=-1"],
+     "--threshold must be at least 0, got -1"),
 ])
 def test_rejected_values_are_named(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"walshdiv: error: {message}\n")
 
 
-def subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    """The subparsers a parser holds, by subcommand."""
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+def test_values_may_start_with_a_dash(capsys):
+    outputs = []
+    for center in (["--center", "-1/2"], ["--center=-1/2"]):
+        assert main(["strong-mean", "--x", "7/2^5", "--N-list", "16", *center]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "# center=-1/2\n" in outputs[0]
 
 
-class TestParserPerCommand:
-    """A command builds only its own subparser, and prints what the full parser would."""
-
-    def test_a_subcommand_builds_only_its_subparser(self):
-        assert list(subparsers(_build_parser(ARGS))) == ["strong-mean"]
-
-    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--out", "t.csv"]])
-    def test_no_subcommand_builds_all_eight(self, argv):
-        assert list(subparsers(_build_parser(argv))) == list(_SUBCOMMANDS)
-        assert len(_SUBCOMMANDS) == 8
-
-    @staticmethod
-    def outputs(argv, capsys) -> list[tuple[int, str, str]]:
-        """(exit status, stdout, stderr) of parsing argv, per-command and full."""
-        runs = []
-        for parser in (_build_parser(argv), _build_parser([])):
-            with pytest.raises(SystemExit) as exit_:
-                parser.parse_args(argv)
-            runs.append((exit_.value.code, *capsys.readouterr()))
-        return runs
-
-    @pytest.mark.parametrize("name", [None, *_SUBCOMMANDS])
-    def test_help_equals_the_full_parsers(self, name, capsys):
-        argv = [name, "-h"] if name else ["-h"]
-        mine, full = self.outputs(argv, capsys)
-        assert mine == full
-        assert mine[0] == 0 and mine[1].startswith("usage: walshdiv")
-
-    @pytest.mark.parametrize("argv", [
-        ["strong-mean", "--n", "x"],
-        ["lemma2", "--mode", "nope"],
-        ["strong-mean", "--x", "7/2^5", "extra"],
-        ["plot", "--table", "t.csv"],
-        ["bogus"],
-        [],
-        ["lemma2", "--mode", "sample"],
-        ["lemma2", "--samples", "5"],
-        ["chain-check", "--seed", "3"],
-        *([*argv, "--config", "run.cfg"] for argv in [*WRITERS, PLOT]),
-        [*PLOT, "--out", "y.csv"],
-    ])
-    def test_usage_errors_equal_the_full_parsers(self, argv, capsys):
-        mine, full = self.outputs(argv, capsys)
-        assert mine == full
-        assert mine[0] == 2 and mine[1] == ""
-        assert mine[2].startswith("walshdiv: error: ") and mine[2].count("\n") == 1
+def test_a_repeated_flag_keeps_its_last_value(capsys):
+    assert main(["chain-check", "--n", "100", "--n", "151", "--k=3", "--k", "2"]) == 0
+    assert capsys.readouterr().out.startswith("# walshdiv chain-check\n# seed=0\n# k=2\n# n=151\n")
 
 
 #: every option each subcommand accepts, in the order its help lists them
@@ -549,18 +464,64 @@ OPTIONS = {
     "strong-mean": ["--out", "--n", "--c", "--x", "--phi", "--N-list",
                     "--threshold", "--center"],
     "chain-check": ["--out", "--n", "--k", "--phi"],
-    "plot": ["--table", "--x-col", "--y-col", "--svg", "--log-y",
-             "--title"],
 }
 
 
-def test_option_inventory():
+@pytest.mark.parametrize("name", OPTIONS)
+def test_help_lists_exactly_the_options(name, capsys):
     # a new knob has to show up here as a diff
-    options = {
-        name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
-        for name, p in subparsers(_build_parser([])).items()
-    }
-    assert options == OPTIONS
+    assert main([name, "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: walshdiv {name} ")
+    assert re.findall(r"^  (--[\w-]+)", out, re.MULTILINE) == OPTIONS[name]
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]])
+def test_top_level_help_lists_every_subcommand(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^  (\S+)", out, re.MULTILINE) == list(OPTIONS) == list(_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["strong-mean", "--n", "x"],
+    ["lemma2", "--mode", "nope"],
+    ["strong-mean", "--x", "7/2^5", "extra"],
+    ["plot", "--table", "t.csv"],
+    ["bogus"],
+    [],
+    ["lemma2", "--mode", "sample"],
+    ["lemma2", "--samples", "5"],
+    ["chain-check", "--seed", "3"],
+    *([*argv, "--config", "run.cfg"] for argv in [*WRITERS, PLOT]),
+    [*PLOT, "--out", "y.csv"],
+    # flags match exactly: no abbreviations
+    ["build-fn", "--dump"],
+    ["strong-mean", "--x", "7/2^5", "--N", "16"],
+    # a missing value, a value on a switch, a missing required option
+    ["strong-mean", "--x"],
+    ["build-fn", "--dump-coefficients=yes"],
+    ["partial-sums", "--x", "7/2^5"],
+    ["--out", "t.csv"],
+])
+def test_usage_errors_end_in_one_line(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("walshdiv: error: ") and err.count("\n") == 1
+
+
+DESK = ["strong-mean", "--n", "2", "--c", "3", "--x", "7/2^5", "--N-list", "16,4096,524288"]
+
+
+def test_the_desk_command_imports_no_argparse():
+    # argparse's gettext lookups import locale, a few ms of every command
+    code = ("import sys; from walshdiv import cli; status = cli.main(sys.argv[1:]); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), status)")
+    proc = subprocess.run([sys.executable, "-c", code, *DESK], capture_output=True,
+                          text=True, env=checkout_env(), timeout=60)
+    assert proc.stdout.splitlines()[-1] == "[] 0"
 
 
 class TestPastTheGridCap:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from walshdiv.cli import _SUBCOMMANDS, _build_parser
+from walshdiv.cli import _SUBCOMMANDS, _parse
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,4 +41,5 @@ def test_command_lines_cover_every_subcommand():
 @pytest.mark.parametrize("line", command_lines())
 def test_command_line_parses(line):
     argv = shlex.split(line, comments=True)[3:]
-    assert _build_parser(argv).parse_args(argv).subcommand == argv[0]
+    handler, _ = _parse(argv)
+    assert handler is _SUBCOMMANDS[argv[0]][1]
