@@ -8,18 +8,27 @@ passes only if it holds at the unfavorable end of a rational interval
 
 Implementation notes:
 
-- All endpoints are `fractions.Fraction`; no floating point is involved.
-- exp uses argument halving to |y| <= 1/2, an exact Taylor partial sum with
-  the standard tail bound, then interval squaring; ln uses the atanh series
-  after range reduction by powers of two.
-- After each step the endpoints are re-rounded outward to denominators
-  2**prec so repeated operations cannot blow up fraction sizes.
-- exp runs in integer fixed point: each endpoint is an integer numerator
-  over 2**work, the Taylor sum and its tail are single unreduced
-  numerator/denominator pairs, and every rounding is one floor or ceiling
-  integer division.  A floor or ceiling depends only on the exact rational
-  value, so the endpoints equal those of exact Fraction arithmetic followed
-  by the same outward roundings, bit for bit.
+- Endpoints are `fractions.Fraction`, or for :func:`exp_scaled` two integers
+  over one power of two; no floating point is involved.
+- Every series runs in integer fixed point: a bound is an integer numerator
+  over 2**w, w a few guard bits above the requested precision, each rounding
+  is one floor or ceiling in the direction that keeps the bound sound, and
+  the error of the roundings and of the dropped tail is added as a count of
+  units.  Results are rounded outward to denominators 2**prec, so repeated
+  operations cannot blow up fraction sizes.
+- ln uses the atanh series after range reduction by powers of two, and ln 2
+  the same series at 1/3.
+- :func:`exp_enclosure` halves its argument to |y| <= 1/2, takes an exact
+  Taylor partial sum as one unreduced numerator/denominator pair with the
+  standard tail bound, then squares the interval back.  A floor or ceiling
+  depends only on the exact rational value, so its endpoints equal those of
+  exact Fraction arithmetic followed by the same outward roundings, bit for
+  bit.  Its numbers are about 1.44·x bits wide at x > 0.
+- :func:`exp_scaled` reduces by ln 2 first, e**x = 2**k · e**r with
+  0 <= r < ln 2, and sums the Taylor series of e**r in fixed point, so its
+  numbers stay about prec bits wide however large x is.  It gives e**x to
+  about prec significant bits; the growth functions Φ and
+  :func:`pow_enclosure` evaluate through it.
 - Callers that need a strict decision use :func:`decide_less`, which refines
   precision, up to a fixed 2**16 bits, until the intervals separate the
   operands.  That terminates because no caller compares equal values: the
@@ -30,6 +39,7 @@ Implementation notes:
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable
 
@@ -40,6 +50,7 @@ __all__ = [
     "outward",
     "ln2_enclosure",
     "exp_enclosure",
+    "exp_scaled",
     "ln_enclosure",
     "pow_enclosure",
     "log1p_exp_enclosure",
@@ -51,6 +62,9 @@ __all__ = [
 Enclosure = tuple[Fraction, Fraction]
 
 _DEFAULT_PREC = 96
+
+#: Largest argument :func:`exp_enclosure` and the Φ enclosures accept.
+EXP_ARGUMENT_CAP = 1 << 20
 
 
 def round_down(x: Fraction, prec: int) -> Fraction:
@@ -67,18 +81,38 @@ def outward(lo: Fraction, hi: Fraction, prec: int) -> Enclosure:
     return round_down(lo, prec), round_up(hi, prec)
 
 
+def _atanh_fixed(a: int, b: int, w: int) -> tuple[int, int]:
+    """Numerators over 2**w enclosing atanh(a/b) = Σ_{i>=0} (a/b)**(2i+1)/(2i+1),
+    for integers 0 <= a and 3a <= b."""
+    guard = w.bit_length() + 4
+    a2, b2 = a * a, b * b
+    power = (a << (w + guard)) // b
+    total = terms = 0
+    while power:
+        total += power // (2 * terms + 1)
+        power = power * a2 // b2
+        terms += 1
+    # Each floored power is under 9/8 units below its true value, so each
+    # term loses under 3 units; the powers left out sum to under 3 units.
+    return total >> guard, -(-(total + 3 * terms + 3) >> guard)
+
+
+def _ln2_fixed(w: int) -> tuple[int, int]:
+    """Numerators over 2**w enclosing ln 2 = 2·atanh(1/3)."""
+    width = -(-w // 64) * 64
+    lo, hi = _ln2_cached(width)
+    return lo >> (width - w), -(-hi >> (width - w))
+
+
+@functools.lru_cache(maxsize=16)
+def _ln2_cached(w: int) -> tuple[int, int]:
+    return _atanh_fixed(1, 3, w + 1)  # 2·atanh(1/3) over 2**w
+
+
 def ln2_enclosure(prec: int = _DEFAULT_PREC) -> Enclosure:
     """Enclosure of ln 2 = 2·atanh(1/3) = 2 Σ_{i>=0} (1/9)**i / (3(2i+1))."""
-    terms = max(4, prec // 3 + 2)
-    total = Fraction(0)
-    power = Fraction(1, 3)
-    for i in range(terms):
-        total += power / (2 * i + 1)
-        power /= 9
-    lo = 2 * total
-    # Tail: 2 Σ_{i>=T} (1/3)^{2i+1}/(2i+1) < 2·(1/3)^{2T+1}/(2T+1) · 9/8.
-    tail = 2 * power * 3 * Fraction(9, 8) / (2 * terms + 1)
-    return outward(lo, lo + tail, prec)
+    lo, hi = _ln2_fixed(prec + 4)
+    return Fraction(lo >> 4, 1 << prec), Fraction(-(-hi >> 4), 1 << prec)
 
 
 def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
@@ -94,7 +128,7 @@ def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     above 2**20 are rejected: their values are astronomically large and every
     caller is expected to compare in log space instead.
     """
-    if x > (1 << 20):
+    if x > EXP_ARGUMENT_CAP:
         raise ArithmeticError(
             f"exp argument {x} too large for direct enclosure; compare logs"
         )
@@ -136,38 +170,67 @@ def _exp_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
     return lo >> shift, -(-hi >> shift)
 
 
+def exp_scaled(x: Fraction, prec: int = _DEFAULT_PREC) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo·2**e <= e**x <= hi·2**e, for any rational x.
+
+    hi - lo < lo·2**-prec: the pair gives e**x to prec significant bits.  One
+    fixed-point Taylor sum of e**r after the reduction x = k ln 2 + r,
+    0 <= r < ln 2, whatever the size of x.
+    """
+    p, q = x.numerator, x.denominator
+    w = prec + (abs(p) // q).bit_length() + 9  # |k| < 2**(w - prec - 7)
+    xlo = (p << w) // q
+    xhi = -((-p << w) // q)
+    if 0 <= 2 * p < q:  # x < 1/2 < ln 2: no reduction
+        k, rlo, rhi = 0, xlo, xhi
+    else:
+        # k <= x/ln 2, so that r >= 0 at both ends
+        l2lo, l2hi = _ln2_fixed(w)
+        k = xlo // (l2hi if p >= 0 else l2lo)
+        rlo = xlo - max(k * l2lo, k * l2hi)
+        rhi = xhi - min(k * l2lo, k * l2hi)
+    # e**rhi from below: each floored term is under 2 units low, and once a
+    # term floors to 0 the rest of the series is under 4 units
+    term = total = 1 << w
+    terms = 0
+    while term:
+        terms += 1
+        term = (term * rhi >> w) // terms
+        total += term
+    # e**rlo >= e**rhi·(1 - d), d = (rhi - rlo)/2**w
+    lo = total + (-total * (rhi - rlo) >> w)
+    return lo, total + 2 * terms + 4, k - w
+
+
 def ln_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     """Enclosure of ln x for rational x > 0."""
     if x <= 0:
         raise ValueError(f"ln needs a positive argument, got {x}")
-    # Reduce x = m · 2**j with m in [2/3, 4/3]: ln x = j ln2 + ln m.
-    j = 0
-    m = x
-    while m > Fraction(4, 3):
-        m /= 2
+    # Reduce x = m · 2**j with m = num/den in [2/3, 4/3]: ln x = j ln2 + ln m.
+    num, den = x.numerator, x.denominator
+    j = num.bit_length() - den.bit_length()
+    if j >= 0:
+        den <<= j
+    else:
+        num <<= -j
+    if 3 * num > 4 * den:
+        den <<= 1
         j += 1
-    while m < Fraction(2, 3):
-        m *= 2
+    elif 3 * num < 2 * den:
+        num <<= 1
         j -= 1
     # ln m = 2 atanh(u), u = (m-1)/(m+1), |u| <= 1/5.
-    u = (m - 1) / (m + 1)
-    terms = max(4, prec // 4 + 2)
-    total = Fraction(0)
-    power = u
-    u2 = u * u
-    for i in range(terms):
-        total += power / (2 * i + 1)
-        power *= u2
-    core = 2 * total
-    # Tail magnitude: 2 |u|^{2T+1}/(2T+1) · 1/(1-u²) <= 2 |u|^{2T+1}/(2T+1) · 25/24.
-    tail = 2 * abs(power) * Fraction(25, 24) / (2 * terms + 1)
-    lo_m, hi_m = core - tail, core + tail
-    if j == 0:
-        return outward(lo_m, hi_m, prec)
-    l2lo, l2hi = ln2_enclosure(prec + 8)
-    if j > 0:
-        return outward(lo_m + j * l2lo, hi_m + j * l2hi, prec)
-    return outward(lo_m + j * l2hi, hi_m + j * l2lo, prec)
+    w = prec + abs(j).bit_length() + 4
+    lo, hi = _atanh_fixed(abs(num - den), num + den, w + 1)  # 2·atanh over 2**w
+    if num < den:
+        lo, hi = -hi, -lo
+    l2lo, l2hi = _ln2_fixed(w)
+    if j >= 0:
+        lo, hi = lo + j * l2lo, hi + j * l2hi
+    else:
+        lo, hi = lo + j * l2hi, hi + j * l2lo
+    shift = w - prec
+    return Fraction(lo >> shift, 1 << prec), Fraction(-(-hi >> shift), 1 << prec)
 
 
 def pow_enclosure(x: Fraction, p: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
@@ -184,11 +247,15 @@ def pow_enclosure(x: Fraction, p: Fraction, prec: int = _DEFAULT_PREC) -> Enclos
             return (Fraction(0), Fraction(0))
         raise ValueError("0 cannot be raised to a nonpositive fractional power")
     llo, lhi = ln_enclosure(x, prec + 16)
-    arg_lo = min(p * llo, p * lhi)
-    arg_hi = max(p * llo, p * lhi)
-    lo = exp_enclosure(arg_lo, prec + 8)[0]
-    hi = exp_enclosure(arg_hi, prec + 8)[1]
+    lo = _scaled_fraction(exp_scaled(min(p * llo, p * lhi), prec + 16), 0)
+    hi = _scaled_fraction(exp_scaled(max(p * llo, p * lhi), prec + 16), 1)
     return outward(lo, hi, prec)
+
+
+def _scaled_fraction(scaled: tuple[int, int, int], end: int) -> Fraction:
+    """The ``end``-th end (0 low, 1 high) of an :func:`exp_scaled` result."""
+    v, e = scaled[end], scaled[2]
+    return Fraction(v << e) if e >= 0 else Fraction(v, 1 << -e)
 
 
 def log1p_exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:

@@ -49,6 +49,7 @@ from .counterexample import (
     measure_bound,
     measure_En_range,
     partial_sum_series,
+    readable,
     verify_lemma1,
     verify_lemma2,
 )
@@ -71,7 +72,7 @@ def _header(subcommand: str, options: tuple[tuple[str, str], ...]) -> str:
 def _exit_code(failures: list[str]) -> int:
     """1 after naming the first of ``failures`` on stderr, 0 when there are none."""
     if failures:
-        print(f"FAILED ({len(failures)}): {failures[0]}", file=sys.stderr)
+        print(f"FAILED ({len(failures)}): {readable(failures[0])}", file=sys.stderr)
         return 1
     return 0
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -80,6 +81,7 @@ __all__ = [
     "partial_sum_series",
     "verify_lemma1",
     "chain_check",
+    "readable",
     "c3_holds",
     "minimal_n_for_c3",
 ]
@@ -373,13 +375,14 @@ class LemmaReport:
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
+        """The rows for reading; values past 60 digits are shown approximately."""
         width = max((len(r.assertion) for r in self.rows), default=0)
         lines = [f"[{self.lemma}] " + " ".join(f"{k}={v}" for k, v in self.parameters)]
         for r in self.rows:
             lines.append(
                 f"  {r.verdict.upper():8s} {r.assertion:{width}s}"
-                f"  lhs={r.lhs_exact} rhs={r.rhs_exact}"
-                + (f"  [{r.witness}]" if r.witness else "")
+                f"  lhs={readable(r.lhs_exact)} rhs={readable(r.rhs_exact)}"
+                + (f"  [{readable(r.witness)}]" if r.witness else "")
             )
         tally = "OK" if self.ok else f"{len(self.failures())} FAILED"
         lines.append(f"  => {tally}")
@@ -396,6 +399,52 @@ def _frac(v: Fraction) -> str:
     """Exact text of a rational: ``a`` or ``a/b``."""
     v = Fraction(v)
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+#: Digits past which :func:`readable` shows a value approximately.
+_TEXT_DIGITS = 60
+
+#: An exact value as the reports print it: ``a``, ``a/b`` or ``a/2^e``.
+_EXACT_VALUE = re.compile(r"-?\d+(?:/\d+(?:\^\d+)?)?")
+
+
+def readable(text: str) -> str:
+    """``text`` with each exact value of more than 60 digits shown as
+    ``≈1 - 1.5e-58 (exact in CSV)``: near a small integer as that integer and
+    the distance, else in scientific notation."""
+    return _EXACT_VALUE.sub(_shorten, text)
+
+
+def _shorten(match: re.Match) -> str:
+    token = match.group()
+    if sum(ch.isdigit() for ch in token) <= _TEXT_DIGITS:
+        return token
+    num, _, den = token.partition("/")
+    base, _, power = den.partition("^")
+    v = Fraction(int(num), int(base or 1) ** int(power or 1))
+    m = round(v)
+    d = v - m
+    if m and d and abs(m) < 10**6 and abs(d) < Fraction(1, 10**6):
+        shown = f"{m} {'-' if d < 0 else '+'} {_scientific(abs(d))}"
+    else:
+        shown = _scientific(v)
+    return f"≈{shown} (exact in CSV)"
+
+
+def _scientific(v: Fraction) -> str:
+    """Two significant digits of v ≠ 0, as ``1.5e-58``, at any exponent."""
+    sign = "-" if v < 0 else ""
+    v = abs(v)
+    e = math.floor(math.log10(v.numerator) - math.log10(v.denominator))
+    scaled = v / Fraction(10) ** e
+    if scaled >= 10:
+        scaled, e = scaled / 10, e + 1
+    elif scaled < 1:
+        scaled, e = scaled * 10, e - 1
+    mantissa = f"{float(scaled):.2g}"
+    if mantissa == "10":
+        mantissa, e = "1", e + 1
+    return f"{sign}{mantissa}e{e:+03d}"
 
 
 def _dyadic(num: int, exponent: int) -> str:
@@ -1032,14 +1081,6 @@ def verify_lemma1(params: ConstructionParams, x: DyadicPoint) -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 
-def _exponent(phi: PhiSpec, t: Fraction, prec: int) -> bounds.Enclosure:
-    """Enclosure of X with Φ(t) = e^X - 1, for the two exponential kinds."""
-    if phi.kind == "exp_linear":
-        X = phi.parameter * t
-        return (X, X)
-    return bounds.pow_enclosure(t, phi.parameter, prec)
-
-
 def c3_holds(phi: PhiSpec, n: int, k: int) -> bool:
     """Certified decision of Φ(n / (50·2^k)) > e^{2n}.
 
@@ -1068,7 +1109,7 @@ def c3_holds(phi: PhiSpec, n: int, k: int) -> bool:
         return False
     return bounds.decide_less(
         lambda prec: bounds.log1p_exp_enclosure(Fraction(2 * n), prec),
-        lambda prec: _exponent(phi, t, prec),
+        lambda prec: phi.exponent(t, prec),
     )
 
 
@@ -1130,7 +1171,7 @@ def _ln_phi_enclosure(phi: PhiSpec, t: Fraction, prec: int) -> bounds.Enclosure:
     if phi.kind == "power":
         lo, hi = bounds.ln_enclosure(t, prec)
         return (phi.parameter * lo, phi.parameter * hi)
-    X_lo, X_hi = _exponent(phi, t, prec)
+    X_lo, X_hi = phi.exponent(t, prec)
     if X_lo < 1:
         raise ArithmeticError("ln Phi enclosure needs the exponent to exceed 1")
     # ln(e^X - 1) = X + ln(1 - e^-X), and 0 > ln(1 - u) >= -2u for u <= 1/2
@@ -1248,10 +1289,11 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
         )
     )
     t = Fraction(n, 50 << k)
+    t_text = _frac(t) if _digit_count(t.denominator) <= _PRINT_DIGITS else f"{n}/(50*2^{k})"
     rows.append(
         AssertionRecord(
             "Phi(n/(50*2^k)) > exp(2n)",
-            f"Phi({_frac(t)})",
+            f"Phi({t_text})",
             f"exp({2 * n})",
             "reported",
             "holds" if c3 else "does not hold",

@@ -4,14 +4,19 @@ A run of partial sums S_1 … S_N reaches this module as a :class:`Census`: its
 distinct values (integer numerators over one denominator) with their counts,
 in order of first occurrence.  :func:`strong_mean`, :func:`strong_mean_bounds`
 and :func:`exceed_density` read only the census, so their cost is one step
-per distinct value whatever N is, and only those values become
-:class:`~fractions.Fraction` objects.  :mod:`walshdiv.counterexample` builds
-the census of f_n's partial sums from the window structure of f_n.
+per distinct value whatever N is.  The magnitudes |S_k − s| stay integer
+numerators over one denominator; only the Φ arguments, one per distinct
+magnitude, become :class:`~fractions.Fraction` objects.
+:mod:`walshdiv.counterexample` builds the census of f_n's partial sums from
+the window structure of f_n.
 
 Exact steps: the census and its counts, the centering |S_k − s|, the strict
-threshold test, the exceedance density, and the rational enclosures of
-:func:`strong_mean_bounds`, which carry every verdict.  In mpf: only Φ itself
-in :func:`strong_mean`, summed in order of first occurrence, for display.
+threshold test and the exceedance density.  Every Φ value is one fixed-point
+enclosure (:func:`walshdiv.bounds.exp_scaled` after an exact or enclosed
+exponent), whatever its size: :meth:`PhiSpec.enclosure` turns it into the
+rational ends that :func:`strong_mean_bounds` sums for the verdicts, and
+:meth:`PhiSpec.value_mpf` rounds it to the working precision for the display
+mean of :func:`strong_mean`, which mpmath sums in order of first occurrence.
 Each :class:`PhiSpec` remembers what it has computed, so a table of means
 over several N with one Φ calls :meth:`PhiSpec.value_mpf` once per distinct
 (magnitude, working precision) and :meth:`PhiSpec.enclosure` once per
@@ -20,11 +25,13 @@ distinct (magnitude, precision), however many N share a magnitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 import mpmath
+from mpmath.libmp import from_man_exp, from_rational
 
 from . import bounds
 from .dyadic import Rat
@@ -43,6 +50,9 @@ _EXPONENT_CAP = 10**15
 
 #: Most Φ values one PhiSpec remembers; a full memo starts over.
 _MEMO_CAP = 1 << 16
+
+#: Largest bit size of t^p up to which an integer power is displayed exactly.
+_EXACT_BITS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -85,43 +95,127 @@ class PhiSpec:
 
     # -- evaluation ------------------------------------------------------------
 
-    def value_mpf(self, t: Rat) -> mpmath.mpf:
-        """Φ(t) as an arbitrary-precision float (t ≥ 0 exact rational)."""
+    def exponent(self, t: Rat, prec: int = 96) -> bounds.Enclosure:
+        """Enclosure of X with Φ(t) = e^X − 1, for the two exponential kinds:
+        c·t, or t^α (exact at integer α, else to 2^-prec)."""
         t = Fraction(t)
-        if t < 0:
-            raise ValueError("Phi is defined on [0, infinity)")
+        if self.kind == "exp_linear":
+            X = self.parameter * t
+            return (X, X)
+        if self.kind == "exp_power":
+            return bounds.pow_enclosure(t, self.parameter, prec)
+        raise ValueError("a power Phi has no exponent")
+
+    def value_mpf(self, t: Rat) -> mpmath.mpf:
+        """Φ(t) rounded to nearest at the working precision (t ≥ 0 exact rational).
+
+        Both ends of the fixed-point enclosure are rounded, with more guard
+        bits until they agree; +inf when the binary exponent passes
+        ±_EXPONENT_CAP.
+        """
+        t = _nonnegative(t)
         if t == 0:
             return mpmath.mpf(0)
-        tf = _mpf_of_fraction(t)
-        p = _mpf_of_fraction(self.parameter)
-        if self.kind == "power":
-            out = tf**p
-        elif self.kind == "exp_linear":
-            out = mpmath.expm1(p * tf)
-        else:
-            out = mpmath.expm1(tf**p)
-        return _cap_overflow(out)
+        prec = mpmath.mp.prec
+        if self._exact_power(t):
+            v = t**self.parameter.numerator
+            return mpmath.mp.make_mpf(from_rational(v.numerator, v.denominator, prec, "n"))
+        guard = 16
+        while guard <= 1 << 16:
+            scaled = self._scaled(t, prec + guard, _EXPONENT_CAP)
+            if scaled is None:
+                return mpmath.mpf("+inf")
+            lo, hi, e = scaled
+            rounded = from_man_exp(lo, e, prec, "n")
+            if rounded == from_man_exp(hi, e, prec, "n"):
+                _, man, exp, bc = rounded
+                if abs(exp + bc) > _EXPONENT_CAP:  # the binary exponent
+                    return mpmath.mpf("+inf")
+                return mpmath.mp.make_mpf(rounded)
+            guard *= 2
+        raise ArithmeticError(f"Phi({t}) not rounded at {prec} bits")
 
     def enclosure(self, t: Rat, prec: int = 96) -> bounds.Enclosure:
-        """Rational enclosure of Φ(t) for certified comparisons.
+        """Rational enclosure of Φ(t), to about prec significant bits, for
+        certified comparisons.
 
         Raises ArithmeticError when the exponential argument is too large to
         evaluate directly (compare in log space instead).
         """
-        t = Fraction(t)
-        if t < 0:
-            raise ValueError("Phi is defined on [0, infinity)")
+        t = _nonnegative(t)
         if t == 0:
             return (Fraction(0), Fraction(0))
         if self.kind == "power":
             return bounds.pow_enclosure(t, self.parameter, prec)
-        if self.kind == "exp_linear":
-            lo, hi = bounds.exp_enclosure(self.parameter * t, prec)
-            return (lo - 1, hi - 1)
-        alo, ahi = bounds.pow_enclosure(t, self.parameter, prec)
-        lo = bounds.exp_enclosure(alo, prec)[0]
-        hi = bounds.exp_enclosure(ahi, prec)[1]
-        return (lo - 1, hi - 1)
+        scaled = self._scaled(t, prec, bounds.EXP_ARGUMENT_CAP)
+        if scaled is None:
+            raise ArithmeticError(
+                f"Phi({t}) = exp(X) - 1 with X > 2^20 is too large for direct "
+                "enclosure; compare logs"
+            )
+        lo, hi, e = scaled
+        if e >= 0:
+            return Fraction(lo << e), Fraction(hi << e)
+        return Fraction(lo, 1 << -e), Fraction(hi, 1 << -e)
+
+    def _exact_power(self, t: Fraction) -> bool:
+        """Whether Φ(t) = t^p is a rational of at most _EXACT_BITS bits."""
+        p = self.parameter
+        return (self.kind == "power" and p.denominator == 1
+                and p.numerator * max(t.numerator.bit_length(),
+                                      t.denominator.bit_length()) <= _EXACT_BITS)
+
+    def _scaled(self, t: Fraction, prec: int, limit: int) -> tuple[int, int, int] | None:
+        """(lo, hi, e) with lo·2^e ≤ Φ(t) ≤ hi·2^e to about prec bits, t > 0.
+
+        None when Φ(t) is beyond ``limit``: an exponent X > limit for the
+        exponential kinds, a binary exponent surely past ±limit for powers.
+        """
+        a, b = self.parameter.numerator, self.parameter.denominator
+        size = t.numerator.bit_length() - t.denominator.bit_length()  # log2 t ± 1
+        if self.kind == "power":  # t^p = e^{p ln t}
+            if a * (size - 1) > b * limit or a * (size + 1) < -b * limit:
+                return None
+            llo, lhi = bounds.ln_enclosure(t, prec + 8 + (a // b + 1).bit_length())
+            p = self.parameter
+            return _span(bounds.exp_scaled(p * llo, prec + 4),
+                         bounds.exp_scaled(p * lhi, prec + 4))
+        if self.kind == "exp_power" and a * (size - 1) >= b * limit.bit_length():
+            return None  # X = t^α ≥ 2^(α(size - 1)) > limit
+        xlo, xhi = self.exponent(t, prec + 8 + a * (abs(size) + 1) // b)
+        if xhi.numerator > limit * xhi.denominator:
+            return None
+        # for 0 < X ≤ 2^-prec, X ≤ e^X − 1 ≤ X + X²
+        tiny = xhi.denominator.bit_length() - xhi.numerator.bit_length() - 1
+        if tiny >= prec:
+            return _dyadic(xlo, xhi + xhi * xhi, prec)
+        extra = max(tiny, 0) + 4  # cancellation in e^X − 1 at small X
+        low = bounds.exp_scaled(xlo, prec + extra)
+        lo, hi, e = _span(low, low if xhi == xlo else bounds.exp_scaled(xhi, prec + extra))
+        if e >= 0:
+            return lo - 1, hi, e
+        return lo - (1 << -e), hi - (1 << -e), e
+
+
+def _nonnegative(t: Rat) -> Fraction:
+    t = Fraction(t)
+    if t < 0:
+        raise ValueError("Phi is defined on [0, infinity)")
+    return t
+
+
+def _span(low: tuple[int, int, int], high: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The low end of ``low`` and the high end of ``high`` over one power of two."""
+    e = min(low[2], high[2])
+    return low[0] << (low[2] - e), high[1] << (high[2] - e), e
+
+
+def _dyadic(lo: Fraction, hi: Fraction, prec: int) -> tuple[int, int, int]:
+    """(a, b, e) with a·2^e ≤ lo ≤ hi ≤ b·2^e, a of about prec bits, 0 < lo."""
+    e = lo.numerator.bit_length() - lo.denominator.bit_length() - prec - 2
+    if e >= 0:
+        return lo.numerator // (lo.denominator << e), -(-hi.numerator // (hi.denominator << e)), e
+    return (lo.numerator << -e) // lo.denominator, -((-hi.numerator << -e) // hi.denominator), e
 
 
 def parse_phi(text: str) -> PhiSpec:
@@ -144,10 +238,6 @@ def parse_phi(text: str) -> PhiSpec:
 # ---------------------------------------------------------------------------
 # strong means and exceedance densities
 # ---------------------------------------------------------------------------
-
-
-def _mpf_of_fraction(q: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
 def _cap_overflow(v: mpmath.mpf) -> mpmath.mpf:
@@ -190,18 +280,21 @@ def _memoized(phi: PhiSpec, method: str, t: Fraction, prec: int):
     return memo[key]
 
 
-def _magnitudes(census: Census, N: int, s: Rat) -> dict[Fraction, int]:
-    """Counts of |S_k − s| for k ≤ N, keyed in order of first occurrence."""
+def _magnitudes(census: Census, N: int, s: Rat) -> tuple[dict[int, int], int]:
+    """Counts of |S_k − s| for k ≤ N as numerators over one denominator,
+    keyed in order of first occurrence."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     if census.cuts != N:
         raise ValueError(f"the census holds {census.cuts} partial sums, not N = {N}")
     s = Fraction(s)
-    out: dict[Fraction, int] = {}
-    for v, count in census.items():
-        magnitude = abs(v - s)
+    # |v/d − a/b| = |v·b − a·d| / (d·b)
+    scale, shift = s.denominator, s.numerator * census.denominator
+    out: dict[int, int] = {}
+    for v, count in zip(census.numerators, census.counts):
+        magnitude = abs(v * scale - shift)
         out[magnitude] = out.get(magnitude, 0) + count
-    return out
+    return out, census.denominator * scale
 
 
 def strong_mean(
@@ -213,14 +306,15 @@ def strong_mean(
     """(1/N) Σ_{k=1}^{N} Φ(|S_k − s|) in 30-digit floating point.
 
     ``census`` holds S_1 … S_N; ``s`` is the optional centering constant (0
-    for the uncentered mean).  Partial sums stay exact; only Φ is evaluated
-    in floating point, once per distinct magnitude.  Returns +inf on overflow.
+    for the uncentered mean).  Partial sums stay exact; each distinct
+    magnitude's Φ value is rounded once from its fixed-point enclosure, and
+    the terms are summed in floating point.  Returns +inf on overflow.
     """
-    magnitudes = _magnitudes(census, N, s)
+    magnitudes, den = _magnitudes(census, N, s)
     with mpmath.workdps(30):
         total = mpmath.mpf(0)
         for magnitude, count in magnitudes.items():
-            term = _memoized(phi, "mpf", magnitude, mpmath.mp.prec)
+            term = _memoized(phi, "mpf", Fraction(magnitude, den), mpmath.mp.prec)
             if mpmath.isinf(term):
                 return mpmath.mpf("+inf")
             total += count * term
@@ -234,11 +328,18 @@ def strong_mean_bounds(
     s: Rat = 0,
 ) -> bounds.Enclosure:
     """Certified rational enclosure of the strong mean (for sound verdicts),
-    from 96-bit enclosures of each Φ value."""
+    from 96-bit enclosures of each Φ value.
+
+    The largest magnitude is enclosed first, so a Φ value too large to
+    enclose raises before any other is computed; exact sums do not depend
+    on the order.
+    """
+    magnitudes, den = _magnitudes(census, N, s)
     lo_total = Fraction(0)
     hi_total = Fraction(0)
-    for magnitude, count in _magnitudes(census, N, s).items():
-        lo, hi = _memoized(phi, "enclosure", magnitude, 96)
+    for magnitude in sorted(magnitudes, reverse=True):
+        lo, hi = _memoized(phi, "enclosure", Fraction(magnitude, den), 96)
+        count = magnitudes[magnitude]
         lo_total += count * lo
         hi_total += count * hi
     return (lo_total / N, hi_total / N)
@@ -247,5 +348,7 @@ def strong_mean_bounds(
 def exceed_density(census: Census, threshold: Rat, N: int) -> Fraction:
     """Exact #{k ≤ N : |S_k| > threshold} / N."""
     threshold = Fraction(threshold)
-    count = sum(c for v, c in _magnitudes(census, N, 0).items() if v > threshold)
+    magnitudes, den = _magnitudes(census, N, 0)
+    bar = threshold.numerator * den
+    count = sum(c for m, c in magnitudes.items() if m * threshold.denominator > bar)
     return Fraction(count, N)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from walshdiv.bounds import (
     decide_less,
     exp_enclosure,
+    exp_scaled,
     floor_enclosed,
     ln2_enclosure,
     ln_enclosure,
@@ -106,10 +107,11 @@ class TestRounding:
 
 
 class TestEnclosures:
-    def test_ln2(self):
-        assert contains(ln2_enclosure(64), mpf_ref(mpmath.log, Fraction(2)))
-        lo, hi = ln2_enclosure(64)
-        assert hi - lo < Fraction(1, 1 << 48)
+    @pytest.mark.parametrize("prec", [*PRECISIONS, 1000])
+    def test_ln2(self, prec):
+        lo, hi = ln2_enclosure(prec)
+        assert contains((lo, hi), mpf_ref(mpmath.log, Fraction(2), dps=400))
+        assert hi - lo <= Fraction(2, 1 << prec)
 
     @pytest.mark.parametrize(
         "x",
@@ -164,6 +166,43 @@ class TestEnclosures:
         assert lo == 0
         assert hi.denominator <= 1 << 96
         assert mpmath.log(hi.numerator) - mpmath.log(hi.denominator) >= -10**12
+
+    @given(
+        st.one_of(
+            st.fractions(min_value=Fraction(-50), max_value=Fraction(50),
+                         max_denominator=10**30),
+            st.builds(lambda a, b: Fraction(a, b),
+                      st.integers(-(1 << 50), 1 << 50), st.integers(1, 1 << 30)),
+        ),
+        st.sampled_from(PRECISIONS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exp_scaled_contains_reference_to_prec_bits(self, x, prec):
+        # compared as integers over powers of two: at x = 2^50 the value
+        # itself would be a 1.6·10^15-bit integer
+        lo, hi, e = exp_scaled(x, prec)
+        with mpmath.workdps(90):
+            _, man, exp, _ = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)._mpf_
+        low = min(e, exp)
+        assert lo << (e - low) <= man << (exp - low) <= hi << (e - low)
+        assert 0 < hi - lo < lo >> prec
+
+    def test_exp_scaled_keeps_its_numbers_narrow(self):
+        # e^(10^14/3) has a 4.8·10^13-bit integer part; the enclosure does not
+        lo, hi, e = exp_scaled(Fraction(10**14, 3), 96)
+        assert lo.bit_length() < 200 and e > 10**13
+
+    @given(st.one_of(
+        st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(10**12),
+                     max_denominator=10**9),
+        st.builds(lambda a, b: Fraction(a, b),
+                  st.integers(1, 10**300), st.integers(1, 10**300)),
+    ), st.sampled_from(PRECISIONS))
+    @settings(max_examples=200, deadline=None)
+    def test_ln_contains_reference_to_prec_bits(self, x, prec):
+        lo, hi = ln_enclosure(x, prec)
+        assert contains((lo, hi), mpf_ref(mpmath.log, x, dps=90))
+        assert hi - lo <= Fraction(3, 1 << prec)
 
     @pytest.mark.parametrize(
         "x", [Fraction(1, 7), Fraction(1), Fraction(2), Fraction(1000, 3)]

@@ -71,6 +71,20 @@ class TestLemma2Command:
         assert "PASS     integral >= n/30 on E_n" in out
 
 
+    def test_text_lines_stay_short_at_order_10000(self, tmp_path, capsys):
+        # |E_n| has 3,000-digit terms here; the text shows it as 1 minus a
+        # distance, the CSV and nothing else keeps it exact
+        out_file = tmp_path / "lemma2.csv"
+        assert main(["lemma2", "--n", "10000", "--out", str(out_file)]) == 1
+        captured = capsys.readouterr()
+        assert max(len(line) for line in captured.out.splitlines()) <= 120
+        assert "lhs=≈1 - 3e-248 (exact in CSV) rhs=" in captured.out
+        assert len(captured.err) < 120
+        row = next(line for line in out_file.read_text().splitlines()
+                   if line.startswith("lemma2,measure"))
+        assert Fraction(row.split(",")[2]) == measure_En(10_000)
+
+
 class TestMeasureEnCommand:
     def test_table_shape_and_verdicts(self, capsys):
         assert main(["measure-en", "--n-min", "1", "--n-max", "40"]) == 0
@@ -278,22 +292,75 @@ class TestStrongMeanCommand:
             assert len(mantissa.replace(".", "")) <= 12
 
 
+    def test_the_paper_scale_mean_is_quick(self, capsys):
+        # 4096 cuts at n = 3, c = 2: Φ = e^{t²} - 1 up to t = 385, one
+        # fixed-point enclosure per distinct magnitude
+        start = time.perf_counter()
+        assert main(["strong-mean", "--n", "3", "--c", "2", "--x", "9/2^6",
+                     "--N-list", "4096"]) == 0
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "exppow:2,4096,4.8665384779597755e+64369,511/512,0.998046875,"
+            "0.00562983273216,pass"
+        )
+
+    def test_a_phi_past_the_exp_cap_fails_fast(self, capsys):
+        # e^{4096·385}: the largest magnitude is enclosed first, so the one
+        # error line comes before any other enclosure is computed
+        start = time.perf_counter()
+        assert main(["strong-mean", "--n", "3", "--c", "2", "--x", "9/2^6",
+                     "--N-list", "4096", "--phi", "exp:4096"]) == 2
+        assert time.perf_counter() - start < 5
+        assert "too large for direct enclosure" in one_error_line(capsys)
+
+
 class TestChainCheckCommand:
     @pytest.mark.parametrize("k", [8, 12, 24, 25, 100, 1000])
-    def test_far_growth_thresholds_are_quick(self, k, capsys):
+    def test_far_growth_thresholds_are_quick(self, k, tmp_path, capsys):
         # the least n is one integer root and one (c3) decision there, with
-        # e^{-2n} enclosed at 2^-prec however large n is
+        # e^{-2n} enclosed at 2^-prec however large n is; the text shows it
+        # exactly up to 60 digits (k = 24), the CSV always
+        out_file = tmp_path / "chains.csv"
         start = time.perf_counter()
-        assert main(["chain-check", "--k", str(k)]) == 0
+        assert main(["chain-check", "--k", str(k), "--out", str(out_file)]) == 0
         assert time.perf_counter() - start < 1
-        assert f"lhs={5000 * 4**k + 1} rhs=" in capsys.readouterr().out
+        least = 5000 * 4**k + 1
+        assert f",{least},," in out_file.read_text()
+        text = capsys.readouterr().out
+        if len(str(least)) <= 60:
+            assert f"lhs={least} rhs=" in text
+        else:
+            shown = re.search(r"lhs=≈(\d(?:\.\d)?)e\+(\d+) \(exact in CSV\) rhs=", text)
+            assert abs(Fraction(shown[1]) * 10 ** int(shown[2]) - least) < least // 10
 
-    def test_the_longest_printable_threshold(self, capsys):
+    def test_the_longest_printable_threshold(self, tmp_path, capsys):
         # 5000·4^7136 + 1 has 4,300 digits, CPython's default str limit;
         # k = 7137 is rejected in test_rejected_values_are_named
-        assert main(["chain-check", "--k", "7136"]) == 0
-        row = capsys.readouterr().out.splitlines()[-2]
-        assert len(row.split("lhs=")[1].split()[0]) == 4300
+        out_file = tmp_path / "chains.csv"
+        assert main(["chain-check", "--k", "7136", "--out", str(out_file)]) == 0
+        row = out_file.read_text().splitlines()[-1]
+        assert row.startswith("chains,minimal n with Phi(n/(50*2^k)) > exp(2n),")
+        assert len(row.split(",")[2]) == 4300
+        assert "lhs=≈1e+4300 (exact in CSV) rhs=" in capsys.readouterr().out
+
+    def test_a_phi_argument_past_the_print_limit_prints_symbolically(self, tmp_path, capsys):
+        # t = 151/(50·2^15000) has a 4,517-digit denominator, past CPython's
+        # 4,300-digit str limit; the row names it by its parts instead
+        out_file = tmp_path / "chains.csv"
+        argv = ["chain-check", "--k", "15000", "--phi", "pow:2"]
+        assert main(argv + ["--out", str(out_file)]) == 0
+        out = capsys.readouterr().out
+        assert "lhs=Phi(151/(50*2^15000)) rhs=exp(302)" in out
+        assert "Phi(151/(50*2^15000))" in out_file.read_text()
+        assert max(len(line) for line in out.splitlines()) < 200
+
+    @pytest.mark.parametrize("phi", ["exppow:101/100", "exppow:3/2"])
+    def test_a_fractional_alpha_threshold_is_quick(self, phi, capsys):
+        # fixed-point ln and exp: a 233-digit threshold at α = 101/100
+        start = time.perf_counter()
+        assert main(["chain-check", "--k", "1", "--phi", phi]) == 0
+        assert time.perf_counter() - start < 5
+        assert "REPORTED minimal n with Phi(n/(50*2^k)) > exp(2n)" in capsys.readouterr().out
 
     def test_pass_and_fail_codes(self, capsys):
         assert main(["chain-check", "--n", "151"]) == 0

@@ -22,6 +22,7 @@ from walshdiv.counterexample import (
     ConstructionParams,
     EmptySelectionError,
     LemmaReport,
+    _frac,
     _nu_min,
     build_fn,
     c3_holds,
@@ -32,6 +33,7 @@ from walshdiv.counterexample import (
     minimal_n_for_c3,
     partial_sum_series,
     progression_L,
+    readable,
     select_m,
     verify_lemma1,
     verify_lemma2,
@@ -756,3 +758,16 @@ class TestReports:
         assert "[demo] n=3" in text
         assert "FAIL" in text
         assert "1 FAILED" in text
+
+    def test_text_shortens_values_past_60_digits(self):
+        near_one = Fraction(2**200 - 240, 2**200)  # 1 - 1.5e-58
+        long = _frac(near_one)
+        record = AssertionRecord("a", long, f"{3**130}/2^7", "pass", f"x={long}")
+        report = LemmaReport("demo", (record,))
+        line = report.to_text().splitlines()[1]
+        assert line.endswith("lhs=≈1 - 1.5e-58 (exact in CSV) rhs=≈8.3e+59 (exact in CSV)"
+                             "  [x=≈1 - 1.5e-58 (exact in CSV)]")
+        assert long in report.to_csv()
+        assert readable("60 digits stay: " + "9" * 60) == "60 digits stay: " + "9" * 60
+        assert readable("-" + "1" * 61) == "≈-1.1e+60 (exact in CSV)"
+        assert readable(f"{10**70 - 1}") == "≈1e+70 (exact in CSV)"

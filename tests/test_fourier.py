@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from walshdiv.atoms import AtomSum, KernelAtom, SpectralBlock
 from walshdiv.counterexample import ConstructionParams, partial_sum_series
@@ -118,6 +118,39 @@ class TestPartialSums:
             assert s.partial_sum(l, x) == sums[l - 1]
 
 
+PHIS = [
+    PhiSpec("power", 2), PhiSpec("power", Fraction(3, 2)), PhiSpec("power", Fraction(1, 3)),
+    PhiSpec("exp_linear", 1), PhiSpec("exp_linear", Fraction(7, 3)),
+    PhiSpec("exp_power", 2), PhiSpec("exp_power", Fraction(3, 2)),
+    PhiSpec("exp_power", Fraction(1, 2)),
+]
+
+
+@st.composite
+def phi_arguments(draw):
+    """(Φ, t) with t > 0 from 2^-40 up to where the exponent reaches 2^20:
+    X = c·t, X = t^α, or t itself for powers."""
+    phi = draw(st.sampled_from(PHIS))
+    t = Fraction(draw(st.integers(1, 1 << 30)), draw(st.integers(1, 999)))
+    t *= Fraction(2) ** draw(st.integers(-70, 20))
+    p = phi.parameter
+    if phi.kind == "exp_linear":
+        assume(p * t <= 1 << 20)
+    elif phi.kind == "exp_power":
+        assume(t ** p.numerator <= (1 << 20) ** p.denominator)
+    return phi, t
+
+
+def phi_reference(phi: PhiSpec, t: Fraction) -> mpmath.mpf:
+    """Φ(t) by mpmath at 100 digits."""
+    with mpmath.workdps(100):
+        tf = mpmath.mpf(t.numerator) / t.denominator
+        p = mpmath.mpf(phi.parameter.numerator) / phi.parameter.denominator
+        if phi.kind == "power":
+            return tf**p
+        return mpmath.expm1(p * tf if phi.kind == "exp_linear" else tf**p)
+
+
 class TestPhiSpec:
     def test_text_round_trip(self):
         for text in ("pow:2", "exp:3", "exppow:2", "pow:17/5", "exppow:1/2"):
@@ -151,6 +184,28 @@ class TestPhiSpec:
     def test_enclosure_rejects_huge_arguments(self):
         with pytest.raises(ArithmeticError):
             PhiSpec("exp_power", 2).enclosure(Fraction(10**6))
+
+    @given(phi_arguments(), st.sampled_from([53, 103, 200]))
+    @settings(max_examples=150, deadline=None)
+    def test_value_mpf_is_correctly_rounded(self, case, prec):
+        phi, t = case
+        with mpmath.workprec(prec):
+            got = phi.value_mpf(t)
+            want = +phi_reference(phi, t)  # rounds the 100-digit value
+        assert got == want
+
+    @given(phi_arguments())
+    @settings(max_examples=150, deadline=None)
+    def test_enclosure_contains_the_value(self, case):
+        phi, t = case
+        lo, hi = phi.enclosure(t)
+        if phi.kind == "power" and phi.parameter.denominator == 1:
+            assert lo == hi == t**phi.parameter
+            return
+        ref = exact_fraction(phi_reference(phi, t))
+        assert lo <= ref <= hi
+        if phi.kind != "power":  # e^X − 1 to about 96 significant bits
+            assert hi - lo <= ref / 2**90
 
 
 class TestStrongMean:
