@@ -51,6 +51,7 @@ __all__ = [
     "ln2_enclosure",
     "exp_enclosure",
     "exp_scaled",
+    "scaled_enclosure",
     "ln_enclosure",
     "pow_enclosure",
     "log1p_exp_enclosure",
@@ -61,9 +62,13 @@ __all__ = [
 #: A rational enclosure [lo, hi] of a real number.
 Enclosure = tuple[Fraction, Fraction]
 
+#: (a, b, e): the enclosure [a·2**e, b·2**e] as two integers over one power of two.
+Scaled = tuple[int, int, int]
+
 _DEFAULT_PREC = 96
 
-#: Largest argument :func:`exp_enclosure` and the Φ enclosures accept.
+#: Largest exp argument :func:`exp_enclosure`, :func:`pow_enclosure` and the
+#: Φ enclosures accept; :func:`exp_scaled` has no limit.
 EXP_ARGUMENT_CAP = 1 << 20
 
 
@@ -128,10 +133,7 @@ def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     above 2**20 are rejected: their values are astronomically large and every
     caller is expected to compare in log space instead.
     """
-    if x > EXP_ARGUMENT_CAP:
-        raise ArithmeticError(
-            f"exp argument {x} too large for direct enclosure; compare logs"
-        )
+    _refuse_huge(x)
     if x <= -64:
         return Fraction(0), Fraction(1, 1 << min((-x).numerator // (-x).denominator, prec))
     if x < 0:
@@ -142,6 +144,13 @@ def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
         return Fraction(one // hi, 1 << prec), Fraction(-(-one // lo), 1 << prec)
     lo, hi = _exp_fixed(x.numerator, x.denominator, prec)
     return Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
+
+
+def _refuse_huge(x: Fraction) -> None:
+    if x > EXP_ARGUMENT_CAP:
+        raise ArithmeticError(
+            f"exp argument {x} too large for direct enclosure; compare logs"
+        )
 
 
 def _exp_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
@@ -170,13 +179,22 @@ def _exp_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
     return lo >> shift, -(-hi >> shift)
 
 
-def exp_scaled(x: Fraction, prec: int = _DEFAULT_PREC) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo·2**e <= e**x <= hi·2**e, for any rational x.
+def exp_scaled(lo: Fraction, hi: Fraction, prec: int = _DEFAULT_PREC) -> Scaled:
+    """(a, b, e) with a·2**e <= e**x <= b·2**e for all x in [lo, hi], rational.
 
-    hi - lo < lo·2**-prec: the pair gives e**x to prec significant bits.  One
-    fixed-point Taylor sum of e**r after the reduction x = k ln 2 + r,
-    0 <= r < ln 2, whatever the size of x.
+    Each end gives its value to prec significant bits (b - a < a·2**-prec
+    when lo = hi), from one fixed-point Taylor sum of e**r after the
+    reduction x = k ln 2 + r, 0 <= r < ln 2, whatever the size of x.
     """
+    low = _exp_point(lo, prec)
+    if hi == lo:
+        return low
+    high = _exp_point(hi, prec)
+    e = min(low[2], high[2])
+    return low[0] << (low[2] - e), high[1] << (high[2] - e), e
+
+
+def _exp_point(x: Fraction, prec: int) -> Scaled:
     p, q = x.numerator, x.denominator
     w = prec + (abs(p) // q).bit_length() + 9  # |k| < 2**(w - prec - 7)
     xlo = (p << w) // q
@@ -200,6 +218,14 @@ def exp_scaled(x: Fraction, prec: int = _DEFAULT_PREC) -> tuple[int, int, int]:
     # e**rlo >= e**rhi·(1 - d), d = (rhi - rlo)/2**w
     lo = total + (-total * (rhi - rlo) >> w)
     return lo, total + 2 * terms + 4, k - w
+
+
+def scaled_enclosure(scaled: Scaled) -> Enclosure:
+    """The rational ends a·2**e and b·2**e of ``scaled`` = (a, b, e)."""
+    a, b, e = scaled
+    if e >= 0:
+        return Fraction(a << e), Fraction(b << e)
+    return Fraction(a, 1 << -e), Fraction(b, 1 << -e)
 
 
 def ln_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
@@ -246,31 +272,20 @@ def pow_enclosure(x: Fraction, p: Fraction, prec: int = _DEFAULT_PREC) -> Enclos
         if p > 0:
             return (Fraction(0), Fraction(0))
         raise ValueError("0 cannot be raised to a nonpositive fractional power")
-    llo, lhi = ln_enclosure(x, prec + 16)
-    lo = _scaled_fraction(exp_scaled(min(p * llo, p * lhi), prec + 16), 0)
-    hi = _scaled_fraction(exp_scaled(max(p * llo, p * lhi), prec + 16), 1)
-    return outward(lo, hi, prec)
-
-
-def _scaled_fraction(scaled: tuple[int, int, int], end: int) -> Fraction:
-    """The ``end``-th end (0 low, 1 high) of an :func:`exp_scaled` result."""
-    v, e = scaled[end], scaled[2]
-    return Fraction(v << e) if e >= 0 else Fraction(v, 1 << -e)
+    lo, hi = sorted(p * end for end in ln_enclosure(x, prec + 16))
+    _refuse_huge(hi)
+    return outward(*scaled_enclosure(exp_scaled(lo, hi, prec + 16)), prec)
 
 
 def log1p_exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     """Enclosure of ln(1 + e**x), stable for very large positive x.
 
-    For x >= 1 uses ln(1 + e**x) = x + ln(1 + e**-x), squeezing the
-    correction with t − t²/2 <= ln(1 + t) <= t for t = e**-x >= 0.
+    For x >= 1 uses ln(1 + e**x) = x + ln(1 + e**-x), so the logarithm is
+    only ever taken of a number in (1, 1 + e].
     """
     if x >= 1:
-        tlo, thi = exp_enclosure(-x, prec + 8)
-        corr_hi = thi
-        corr_lo = tlo - thi * thi / 2
-        if corr_lo < 0:
-            corr_lo = Fraction(0)
-        return outward(x + corr_lo, x + corr_hi, prec)
+        lo, hi = log1p_exp_enclosure(-x, prec + 8)
+        return outward(x + lo, x + hi, prec)
     elo, ehi = exp_enclosure(x, prec + 8)
     lo = ln_enclosure(1 + elo, prec + 8)[0]
     hi = ln_enclosure(1 + ehi, prec + 8)[1]

@@ -47,6 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Iterator, NamedTuple
 
+import mpmath
 import numpy as np
 
 from . import bounds
@@ -425,26 +426,13 @@ def _shorten(match: re.Match) -> str:
     m = round(v)
     d = v - m
     if m and d and abs(m) < 10**6 and abs(d) < Fraction(1, 10**6):
-        shown = f"{m} {'-' if d < 0 else '+'} {_scientific(abs(d))}"
-    else:
-        shown = _scientific(v)
-    return f"≈{shown} (exact in CSV)"
+        return f"≈{m} {'-' if d < 0 else '+'} {_two_digits(abs(d))} (exact in CSV)"
+    return f"≈{_two_digits(v)} (exact in CSV)"
 
 
-def _scientific(v: Fraction) -> str:
-    """Two significant digits of v ≠ 0, as ``1.5e-58``, at any exponent."""
-    sign = "-" if v < 0 else ""
-    v = abs(v)
-    e = math.floor(math.log10(v.numerator) - math.log10(v.denominator))
-    scaled = v / Fraction(10) ** e
-    if scaled >= 10:
-        scaled, e = scaled / 10, e + 1
-    elif scaled < 1:
-        scaled, e = scaled * 10, e - 1
-    mantissa = f"{float(scaled):.2g}"
-    if mantissa == "10":
-        mantissa, e = "1", e + 1
-    return f"{sign}{mantissa}e{e:+03d}"
+def _two_digits(v: Fraction) -> str:
+    with mpmath.workdps(20):
+        return mpmath.nstr(mpmath.mpf(v.numerator) / v.denominator, 2)
 
 
 def _dyadic(num: int, exponent: int) -> str:

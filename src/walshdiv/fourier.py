@@ -25,10 +25,9 @@ distinct (magnitude, precision), however many N share a magnitude.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import from_man_exp, from_rational
@@ -153,10 +152,7 @@ class PhiSpec:
                 f"Phi({t}) = exp(X) - 1 with X > 2^20 is too large for direct "
                 "enclosure; compare logs"
             )
-        lo, hi, e = scaled
-        if e >= 0:
-            return Fraction(lo << e), Fraction(hi << e)
-        return Fraction(lo, 1 << -e), Fraction(hi, 1 << -e)
+        return bounds.scaled_enclosure(scaled)
 
     def _exact_power(self, t: Fraction) -> bool:
         """Whether Φ(t) = t^p is a rational of at most _EXACT_BITS bits."""
@@ -165,7 +161,7 @@ class PhiSpec:
                 and p.numerator * max(t.numerator.bit_length(),
                                       t.denominator.bit_length()) <= _EXACT_BITS)
 
-    def _scaled(self, t: Fraction, prec: int, limit: int) -> tuple[int, int, int] | None:
+    def _scaled(self, t: Fraction, prec: int, limit: int) -> bounds.Scaled | None:
         """(lo, hi, e) with lo·2^e ≤ Φ(t) ≤ hi·2^e to about prec bits, t > 0.
 
         None when Φ(t) is beyond ``limit``: an exponent X > limit for the
@@ -178,8 +174,7 @@ class PhiSpec:
                 return None
             llo, lhi = bounds.ln_enclosure(t, prec + 8 + (a // b + 1).bit_length())
             p = self.parameter
-            return _span(bounds.exp_scaled(p * llo, prec + 4),
-                         bounds.exp_scaled(p * lhi, prec + 4))
+            return bounds.exp_scaled(p * llo, p * lhi, prec + 4)
         if self.kind == "exp_power" and a * (size - 1) >= b * limit.bit_length():
             return None  # X = t^α ≥ 2^(α(size - 1)) > limit
         xlo, xhi = self.exponent(t, prec + 8 + a * (abs(size) + 1) // b)
@@ -188,10 +183,9 @@ class PhiSpec:
         # for 0 < X ≤ 2^-prec, X ≤ e^X − 1 ≤ X + X²
         tiny = xhi.denominator.bit_length() - xhi.numerator.bit_length() - 1
         if tiny >= prec:
-            return _dyadic(xlo, xhi + xhi * xhi, prec)
+            return _scaled_rational(xlo, xhi + xhi * xhi, prec)
         extra = max(tiny, 0) + 4  # cancellation in e^X − 1 at small X
-        low = bounds.exp_scaled(xlo, prec + extra)
-        lo, hi, e = _span(low, low if xhi == xlo else bounds.exp_scaled(xhi, prec + extra))
+        lo, hi, e = bounds.exp_scaled(xlo, xhi, prec + extra)
         if e >= 0:
             return lo - 1, hi, e
         return lo - (1 << -e), hi - (1 << -e), e
@@ -204,13 +198,7 @@ def _nonnegative(t: Rat) -> Fraction:
     return t
 
 
-def _span(low: tuple[int, int, int], high: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The low end of ``low`` and the high end of ``high`` over one power of two."""
-    e = min(low[2], high[2])
-    return low[0] << (low[2] - e), high[1] << (high[2] - e), e
-
-
-def _dyadic(lo: Fraction, hi: Fraction, prec: int) -> tuple[int, int, int]:
+def _scaled_rational(lo: Fraction, hi: Fraction, prec: int) -> bounds.Scaled:
     """(a, b, e) with a·2^e ≤ lo ≤ hi ≤ b·2^e, a of about prec bits, 0 < lo."""
     e = lo.numerator.bit_length() - lo.denominator.bit_length() - prec - 2
     if e >= 0:
@@ -261,11 +249,6 @@ class Census(NamedTuple):
     @property
     def cuts(self) -> int:
         return sum(self.counts)
-
-    def items(self) -> Iterator[tuple[Fraction, int]]:
-        """(value, count) pairs in order of first occurrence."""
-        for v, count in zip(self.numerators, self.counts):
-            yield Fraction(v, self.denominator), count
 
 
 def _memoized(phi: PhiSpec, method: str, t: Fraction, prec: int):

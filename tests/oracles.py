@@ -17,7 +17,8 @@ The window census of f_n's partial sums:
   low-pass part of f_n (:func:`low_pass`, rendered at the least level that
   holds every coefficient below ``count``), read by :func:`_partial_sums_scaled`;
   :func:`_count_above` counts exceedances over such a series.
-- :func:`census_of`: the census of a materialized series, by ``np.unique``.
+- :func:`census_of`: the census of a materialized series, by ``np.unique``;
+  :func:`census_items` lists a census as (value, count) pairs.
 - :func:`symbolic_census`: the census from :meth:`AtomSum.partial_sum`, one
   symbolic cut per residue class of each window.  It shares only the
   periodicity D_l(y) = D_{l mod 2^E}(y) with the library, so it also reaches
@@ -235,6 +236,12 @@ def census_of(sums, N: int) -> Census:
     order = np.argsort(first)
     return Census(tuple(int(values[i]) for i in order),
                   tuple(int(counts[i]) for i in order), series.denominator)
+
+
+def census_items(census: Census) -> list[tuple[Fraction, int]]:
+    """(value, count) pairs of a census in order of first occurrence."""
+    return [(Fraction(v, census.denominator), count)
+            for v, count in zip(census.numerators, census.counts)]
 
 
 def symbolic_census(params: ConstructionParams, x: DyadicPoint, N: int

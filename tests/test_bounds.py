@@ -180,7 +180,7 @@ class TestEnclosures:
     def test_exp_scaled_contains_reference_to_prec_bits(self, x, prec):
         # compared as integers over powers of two: at x = 2^50 the value
         # itself would be a 1.6·10^15-bit integer
-        lo, hi, e = exp_scaled(x, prec)
+        lo, hi, e = exp_scaled(x, x, prec)
         with mpmath.workdps(90):
             _, man, exp, _ = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)._mpf_
         low = min(e, exp)
@@ -189,7 +189,8 @@ class TestEnclosures:
 
     def test_exp_scaled_keeps_its_numbers_narrow(self):
         # e^(10^14/3) has a 4.8·10^13-bit integer part; the enclosure does not
-        lo, hi, e = exp_scaled(Fraction(10**14, 3), 96)
+        x = Fraction(10**14, 3)
+        lo, hi, e = exp_scaled(x, x, 96)
         assert lo.bit_length() < 200 and e > 10**13
 
     @given(st.one_of(

@@ -78,7 +78,7 @@ class TestLemma2Command:
         assert main(["lemma2", "--n", "10000", "--out", str(out_file)]) == 1
         captured = capsys.readouterr()
         assert max(len(line) for line in captured.out.splitlines()) <= 120
-        assert "lhs=≈1 - 3e-248 (exact in CSV) rhs=" in captured.out
+        assert "lhs=≈1 - 3.0e-248 (exact in CSV) rhs=" in captured.out
         assert len(captured.err) < 120
         row = next(line for line in out_file.read_text().splitlines()
                    if line.startswith("lemma2,measure"))
@@ -341,7 +341,7 @@ class TestChainCheckCommand:
         row = out_file.read_text().splitlines()[-1]
         assert row.startswith("chains,minimal n with Phi(n/(50*2^k)) > exp(2n),")
         assert len(row.split(",")[2]) == 4300
-        assert "lhs=≈1e+4300 (exact in CSV) rhs=" in capsys.readouterr().out
+        assert "lhs=≈1.0e+4300 (exact in CSV) rhs=" in capsys.readouterr().out
 
     def test_a_phi_argument_past_the_print_limit_prints_symbolically(self, tmp_path, capsys):
         # t = 151/(50·2^15000) has a 4,517-digit denominator, past CPython's

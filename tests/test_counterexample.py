@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from walshdiv._kernels import walsh_sign_row
 from walshdiv.counterexample import (
@@ -700,6 +700,7 @@ class TestGrowthThreshold:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 8), st.integers(-50, 50), st.integers(1, 40))
+    @example(k=1, dc=13, n=1)  # X = 2.13 against ln(1 + e^2) = 2.1269...
     def test_exact_linear_decision_matches_enclosures(self, k, dc, n):
         # c = 100·2^k + dc, so c·t - 2n = n·dc/(50·2^k)
         assume(dc != 0)
@@ -770,4 +771,4 @@ class TestReports:
         assert long in report.to_csv()
         assert readable("60 digits stay: " + "9" * 60) == "60 digits stay: " + "9" * 60
         assert readable("-" + "1" * 61) == "≈-1.1e+60 (exact in CSV)"
-        assert readable(f"{10**70 - 1}") == "≈1e+70 (exact in CSV)"
+        assert readable(f"{10**70 - 1}") == "≈1.0e+70 (exact in CSV)"

@@ -48,8 +48,8 @@ def test_traced_strong_mean_counts():
     assert values["counterexample.build_fn.calls"] == 1
     assert values["fourier.PhiSpec.value_mpf.calls"] == 5
     assert values["fourier.PhiSpec.enclosure.calls"] == 6
-    # each Φ value is one fixed-point bounds.exp_scaled evaluation; the
-    # exact-rational exp_enclosure (10 calls, two per value, before) is not used
+    # each Φ value is one fixed-point bounds.exp_scaled evaluation, which
+    # the exact-rational exp_enclosure takes no part in
     assert "bounds.exp_enclosure.calls" not in values
 
 
