@@ -25,6 +25,7 @@ distinct (magnitude, precision), however many N share a magnitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -154,6 +155,12 @@ class PhiSpec:
             )
         return bounds.scaled_enclosure(scaled)
 
+    def _power(self, t: Fraction, prec: int) -> bounds.Scaled:
+        """t^p = e^{p ln t} for the parameter p, to prec significant bits."""
+        p = self.parameter
+        llo, lhi = bounds.ln_enclosure(t, prec + 8 + math.ceil(p).bit_length())
+        return bounds.exp_scaled(p * llo, p * lhi, prec)
+
     def _exact_power(self, t: Fraction) -> bool:
         """Whether Φ(t) = t^p is a rational of at most _EXACT_BITS bits."""
         p = self.parameter
@@ -169,23 +176,23 @@ class PhiSpec:
         """
         a, b = self.parameter.numerator, self.parameter.denominator
         size = t.numerator.bit_length() - t.denominator.bit_length()  # log2 t ± 1
-        if self.kind == "power":  # t^p = e^{p ln t}
+        if self.kind == "power":
             if a * (size - 1) > b * limit or a * (size + 1) < -b * limit:
                 return None
-            llo, lhi = bounds.ln_enclosure(t, prec + 8 + (a // b + 1).bit_length())
-            p = self.parameter
-            return bounds.exp_scaled(p * llo, p * lhi, prec + 4)
+            return self._power(t, prec + 4)
         if self.kind == "exp_power" and a * (size - 1) >= b * limit.bit_length():
             return None  # X = t^α ≥ 2^(α(size - 1)) > limit
-        xlo, xhi = self.exponent(t, prec + 8 + a * (abs(size) + 1) // b)
+        if self.kind == "exp_power" and b > 1:
+            # e^X − 1 needs X to prec + log2 X bits
+            xbits = max(a * (size + 1) // b, 0)
+            xlo, xhi = bounds.scaled_enclosure(self._power(t, prec + 8 + xbits))
+        else:
+            xlo, xhi = self.exponent(t)
         if xhi.numerator > limit * xhi.denominator:
             return None
-        # for 0 < X ≤ 2^-prec, X ≤ e^X − 1 ≤ X + X²
-        tiny = xhi.denominator.bit_length() - xhi.numerator.bit_length() - 1
-        if tiny >= prec:
-            return _scaled_rational(xlo, xhi + xhi * xhi, prec)
-        extra = max(tiny, 0) + 4  # cancellation in e^X − 1 at small X
-        lo, hi, e = bounds.exp_scaled(xlo, xhi, prec + extra)
+        # e^X − 1 cancels about log2(1/X) leading bits at small X
+        tiny = xhi.denominator.bit_length() - xhi.numerator.bit_length()
+        lo, hi, e = bounds.exp_scaled(xlo, xhi, prec + max(tiny, 0) + 4)
         if e >= 0:
             return lo - 1, hi, e
         return lo - (1 << -e), hi - (1 << -e), e
@@ -196,14 +203,6 @@ def _nonnegative(t: Rat) -> Fraction:
     if t < 0:
         raise ValueError("Phi is defined on [0, infinity)")
     return t
-
-
-def _scaled_rational(lo: Fraction, hi: Fraction, prec: int) -> bounds.Scaled:
-    """(a, b, e) with a·2^e ≤ lo ≤ hi ≤ b·2^e, a of about prec bits, 0 < lo."""
-    e = lo.numerator.bit_length() - lo.denominator.bit_length() - prec - 2
-    if e >= 0:
-        return lo.numerator // (lo.denominator << e), -(-hi.numerator // (hi.denominator << e)), e
-    return (lo.numerator << -e) // lo.denominator, -((-hi.numerator << -e) // hi.denominator), e
 
 
 def parse_phi(text: str) -> PhiSpec:
