@@ -51,7 +51,8 @@ _EXPONENT_CAP = 10**15
 #: Most Φ values one PhiSpec remembers; a full memo starts over.
 _MEMO_CAP = 1 << 16
 
-#: Largest bit size of t^p up to which an integer power is displayed exactly.
+#: Largest p·(bits of t) at which value_mpf rounds t^p, p an integer, from the
+#: exact rational; larger powers go through e^{p ln t}.
 _EXACT_BITS = 1 << 16
 
 
@@ -117,8 +118,10 @@ class PhiSpec:
         if t == 0:
             return mpmath.mpf(0)
         prec = mpmath.mp.prec
-        if self._exact_power(t):
-            v = t**self.parameter.numerator
+        p = self.parameter
+        if self.kind == "power" and p.denominator == 1 and p.numerator * max(
+                t.numerator.bit_length(), t.denominator.bit_length()) <= _EXACT_BITS:
+            v = t**p.numerator
             return mpmath.mp.make_mpf(from_rational(v.numerator, v.denominator, prec, "n"))
         guard = 16
         while guard <= 1 << 16:
@@ -128,7 +131,7 @@ class PhiSpec:
             lo, hi, e = scaled
             rounded = from_man_exp(lo, e, prec, "n")
             if rounded == from_man_exp(hi, e, prec, "n"):
-                _, man, exp, bc = rounded
+                _, _, exp, bc = rounded
                 if abs(exp + bc) > _EXPONENT_CAP:  # the binary exponent
                     return mpmath.mpf("+inf")
                 return mpmath.mp.make_mpf(rounded)
@@ -160,13 +163,6 @@ class PhiSpec:
         p = self.parameter
         llo, lhi = bounds.ln_enclosure(t, prec + 8 + math.ceil(p).bit_length())
         return bounds.exp_scaled(p * llo, p * lhi, prec)
-
-    def _exact_power(self, t: Fraction) -> bool:
-        """Whether Φ(t) = t^p is a rational of at most _EXACT_BITS bits."""
-        p = self.parameter
-        return (self.kind == "power" and p.denominator == 1
-                and p.numerator * max(t.numerator.bit_length(),
-                                      t.denominator.bit_length()) <= _EXACT_BITS)
 
     def _scaled(self, t: Fraction, prec: int, limit: int) -> bounds.Scaled | None:
         """(lo, hi, e) with lo·2^e ≤ Φ(t) ≤ hi·2^e to about prec bits, t > 0.
