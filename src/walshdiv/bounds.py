@@ -18,17 +18,12 @@ Implementation notes:
   operations cannot blow up fraction sizes.
 - ln uses the atanh series after range reduction by powers of two, and ln 2
   the same series at 1/3.
-- :func:`exp_enclosure` halves its argument to |y| <= 1/2, takes an exact
-  Taylor partial sum as one unreduced numerator/denominator pair with the
-  standard tail bound, then squares the interval back.  A floor or ceiling
-  depends only on the exact rational value, so its endpoints equal those of
-  exact Fraction arithmetic followed by the same outward roundings, bit for
-  bit.  Its numbers are about 1.44·x bits wide at x > 0.
-- :func:`exp_scaled` reduces by ln 2 first, e**x = 2**k · e**r with
-  0 <= r < ln 2, and sums the Taylor series of e**r in fixed point, so its
-  numbers stay about prec bits wide however large x is.  It gives e**x to
-  about prec significant bits; the growth functions Φ and
-  :func:`pow_enclosure` evaluate through it.
+- e**x has one kernel, :func:`exp_scaled`.  It reduces by ln 2 first,
+  e**x = 2**k · e**r with 0 <= r < ln 2, and sums the Taylor series of e**r
+  in fixed point, so its numbers stay about prec bits wide however large x
+  is, and it gives e**x to about prec significant bits.  The growth
+  functions Φ and :func:`pow_enclosure` take its result as it is;
+  :func:`exp_enclosure` rounds it outward to denominators 2**prec.
 - Callers that need a strict decision use :func:`decide_less`, which refines
   precision, up to a fixed 2**16 bits, until the intervals separate the
   operands.  That terminates because no caller compares equal values: the
@@ -123,6 +118,10 @@ def ln2_enclosure(prec: int = _DEFAULT_PREC) -> Enclosure:
 def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     """Enclosure of e**x for rational x.
 
+    On -64 < x <= 2**20 this is :func:`exp_scaled` at prec + 8 bits rounded
+    outward to denominators 2**prec, so each end lies within
+    2**-prec + 2**-(prec+8)·e**x of e**x.
+
     For x <= -64 a deliberately crude enclosure [0, 2**-min(floor(-x), prec)]
     is returned (e > 2 makes it valid); capping the exponent at ``prec`` keeps
     its denominator at most 2**prec however far negative x is.  Log-space
@@ -136,14 +135,7 @@ def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     _refuse_huge(x)
     if x <= -64:
         return Fraction(0), Fraction(1, 1 << min((-x).numerator // (-x).denominator, prec))
-    if x < 0:
-        # reciprocal: e**x = 1 / e**(-x); endpoints swap
-        w = prec + 8
-        lo, hi = _exp_fixed(-x.numerator, x.denominator, w)
-        one = 1 << (w + prec)
-        return Fraction(one // hi, 1 << prec), Fraction(-(-one // lo), 1 << prec)
-    lo, hi = _exp_fixed(x.numerator, x.denominator, prec)
-    return Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)
+    return outward(*scaled_enclosure(exp_scaled(x, x, prec + 8)), prec)
 
 
 def _refuse_huge(x: Fraction) -> None:
@@ -151,32 +143,6 @@ def _refuse_huge(x: Fraction) -> None:
         raise ArithmeticError(
             f"exp argument {x} too large for direct enclosure; compare logs"
         )
-
-
-def _exp_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
-    """Numerators over 2**prec of the enclosure of e**(p/q), p >= 0, q > 0."""
-    # Halve until the argument y = p/Q, Q = q·2**h, is at most 1/2.
-    halvings = 0
-    while 2 * p > q << halvings:
-        halvings += 1
-    big_q = q << halvings
-    # Exact Taylor partial sum num/den by Horner, tail bound 0 <= R < 2 y**T / T!.
-    terms = max(8, (prec + halvings) // 2 + 4)
-    num = den = 1
-    for i in range(terms - 1, 0, -1):
-        den *= big_q * i
-        num = den + p * num
-    # hi = num/den + 2 p**T / (den·Q·T), over the common denominator den·Q·T
-    hi_den = den * big_q * terms
-    hi_num = num * big_q * terms + 2 * p**terms
-    work = prec + 2 * halvings + 8
-    lo = (num << work) // den
-    hi = -(-(hi_num << work) // hi_den)
-    for _ in range(halvings):
-        lo = lo * lo >> work
-        hi = -(-hi * hi >> work)
-    shift = work - prec
-    return lo >> shift, -(-hi >> shift)
 
 
 def exp_scaled(lo: Fraction, hi: Fraction, prec: int = _DEFAULT_PREC) -> Scaled:

@@ -1083,12 +1083,10 @@ def c3_holds(phi: PhiSpec, n: int, k: int) -> bool:
         # t^p > e^{2n}  <=>  p ln t > 2n
         if t <= 1:
             return False
-
-        def lhs(prec: int) -> bounds.Enclosure:
-            lo, hi = bounds.ln_enclosure(t, prec)
-            return (phi.parameter * lo, phi.parameter * hi)
-
-        return bounds.decide_less(lambda prec: (Fraction(2 * n), Fraction(2 * n)), lhs)
+        return bounds.decide_less(
+            lambda prec: (Fraction(2 * n), Fraction(2 * n)),
+            lambda prec: _ln_phi_enclosure(phi, t, prec),
+        )
     if phi.kind == "exp_linear":
         at_most_2n = phi.parameter * t <= 2 * n
     else:

@@ -43,18 +43,13 @@ def contains(enclosure, ref: Fraction) -> bool:
     return lo <= ref <= hi
 
 
-rationals = st.fractions(
-    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=1000
-)
-
-
 def exp_enclosure_reference(x: Fraction, prec: int):
     """e**x enclosed with exact Fraction arithmetic, rounded outward per step.
 
-    The plain rational form of :func:`exp_enclosure` on -64 < x <= 2**20:
-    argument halving, an exact Taylor sum plus tail, interval squaring, and
-    a reciprocal for x < 0.  The fixed-point implementation must return the
-    same endpoints.
+    An algorithm independent of the library's ln 2 reduction: argument
+    halving, an exact Taylor sum plus tail, interval squaring, and a
+    reciprocal for x < 0.  Its ends lie within about 2**-prec·max(1, e**x)
+    of e**x on -64 < x <= 2**10, so :func:`exp_enclosure` must land as close.
     """
     if x < 0:
         lo, hi = exp_enclosure_reference(-x, prec + 8)
@@ -76,6 +71,16 @@ def exp_enclosure_reference(x: Fraction, prec: int):
     for _ in range(halvings):
         lo, hi = outward(lo * lo, hi * hi, work)
     return outward(lo, hi, prec)
+
+
+def assert_close_to_reference(x: Fraction, prec: int) -> None:
+    """exp_enclosure(x, prec) overlaps the reference [rlo, rhi], and each of
+    its ends lies within 2**-prec·max(1, rhi) of the reference's."""
+    lo, hi = exp_enclosure(x, prec)
+    rlo, rhi = exp_enclosure_reference(x, prec)
+    assert lo <= rhi and rlo <= hi
+    slack = max(1, rhi) / (1 << prec)
+    assert abs(lo - rlo) <= slack and abs(hi - rhi) <= slack
 
 
 PRECISIONS = [8, 32, 64, 96, 104, 200]
@@ -129,10 +134,13 @@ class TestEnclosures:
     def test_exp_contains_reference(self, x):
         assert contains(exp_enclosure(x, 96), mpf_ref(mpmath.exp, x))
 
-    @given(rationals)
-    @settings(max_examples=60, deadline=None)
-    def test_exp_contains_reference_randomized(self, x):
-        assert contains(exp_enclosure(x, 64), mpf_ref(mpmath.exp, x))
+    @given(exp_arguments, st.sampled_from(PRECISIONS))
+    @settings(max_examples=200, deadline=None)
+    def test_exp_contains_reference_randomized(self, x, prec):
+        # prec decimal digits are over 3·prec bits, and x more cover the
+        # integer part of e**x, under 1.45·x bits
+        dps = prec + max(0, x.numerator // x.denominator) + 30
+        assert contains(exp_enclosure(x, prec), mpf_ref(mpmath.exp, x, dps=dps))
 
     def test_exp_width_shrinks_with_precision(self):
         x = Fraction(7, 3)
@@ -145,15 +153,15 @@ class TestEnclosures:
 
     @given(exp_arguments, st.sampled_from(PRECISIONS))
     @settings(max_examples=200, deadline=None)
-    def test_exp_matches_fraction_reference(self, x, prec):
-        assert exp_enclosure(x, prec) == exp_enclosure_reference(x, prec)
+    def test_exp_is_close_to_fraction_reference(self, x, prec):
+        assert_close_to_reference(x, prec)
 
     @pytest.mark.parametrize("prec", PRECISIONS)
     @pytest.mark.parametrize(
         "x", [Fraction(0), Fraction(-1, 36), Fraction(-2303, 36), Fraction(1000, 3)]
     )
-    def test_exp_matches_fraction_reference_at_fixed_points(self, x, prec):
-        assert exp_enclosure(x, prec) == exp_enclosure_reference(x, prec)
+    def test_exp_is_close_to_fraction_reference_at_fixed_points(self, x, prec):
+        assert_close_to_reference(x, prec)
 
     def test_exp_far_negative_is_crude_but_sound(self):
         lo, hi = exp_enclosure(Fraction(-100))

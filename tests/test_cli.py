@@ -362,6 +362,15 @@ class TestChainCheckCommand:
         assert time.perf_counter() - start < 5
         assert "REPORTED minimal n with Phi(n/(50*2^k)) > exp(2n)" in capsys.readouterr().out
 
+    def test_gamma_rows_at_an_exp_argument_of_a_million(self, capsys):
+        # n/36 = 10^6 is the largest argument any command gives exp_enclosure
+        assert main(["chain-check", "--n", "36000000", "--k", "1"]) == 0
+        out = capsys.readouterr().out
+        assert ("  REPORTED gamma = floor(log2 exp(n/36))            lhs=1442695 rhs="
+                in out)
+        assert ("  PASS     2^(gamma+1) >= exp(n/36)                 lhs=2^1442696 "
+                "rhs=exp(36000000/36)" in out)
+
     def test_pass_and_fail_codes(self, capsys):
         assert main(["chain-check", "--n", "151"]) == 0
         capsys.readouterr()
