@@ -1,15 +1,16 @@
 """Certified rational bounds for exponentials and logarithms.
 
 Every inequality verdict in this package that involves a transcendental
-quantity (e**x, ln 2, ln(1 + e**x), powers with rational exponents, ...)
-is decided through the directed-rounding enclosures in this module: a check
-passes only if it holds at the unfavorable end of a rational interval
-[lo, hi] that provably contains the true value.
+quantity (e**x, ln 2, ln(1 + e**x), the growth functions Φ, ...) is decided
+through the directed-rounding enclosures in this module: a check passes only
+if it holds at the unfavorable end of an interval [lo, hi] that provably
+contains the true value.
 
 Implementation notes:
 
-- Endpoints are `fractions.Fraction`, or for :func:`exp_scaled` two integers
-  over one power of two; no floating point is involved.
+- Endpoints are `fractions.Fraction`, or a :data:`Scaled` triple (a, b, e) of
+  two integers over one power of two, the form of every Φ value, which
+  :func:`scaled_le` compares exactly; no floating point is involved.
 - Every series runs in integer fixed point: a bound is an integer numerator
   over 2**w, w a few guard bits above the requested precision, each rounding
   is one floor or ceiling in the direction that keeps the bound sound, and
@@ -22,8 +23,8 @@ Implementation notes:
   e**x = 2**k · e**r with 0 <= r < ln 2, and sums the Taylor series of e**r
   in fixed point, so its numbers stay about prec bits wide however large x
   is, and it gives e**x to about prec significant bits.  The growth
-  functions Φ and :func:`pow_enclosure` take its result as it is;
-  :func:`exp_enclosure` rounds it outward to denominators 2**prec.
+  functions Φ take its result as it is; :func:`exp_enclosure` rounds it
+  outward to denominators 2**prec.
 - Callers that need a strict decision use :func:`decide_less`, which refines
   precision, up to a fixed 2**16 bits, until the intervals separate the
   operands.  That terminates because no caller compares equal values: the
@@ -47,8 +48,8 @@ __all__ = [
     "exp_enclosure",
     "exp_scaled",
     "scaled_enclosure",
+    "scaled_le",
     "ln_enclosure",
-    "pow_enclosure",
     "log1p_exp_enclosure",
     "decide_less",
     "floor_enclosed",
@@ -62,8 +63,8 @@ Scaled = tuple[int, int, int]
 
 _DEFAULT_PREC = 96
 
-#: Largest exp argument :func:`exp_enclosure`, :func:`pow_enclosure` and the
-#: Φ enclosures accept; :func:`exp_scaled` has no limit.
+#: Largest exp argument :func:`exp_enclosure` and the enclosures of the
+#: exponential Φ kinds accept; :func:`exp_scaled` has no limit.
 EXP_ARGUMENT_CAP = 1 << 20
 
 
@@ -132,17 +133,13 @@ def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     above 2**20 are rejected: their values are astronomically large and every
     caller is expected to compare in log space instead.
     """
-    _refuse_huge(x)
-    if x <= -64:
-        return Fraction(0), Fraction(1, 1 << min((-x).numerator // (-x).denominator, prec))
-    return outward(*scaled_enclosure(exp_scaled(x, x, prec + 8)), prec)
-
-
-def _refuse_huge(x: Fraction) -> None:
     if x > EXP_ARGUMENT_CAP:
         raise ArithmeticError(
             f"exp argument {x} too large for direct enclosure; compare logs"
         )
+    if x <= -64:
+        return Fraction(0), Fraction(1, 1 << min((-x).numerator // (-x).denominator, prec))
+    return outward(*scaled_enclosure(exp_scaled(x, x, prec + 8)), prec)
 
 
 def exp_scaled(lo: Fraction, hi: Fraction, prec: int = _DEFAULT_PREC) -> Scaled:
@@ -194,6 +191,20 @@ def scaled_enclosure(scaled: Scaled) -> Enclosure:
     return Fraction(a, 1 << -e), Fraction(b, 1 << -e)
 
 
+def scaled_le(x: int, e: int, y: int, f: int) -> bool:
+    """Exact x·2**e <= y·2**f for integers; signs and leading-bit positions
+    decide first, so no shift is longer than the operands however far apart e
+    and f are."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx != sy or not sx:
+        return sx <= sy
+    top_x, top_y = abs(x).bit_length() + e, abs(y).bit_length() + f
+    if top_x != top_y:
+        return (top_x < top_y) == (sx > 0)
+    low = min(e, f)
+    return x << (e - low) <= y << (f - low)
+
+
 def ln_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     """Enclosure of ln x for rational x > 0."""
     if x <= 0:
@@ -223,24 +234,6 @@ def ln_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
         lo, hi = lo + j * l2hi, hi + j * l2lo
     shift = w - prec
     return Fraction(lo >> shift, 1 << prec), Fraction(-(-hi >> shift), 1 << prec)
-
-
-def pow_enclosure(x: Fraction, p: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
-    """Enclosure of x**p for rational x >= 0 and rational p."""
-    if p.denominator == 1:
-        if x == 0 and p < 0:
-            raise ValueError("0 cannot be raised to a negative power")
-        v = x**p.numerator
-        return (v, v)
-    if x < 0:
-        raise ValueError(f"fractional power of a negative base: {x}**{p}")
-    if x == 0:
-        if p > 0:
-            return (Fraction(0), Fraction(0))
-        raise ValueError("0 cannot be raised to a nonpositive fractional power")
-    lo, hi = sorted(p * end for end in ln_enclosure(x, prec + 16))
-    _refuse_huge(hi)
-    return outward(*scaled_enclosure(exp_scaled(lo, hi, prec + 16)), prec)
 
 
 def log1p_exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:

@@ -36,6 +36,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 
+from .bounds import scaled_le
 from .counterexample import (
     EXHAUSTIVE_CAP,
     GRID_CAP,
@@ -97,6 +98,16 @@ def _float(v) -> str:
         v = Fraction(v)
         with mpmath.workdps(20):
             return mpmath.nstr(mpmath.mpf(v.numerator) / v.denominator, 12)
+
+
+def _float_scaled(m: int, e: int, den: int) -> str:
+    """_float of m·2^e/den, which is built exactly only within 2^(±2^21), the
+    range of every exponential Φ under the exp argument cap."""
+    top = m.bit_length() + e
+    if abs(top) <= 1 << 21:
+        return _float(Fraction(m) * Fraction(2) ** e / den)
+    with mpmath.workdps(20):  # as _float rounds an overflow
+        return "0" if top < 0 or not m else mpmath.nstr(mpmath.ldexp(m, e) / den, 12)
 
 
 def _coefficient_rows(co: GridVector) -> list[str]:
@@ -274,27 +285,25 @@ def _cmd_strong_mean(ns: SimpleNamespace) -> int:
     failures = []
     lines = ["phi,N,mean,density_exact,density_float,markov_lhs_float,verdict"]
     for phi in phis:
-        phi_lo, phi_hi = phi.enclosure(threshold)
+        tau_lo, tau_hi, tau_e = phi.enclosure(threshold)
         for N in n_list:
             mean = strong_mean(censuses[N], phi, N, s=center)
             density = exceed_density(censuses[N], threshold, N)
-            lhs_hi = density * phi_hi
-            if mpmath.isinf(mean):
-                verdict = "pass"  # any finite lhs is below an infinite mean
+            # density·Φ(τ) ≤ mean, multiplied through by N
+            exceed = (density * N).numerator
+            mean_lo, mean_hi, mean_e = strong_mean_bounds(censuses[N], phi, N, s=center)
+            if scaled_le(exceed * tau_hi, tau_e, N * mean_lo, mean_e):
+                verdict = "pass"
+            elif not scaled_le(exceed * tau_lo, tau_e, N * mean_hi, mean_e):
+                verdict = "fail"
+                failures.append(
+                    f"strong-mean: density*phi > mean at phi={phi.to_text()} N={N}"
+                )
             else:
-                mean_lo, mean_hi = strong_mean_bounds(censuses[N], phi, N, s=center)
-                if lhs_hi <= mean_lo:
-                    verdict = "pass"
-                elif density * phi_lo > mean_hi:
-                    verdict = "fail"
-                    failures.append(
-                        f"strong-mean: density*phi > mean at phi={phi.to_text()} N={N}"
-                    )
-                else:
-                    verdict = "reported"
+                verdict = "reported"
             lines.append(
                 f"{phi.to_text()},{N},{_mean_str(mean)},{_frac(density)},"
-                f"{_float(density)},{_float(lhs_hi)},{verdict}"
+                f"{_float(density)},{_float_scaled(exceed * tau_hi, tau_e, N)},{verdict}"
             )
     _emit(ns, "", header + "\n".join(lines) + "\n")
     return _exit_code(failures)

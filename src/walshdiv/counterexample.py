@@ -867,7 +867,8 @@ def verify_lemma1(params: ConstructionParams, x: DyadicPoint) -> LemmaReport:
     [u_{k-1}, u_k) the identity chain is recomputed independently —
     S_l = 2^{-n} Σ_{j<k} D_l(x⊕θ_j), every character value w_p(θ_j) and
     w_l(θ_j) equals 1, the kernel-locality collapse D*_l = D*_m holds at
-    each x⊕θ_j, and |S_l| ≥ ∫_0^x D*_m(x⊕t)dt - 1.  The exceedance density
+    each x⊕θ_j, and |S_l| ≥ ∫_0^x D*_m(x⊕t)dt - 1, a ``vacuous`` row when
+    the integral is at most 1.  The exceedance density
     at N = 2q against max(n/40, integral - 1) is reported.  A window with
     more than PROGRESSION_CUT_CAP cuts is rejected before any of them is
     checked.
@@ -1048,7 +1049,7 @@ def verify_lemma1(params: ConstructionParams, x: DyadicPoint) -> LemmaReport:
             "|S_l| >= integral - 1 on the progression",
             _frac(abs(stripped)),
             _frac(integral - 1),
-            "pass" if a15 else "fail",
+            "vacuous" if integral <= 1 else "pass" if a15 else "fail",
             f"integral={_frac(integral)}",
         )
     )

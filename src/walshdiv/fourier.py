@@ -2,25 +2,20 @@
 
 A run of partial sums S_1 … S_N reaches this module as a :class:`Census`: its
 distinct values (integer numerators over one denominator) with their counts,
-in order of first occurrence.  :func:`strong_mean`, :func:`strong_mean_bounds`
-and :func:`exceed_density` read only the census, so their cost is one step
-per distinct value whatever N is.  The magnitudes |S_k − s| stay integer
-numerators over one denominator; only the Φ arguments, one per distinct
-magnitude, become :class:`~fractions.Fraction` objects.
-:mod:`walshdiv.counterexample` builds the census of f_n's partial sums from
-the window structure of f_n.
+in order of first occurrence, so the means and densities cost one step per
+distinct value whatever N is.  :mod:`walshdiv.counterexample` builds the
+census of f_n's partial sums from the window structure of f_n.
 
-Exact steps: the census and its counts, the centering |S_k − s|, the strict
-threshold test and the exceedance density.  Every Φ value is one fixed-point
-enclosure (:func:`walshdiv.bounds.exp_scaled` after an exact or enclosed
-exponent), whatever its size: :meth:`PhiSpec.enclosure` turns it into the
-rational ends that :func:`strong_mean_bounds` sums for the verdicts, and
-:meth:`PhiSpec.value_mpf` rounds it to the working precision for the display
-mean of :func:`strong_mean`, which mpmath sums in order of first occurrence.
-Each :class:`PhiSpec` remembers what it has computed, so a table of means
-over several N with one Φ calls :meth:`PhiSpec.value_mpf` once per distinct
-(magnitude, working precision) and :meth:`PhiSpec.enclosure` once per
-distinct (magnitude, precision), however many N share a magnitude.
+The census, the centering |S_k − s|, the strict threshold test and the
+exceedance density are exact.  Every Φ value is one
+:data:`~walshdiv.bounds.Scaled` triple (a, b, e), meaning [a·2^e, b·2^e], to
+relative precision: :func:`~walshdiv.bounds.exp_scaled` after an exact or
+enclosed exponent, t^p as e^{p ln t}, so it stays about 100 bits wide at any
+size.  :func:`strong_mean_bounds` sums the triples into one triple that the
+verdicts compare exactly; :meth:`PhiSpec.value_mpf` rounds each value for the
+display mean of :func:`strong_mean`, which mpmath sums.  Each
+:class:`PhiSpec` remembers the values it computes, so a table over several N
+evaluates Φ once per distinct magnitude and precision.
 """
 
 from __future__ import annotations
@@ -45,7 +40,8 @@ __all__ = [
     "exceed_density",
 ]
 
-#: mpf exponents beyond this magnitude report as +inf (overflow marker).
+#: Φ values past 2^_EXPONENT_CAP display as +inf, and those below
+#: 2^-_EXPONENT_CAP as 0; a power Φ past it has no enclosure.
 _EXPONENT_CAP = 10**15
 
 #: Most Φ values one PhiSpec remembers; a full memo starts over.
@@ -72,7 +68,8 @@ class PhiSpec:
       - ``exp_power``  [exppow]  Φ(t) = e^{t^α} − 1    (α > 0)
 
     The means of this module keep the values they compute in ``_memo``,
-    keyed by (method, t, precision); it plays no part in equality or hashing.
+    keyed by (method, numerator and denominator of t, precision); it plays
+    no part in equality or hashing.
     """
 
     kind: str
@@ -97,22 +94,21 @@ class PhiSpec:
     # -- evaluation ------------------------------------------------------------
 
     def exponent(self, t: Rat, prec: int = 96) -> bounds.Enclosure:
-        """Enclosure of X with Φ(t) = e^X − 1, for the two exponential kinds:
-        c·t, or t^α (exact at integer α, else to 2^-prec)."""
-        t = Fraction(t)
-        if self.kind == "exp_linear":
-            X = self.parameter * t
-            return (X, X)
-        if self.kind == "exp_power":
-            return bounds.pow_enclosure(t, self.parameter, prec)
-        raise ValueError("a power Phi has no exponent")
+        """Enclosure of X with Φ(t) = e^X − 1 at t > 0, for the two exponential
+        kinds: c·t, or t^α (exact at integer α, else to prec significant bits)."""
+        if self.kind == "power":
+            raise ValueError("a power Phi has no exponent")
+        if self.kind == "exp_power" and self.parameter.denominator > 1:
+            return bounds.scaled_enclosure(self._power(t, prec))
+        X = self.parameter * t if self.kind == "exp_linear" else t**self.parameter.numerator
+        return (X, X)
 
     def value_mpf(self, t: Rat) -> mpmath.mpf:
         """Φ(t) rounded to nearest at the working precision (t ≥ 0 exact rational).
 
         Both ends of the fixed-point enclosure are rounded, with more guard
         bits until they agree; +inf when the binary exponent passes
-        ±_EXPONENT_CAP.
+        _EXPONENT_CAP, and 0 when it falls below −_EXPONENT_CAP.
         """
         t = _nonnegative(t)
         if t == 0:
@@ -133,30 +129,26 @@ class PhiSpec:
             if rounded == from_man_exp(hi, e, prec, "n"):
                 _, _, exp, bc = rounded
                 if abs(exp + bc) > _EXPONENT_CAP:  # the binary exponent
-                    return mpmath.mpf("+inf")
+                    return mpmath.mpf("+inf" if exp + bc > 0 else 0)
                 return mpmath.mp.make_mpf(rounded)
             guard *= 2
         raise ArithmeticError(f"Phi({t}) not rounded at {prec} bits")
 
-    def enclosure(self, t: Rat, prec: int = 96) -> bounds.Enclosure:
-        """Rational enclosure of Φ(t), to about prec significant bits, for
-        certified comparisons.
+    def enclosure(self, t: Rat, prec: int = 96) -> bounds.Scaled:
+        """(lo, hi, e) with lo·2^e ≤ Φ(t) ≤ hi·2^e to about prec significant bits.
 
-        Raises ArithmeticError when the exponential argument is too large to
-        evaluate directly (compare in log space instead).
+        Raises ArithmeticError when Φ(t) is too large to evaluate directly: an
+        exponent X > 2^20 for the exponential kinds, a binary exponent surely
+        past _EXPONENT_CAP for powers.
         """
         t = _nonnegative(t)
         if t == 0:
-            return (Fraction(0), Fraction(0))
-        if self.kind == "power":
-            return bounds.pow_enclosure(t, self.parameter, prec)
+            return (0, 0, 0)
         scaled = self._scaled(t, prec, bounds.EXP_ARGUMENT_CAP)
         if scaled is None:
-            raise ArithmeticError(
-                f"Phi({t}) = exp(X) - 1 with X > 2^20 is too large for direct "
-                "enclosure; compare logs"
-            )
-        return bounds.scaled_enclosure(scaled)
+            what = "t^p past 2^(10^15)" if self.kind == "power" else "exp(X) - 1 with X > 2^20"
+            raise ArithmeticError(f"Phi({t}) = {what} is too large for direct enclosure")
+        return scaled
 
     def _power(self, t: Fraction, prec: int) -> bounds.Scaled:
         """t^p = e^{p ln t} for the parameter p, to prec significant bits."""
@@ -165,25 +157,19 @@ class PhiSpec:
         return bounds.exp_scaled(p * llo, p * lhi, prec)
 
     def _scaled(self, t: Fraction, prec: int, limit: int) -> bounds.Scaled | None:
-        """(lo, hi, e) with lo·2^e ≤ Φ(t) ≤ hi·2^e to about prec bits, t > 0.
-
-        None when Φ(t) is beyond ``limit``: an exponent X > limit for the
-        exponential kinds, a binary exponent surely past ±limit for powers.
-        """
+        """(lo, hi, e) with lo·2^e ≤ Φ(t) ≤ hi·2^e to about prec bits, t > 0;
+        None past an exponent X > ``limit`` for the exponential kinds, and for
+        powers past a binary exponent surely above _EXPONENT_CAP."""
         a, b = self.parameter.numerator, self.parameter.denominator
         size = t.numerator.bit_length() - t.denominator.bit_length()  # log2 t ± 1
         if self.kind == "power":
-            if a * (size - 1) > b * limit or a * (size + 1) < -b * limit:
+            if a * (size - 1) > b * _EXPONENT_CAP:
                 return None
             return self._power(t, prec + 4)
         if self.kind == "exp_power" and a * (size - 1) >= b * limit.bit_length():
             return None  # X = t^α ≥ 2^(α(size - 1)) > limit
-        if self.kind == "exp_power" and b > 1:
-            # e^X − 1 needs X to prec + log2 X bits
-            xbits = max(a * (size + 1) // b, 0)
-            xlo, xhi = bounds.scaled_enclosure(self._power(t, prec + 8 + xbits))
-        else:
-            xlo, xhi = self.exponent(t)
+        # e^X − 1 needs X to prec + log2 X bits
+        xlo, xhi = self.exponent(t, prec + 8 + max(a * (size + 1) // b, 0))
         if xhi.numerator > limit * xhi.denominator:
             return None
         # e^X − 1 cancels about log2(1/X) leading bits at small X
@@ -223,12 +209,6 @@ def parse_phi(text: str) -> PhiSpec:
 # ---------------------------------------------------------------------------
 
 
-def _cap_overflow(v: mpmath.mpf) -> mpmath.mpf:
-    if mpmath.isinf(v) or (v != 0 and abs(mpmath.mag(v)) > _EXPONENT_CAP):
-        return mpmath.mpf("+inf")
-    return v
-
-
 class Census(NamedTuple):
     """The distinct values of S_1 … S_N with their counts.
 
@@ -246,14 +226,15 @@ class Census(NamedTuple):
         return sum(self.counts)
 
 
-def _memoized(phi: PhiSpec, method: str, t: Fraction, prec: int):
-    """``phi.value_mpf(t)`` at working precision ``prec``, or ``phi.enclosure(t, prec)``,
-    computed once per (method, t, prec) while the memo has room."""
-    key = (method, t, prec)
+def _memoized(phi: PhiSpec, method: str, magnitude: int, den: int, prec: int):
+    """``phi.value_mpf(t)`` at working precision ``prec``, or ``phi.enclosure(t, prec)``, at
+    t = magnitude/den, once per (method, magnitude, den, prec) while the memo has room."""
+    key = (method, magnitude, den, prec)
     memo = phi._memo
     if key not in memo:
         if len(memo) >= _MEMO_CAP:
             memo.clear()
+        t = Fraction(magnitude, den)
         memo[key] = phi.value_mpf(t) if method == "mpf" else phi.enclosure(t, prec)
     return memo[key]
 
@@ -286,17 +267,18 @@ def strong_mean(
     ``census`` holds S_1 … S_N; ``s`` is the optional centering constant (0
     for the uncentered mean).  Partial sums stay exact; each distinct
     magnitude's Φ value is rounded once from its fixed-point enclosure, and
-    the terms are summed in floating point.  Returns +inf on overflow.
+    the terms are summed in floating point.  Returns +inf when a Φ value
+    passes 2^_EXPONENT_CAP; one below 2^-_EXPONENT_CAP counts as 0.
     """
     magnitudes, den = _magnitudes(census, N, s)
     with mpmath.workdps(30):
         total = mpmath.mpf(0)
         for magnitude, count in magnitudes.items():
-            term = _memoized(phi, "mpf", Fraction(magnitude, den), mpmath.mp.prec)
+            term = _memoized(phi, "mpf", magnitude, den, mpmath.mp.prec)
             if mpmath.isinf(term):
                 return mpmath.mpf("+inf")
             total += count * term
-        return _cap_overflow(total / N)
+        return total / N
 
 
 def strong_mean_bounds(
@@ -304,23 +286,36 @@ def strong_mean_bounds(
     phi: PhiSpec,
     N: int,
     s: Rat = 0,
-) -> bounds.Enclosure:
-    """Certified rational enclosure of the strong mean (for sound verdicts),
-    from 96-bit enclosures of each Φ value.
+) -> bounds.Scaled:
+    """Certified enclosure (lo, hi, e) of the strong mean, [lo·2^e, hi·2^e].
 
-    The largest magnitude is enclosed first, so a Φ value too large to
-    enclose raises before any other is computed; exact sums do not depend
-    on the order.
+    The terms count·Φ, from 96-bit enclosures, are summed at one unit 2^f,
+    96 + log2(#terms) + 8 bits below the largest Φ value, low ends floored and
+    high ends ceiled.  Magnitudes go from the largest down, so a Φ value too
+    large to enclose raises first, and once the cuts left weigh under one unit
+    together (each at most the last Φ value) they add that unit to the high
+    end, uncomputed.
     """
     magnitudes, den = _magnitudes(census, N, s)
-    lo_total = Fraction(0)
-    hi_total = Fraction(0)
-    for magnitude in sorted(magnitudes, reverse=True):
-        lo, hi = _memoized(phi, "enclosure", Fraction(magnitude, den), 96)
+    order = sorted(magnitudes, reverse=True)
+    _, top, e = _memoized(phi, "enclosure", order[0], den, 96)
+    if not top:
+        return (0, 0, 0)  # every magnitude is 0
+    f = top.bit_length() + e - (96 + len(order).bit_length() + 8)
+    lo_sum = hi_sum = 0
+    rest = N
+    for magnitude in order:
         count = magnitudes[magnitude]
-        lo_total += count * lo
-        hi_total += count * hi
-    return (lo_total / N, hi_total / N)
+        lo, hi, e = _memoized(phi, "enclosure", magnitude, den, 96)
+        up, down = max(e - f, 0), max(f - e, 0)  # up is at most the working width
+        lo_sum += count * lo << up >> down
+        hi_sum -= -count * hi << up >> down
+        rest -= count
+        if rest and (rest * hi).bit_length() + e <= f:
+            hi_sum += 1
+            break
+    g = N.bit_length()
+    return ((lo_sum << g) // N, -((-hi_sum << g) // N), f - g)
 
 
 def exceed_density(census: Census, threshold: Rat, N: int) -> Fraction:

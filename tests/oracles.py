@@ -76,10 +76,17 @@ def c3_by_enclosures(phi: PhiSpec, n: int, k: int) -> bool:
     if phi.kind == "exp_linear":
         exponent = lambda prec: (phi.parameter * t, phi.parameter * t)
     else:
-        exponent = lambda prec: bounds.pow_enclosure(t, phi.parameter, prec)
+        exponent = lambda prec: power_enclosure(t, phi.parameter, prec)
     return bounds.decide_less(
         lambda prec: bounds.log1p_exp_enclosure(Fraction(2 * n), prec), exponent
     )
+
+
+def power_enclosure(t: Fraction, alpha: Fraction, prec: int) -> bounds.Enclosure:
+    """Enclosure of t^α = e^{α ln t}, t > 0 and α > 0, to about 2^-prec·max(1, t^α),
+    from the ln and exp enclosures alone."""
+    lo, hi = (alpha * end for end in bounds.ln_enclosure(t, prec + 16))
+    return bounds.exp_enclosure(lo, prec)[0], bounds.exp_enclosure(hi, prec)[1]
 
 
 # ---------------------------------------------------------------------------

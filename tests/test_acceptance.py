@@ -405,7 +405,7 @@ def test_acceptance_7_divergence_trend(capsys) -> None:
     n = _DESK.n
     N = 2 * _DESK.q
     tau = Fraction(n, 40)
-    phi_lo, phi_hi = phi.enclosure(tau, 96)
+    phi_lo, phi_hi = bounds.scaled_enclosure(phi.enclosure(tau, 96))
     display_rhs = phi_hi / (1 << (2 * n + 1))
 
     witnesses = [
@@ -420,7 +420,7 @@ def test_acceptance_7_divergence_trend(capsys) -> None:
         sums = WindowSums(_DESK, x, N)
         census = sums.census()
         density = exceed_density(census, tau, N)
-        mean_lo, mean_hi = strong_mean_bounds(census, phi, N)
+        mean_lo, mean_hi = bounds.scaled_enclosure(strong_mean_bounds(census, phi, N))
         if density < Fraction(1, 1 << (2 * n + 1)):
             failures.append(f"exceedance density below 2^-{2 * n + 1} at x={x}")
         if not mean_lo > display_rhs:
@@ -434,8 +434,8 @@ def test_acceptance_7_divergence_trend(capsys) -> None:
             cut_census = sums.census(cut)
             for spec in (PhiSpec("power", 2), phi):
                 d = exceed_density(cut_census, tau, cut)
-                p_lo, _ = spec.enclosure(tau, 96)
-                _, m_hi = strong_mean_bounds(cut_census, spec, cut)
+                p_lo, _ = bounds.scaled_enclosure(spec.enclosure(tau, 96))
+                _, m_hi = bounds.scaled_enclosure(strong_mean_bounds(cut_census, spec, cut))
                 if not d * p_lo <= m_hi:
                     failures.append(f"table row fails Markov at N={cut}")
 

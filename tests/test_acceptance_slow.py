@@ -1,19 +1,29 @@
-"""Slow companion to the acceptance gate: exhaustive selector sweep n <= 16.
+"""Slow companions to the acceptance gate.
 
-Run with ``pytest -m slow``.  The claim under test is the full-strength one:
-at every admissible order n up to 16, every member cell must clear the n/30
-integral bound with a nonempty selector.  The sweep asserts exactly that and
-reports one line per order, so a genuinely failing order fails the test — by
-design there is no allow-list softening the verdict.
+Run with ``pytest -m slow``.
+
+- The exhaustive selector sweep n <= 16.  The claim under test is the
+  full-strength one: at every admissible order n up to 16, every member cell
+  must clear the n/30 integral bound with a nonempty selector.  The sweep
+  asserts exactly that and reports one line per order, so a genuinely failing
+  order fails the test — by design there is no allow-list softening the
+  verdict.
+- A strong mean over 2^20 cuts with 352,520 distinct magnitudes, whose Φ
+  values reach e^392835: it ends in a verdict within a bounded peak memory.
 """
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from walshdiv.counterexample import verify_lemma2
+
+from test_cli import checkout_env
 
 
 @pytest.mark.slow
@@ -35,3 +45,33 @@ def test_selector_integral_bound_full_sweep(capsys) -> None:
             )
             assert elapsed < 300.0, f"n={n} exceeded the 5-minute budget"
     assert not failing, f"integral bound fails at n in {failing}"
+
+
+# runs one command, then reports the peak resident set of its own process
+_PEAK_RSS = """
+import sys
+from walshdiv import cli
+status = cli.main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    peak = next(line for line in f if line.startswith("VmHWM:"))
+print(status, int(peak.split()[1]) // 1024, file=sys.stderr)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_strong_mean_over_a_million_cuts_ends_in_bounded_memory(capsys) -> None:
+    argv = ["strong-mean", "--n", "3", "--c", "2", "--x", "9/2^6",
+            "--N-list", "16,1024,1048576", "--phi", "exp:3"]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True,
+                          text=True, env=checkout_env(), timeout=600)
+    elapsed = time.perf_counter() - t0
+    status, peak_mib = map(int, proc.stderr.split())
+    with capsys.disabled():
+        print(f"\nstrong-mean exp:3 at N = 2^20: {elapsed:.1f}s, peak {peak_mib} MiB")
+    assert status == 0
+    rows = [line.split(",") for line in proc.stdout.splitlines() if line.startswith("exp:3,")]
+    assert [(r[1], r[-1]) for r in rows] == [
+        ("16", "pass"), ("1024", "pass"), ("1048576", "pass")]
+    assert peak_mib < 300

@@ -19,9 +19,9 @@ from walshdiv.bounds import (
     ln_enclosure,
     log1p_exp_enclosure,
     outward,
-    pow_enclosure,
     round_down,
     round_up,
+    scaled_le,
 )
 
 
@@ -224,25 +224,6 @@ class TestEnclosures:
             ln_enclosure(Fraction(0))
 
     @pytest.mark.parametrize(
-        "x, p",
-        [
-            (Fraction(2), Fraction(1, 2)),
-            (Fraction(5, 4), Fraction(7, 3)),
-            (Fraction(3), Fraction(-2, 3)),
-            (Fraction(151, 100), Fraction(5, 2)),
-        ],
-    )
-    def test_pow_contains_reference(self, x, p):
-        ref = mpf_ref(lambda a, b: a**b, x, p)
-        assert contains(pow_enclosure(x, p, 96), ref)
-
-    def test_pow_integer_exponent_is_exact(self):
-        lo, hi = pow_enclosure(Fraction(3, 2), Fraction(4))
-        assert lo == hi == Fraction(81, 16)
-        lo, hi = pow_enclosure(Fraction(3), Fraction(-2))
-        assert lo == hi == Fraction(1, 9)
-
-    @pytest.mark.parametrize(
         "x", [Fraction(0), Fraction(1), Fraction(5), Fraction(302), Fraction(-3)]
     )
     def test_log1p_exp_contains_reference(self, x):
@@ -257,6 +238,33 @@ class TestEnclosures:
 
 
 class TestDecisions:
+    @given(st.integers(-(1 << 70), 1 << 70), st.integers(-80, 80),
+           st.integers(-(1 << 70), 1 << 70), st.integers(-80, 80))
+    @settings(max_examples=300, deadline=None)
+    def test_scaled_le_matches_fraction_comparison(self, x, e, y, f):
+        assert scaled_le(x, e, y, f) == (x * Fraction(2) ** e <= y * Fraction(2) ** f)
+
+    @given(st.integers(-(1 << 70), 1 << 70), st.integers(-80, 80), st.integers(0, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_scaled_le_holds_both_ways_at_equal_values(self, x, e, k):
+        # x·2^e written a second way, with k more trailing zero bits
+        assert scaled_le(x, e, x << k, e - k)
+        assert scaled_le(x << k, e - k, x, e)
+
+    @pytest.mark.parametrize("x, e, y, f, holds", [
+        (1, 0, 1, 10**15, True),
+        (1, 10**15, 1, 0, False),
+        (-1, 10**15, 1, -10**15, True),
+        (-1, 0, -1, 10**15, False),
+        (3, -10**15, 0, 0, False),
+        (0, 10**15, 0, -10**15, True),
+        (5 << 40, -10**15, 5, 40 - 10**15, True),
+        ((1 << 100) + 1, -10**15, 1, 100 - 10**15, False),
+    ])
+    def test_scaled_le_at_exponents_far_apart(self, x, e, y, f, holds):
+        # a shift by 10^15 bits would need 125 TB; the leading bits decide first
+        assert scaled_le(x, e, y, f) is holds
+
     def test_decide_known_inequalities(self):
         e = exp_enclosure
         assert decide_less(lambda p: e(Fraction(1), p), lambda p: (Fraction(272, 100),) * 2)

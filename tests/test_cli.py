@@ -224,6 +224,32 @@ class TestLemma1Command:
         assert out.count("=> OK") == 16
 
 
+# every subcommand that prints report rows, at desk scale
+REPORT_COMMANDS = [
+    ["lemma1", "--n", "1", "--c", "2"],
+    ["lemma1", "--n", "2", "--c", "2"],
+    ["lemma1", "--n", "2", "--c", "3"],
+    ["lemma1", "--n", "3", "--c", "2"],
+    ["lemma2", "--n", "12"],
+    ["lemma2", "--n", "3"],
+    ["chain-check"],
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=" ".join)
+def test_no_pass_rests_on_a_nonpositive_bound_of_an_absolute_value(argv, capsys):
+    # |y| >= b with b <= 0 holds for every y, so such a row must say vacuous
+    main(argv)
+    rows = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("  PASS ") for line in rows)
+    empty = []
+    for line in rows:
+        row = re.match(r"  PASS +(\|.*\| *>=?.*?)  lhs=\S* rhs=(-?\d+(?:/\d+)?)(?: |$)", line)
+        if row and Fraction(row.group(2)) <= 0:
+            empty.append(line)
+    assert empty == []
+
+
 class TestPartialSumsCommand:
     def test_table_matches_library(self, tmp_path, capsys):
         out_file = tmp_path / "sums.csv"
@@ -312,6 +338,41 @@ class TestStrongMeanCommand:
                      "--N-list", "4096", "--phi", "exp:4096"]) == 2
         assert time.perf_counter() - start < 5
         assert "too large for direct enclosure" in one_error_line(capsys)
+
+    TINY = ["strong-mean", "--n", "2", "--c", "3", "--x", "7/2^5", "--N-list", "16",
+            "--phi", "pow:10000000000000000"]
+
+    def test_a_mean_below_2_to_the_minus_10_to_the_15_shows_as_0(self, capsys):
+        # Φ(1/2) = 2^(-10^16) at 10 of the 16 cuts: the mean is (5/8)·2^(-10^16),
+        # printed 0.0, and its verdict comes from the certified bounds
+        assert main([*self.TINY, "--threshold", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "pow:10000000000000000,16,0.0,5/8,0.625,0,pass")
+
+    def test_a_power_far_below_one_is_quick(self):
+        # Φ(1/20) = 20^(-10^16) at the default threshold: no exact power
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "walshdiv.cli", *self.TINY],
+                              capture_output=True, text=True, env=checkout_env(),
+                              timeout=60)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 0
+        rows = [l for l in proc.stdout.splitlines() if l.startswith("pow:")]
+        assert rows == ["pow:10000000000000000,16,0.0,5/8,0.625,0,pass"]
+
+    def test_a_power_past_2_to_the_10_to_the_15_ends_in_one_line(self, capsys):
+        # |S - s| = 4 at the first cuts with s = -4: Φ = 4^(10^16) = 2^(2·10^16)
+        assert main([*self.TINY, "--center", "-4"]) == 2
+        assert "past 2^(10^15)" in one_error_line(capsys)
+
+    def test_a_power_of_two_million_passes_quickly(self, capsys):
+        start = time.perf_counter()
+        assert main(["strong-mean", "--n", "2", "--c", "3", "--x", "7/2^5",
+                     "--N-list", "16,4096", "--phi", "pow:2000000"]) == 0
+        assert time.perf_counter() - start < 5
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+                if l.startswith("pow:")]
+        assert [(r[1], r[-1]) for r in rows] == [("16", "pass"), ("4096", "pass")]
 
 
 class TestChainCheckCommand:

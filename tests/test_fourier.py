@@ -16,10 +16,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from walshdiv.atoms import AtomSum, KernelAtom, SpectralBlock
+from walshdiv.bounds import scaled_enclosure, scaled_le
 from walshdiv.counterexample import ConstructionParams, partial_sum_series
 from walshdiv.dyadic import DyadicPoint, containing_interval, xor_add
 from walshdiv.fourier import (
-    _cap_overflow,
     PhiSpec,
     exceed_density,
     parse_phi,
@@ -173,10 +173,10 @@ class TestPhiSpec:
 
     def test_enclosure_brackets_value(self):
         for t in (Fraction(1, 20), Fraction(3, 2), Fraction(4)):
-            lo, hi = PhiSpec("power", 2).enclosure(t)
+            lo, hi = scaled_enclosure(PhiSpec("power", 2).enclosure(t))
             assert lo <= t * t <= hi
             for phi in (PhiSpec("exp_linear", 3), PhiSpec("exp_power", 2)):
-                lo, hi = phi.enclosure(t)
+                lo, hi = scaled_enclosure(phi.enclosure(t))
                 with mpmath.workdps(60):
                     v = exact_fraction(phi.value_mpf(t))
                 assert 0 <= lo <= v <= hi
@@ -184,6 +184,16 @@ class TestPhiSpec:
     def test_enclosure_rejects_huge_arguments(self):
         with pytest.raises(ArithmeticError):
             PhiSpec("exp_power", 2).enclosure(Fraction(10**6))
+        # a power is refused only past 2^(10^15), and kept far below 2^(-10^15)
+        with pytest.raises(ArithmeticError, match="past 2"):
+            PhiSpec("power", 10**16).enclosure(Fraction(4))
+        lo, hi, e = PhiSpec("power", 10**16).enclosure(Fraction(1, 2))
+        assert lo <= 1 << -e - 10**16 <= hi
+        assert hi.bit_length() < 200
+
+    def test_a_power_below_2_to_the_minus_10_to_the_15_shows_as_0(self):
+        assert PhiSpec("power", 10**16).value_mpf(Fraction(1, 2)) == 0
+        assert mpmath.isinf(PhiSpec("power", 10**16).value_mpf(Fraction(2)))
 
     @given(phi_arguments(), st.sampled_from([53, 103, 200]))
     @settings(max_examples=150, deadline=None)
@@ -198,14 +208,30 @@ class TestPhiSpec:
     @settings(max_examples=150, deadline=None)
     def test_enclosure_contains_the_value(self, case):
         phi, t = case
-        lo, hi = phi.enclosure(t)
-        if phi.kind == "power" and phi.parameter.denominator == 1:
-            assert lo == hi == t**phi.parameter
-            return
+        lo, hi = scaled_enclosure(phi.enclosure(t))
         ref = exact_fraction(phi_reference(phi, t))
         assert lo <= ref <= hi
-        if phi.kind != "power":  # e^X − 1 to about 96 significant bits
-            assert hi - lo <= ref / 2**90
+        assert hi - lo <= ref / 2**90  # to about 96 significant bits
+
+    @pytest.mark.parametrize("t, alpha", [
+        (Fraction(2), Fraction(1, 2)),
+        (Fraction(5, 4), Fraction(7, 3)),
+        (Fraction(1, 3), Fraction(2, 3)),
+        (Fraction(151, 100), Fraction(5, 2)),
+        (Fraction(3, 1 << 40), Fraction(101, 100)),
+    ])
+    @pytest.mark.parametrize("prec", [96, 192, 1024])
+    def test_exponent_at_fractional_alpha_contains_the_power(self, t, alpha, prec):
+        lo, hi = PhiSpec("exp_power", alpha).exponent(t, prec)
+        with mpmath.workprec(2 * prec + 64):
+            ref = exact_fraction(mpmath.power(
+                mpmath.mpf(t.numerator) / t.denominator,
+                mpmath.mpf(alpha.numerator) / alpha.denominator))
+        assert lo <= ref <= hi
+        assert hi - lo <= ref / 2 ** (prec - 4)
+
+    def test_exponent_at_integer_alpha_is_exact(self):
+        assert PhiSpec("exp_power", 3).exponent(Fraction(3, 2)) == (Fraction(27, 8),) * 2
 
 
 class TestStrongMean:
@@ -249,15 +275,38 @@ class TestStrongMean:
         sums = [Fraction(rng.randrange(-40, 41), 8) for _ in range(32)]
         for phi in (PhiSpec("power", 2), PhiSpec("exp_linear", 2),
                     PhiSpec("exp_power", 2)):
-            lo, hi = strong_mean_bounds(census_of(sums, 32), phi, 32)
+            lo, hi = scaled_enclosure(strong_mean_bounds(census_of(sums, 32), phi, 32))
             v = exact_fraction(mean_by_counter(sums, phi, 32, 0, dps=60))
             assert lo <= v <= hi
 
-    def test_bounds_are_exact_for_power_two(self):
+    def test_bounds_hold_the_power_two_mean_to_96_bits(self):
         sums = [Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2)]
-        lo, hi = strong_mean_bounds(census_of(sums, 3), PhiSpec("power", 2), 3)
+        lo, hi = scaled_enclosure(strong_mean_bounds(census_of(sums, 3), PhiSpec("power", 2), 3))
         want = Fraction(sum(s * s for s in sums), 3)
-        assert lo == hi == want
+        assert lo <= want <= hi
+        assert hi - lo <= want / 2**92
+
+    def test_bounds_stay_narrow_at_values_far_apart(self):
+        # Φ(1/2) = 2^(-10^16) at p = 10^16: the mean 3·2^(-10^16-2) is a
+        # triple of about 100 bits
+        lo, hi, e = strong_mean_bounds(census_of([Fraction(1, 2)] * 3 + [0], 4),
+                                       PhiSpec("power", 10**16), 4)
+        assert lo.bit_length() < 200 and hi.bit_length() < 200
+        assert scaled_le(lo, e, 3, -10**16 - 2) and scaled_le(3, -10**16 - 2, hi, e)
+        # a term 2^400 times below the largest is under one working unit
+        census = census_of([Fraction(1, 1 << 200), 1], 2)
+        lo, hi = scaled_enclosure(strong_mean_bounds(census, PhiSpec("power", 2), 2))
+        assert lo <= Fraction((1 << 400) + 1, 1 << 401) <= hi
+
+    def test_cuts_below_one_unit_still_lift_the_high_end(self):
+        # exact stand-in Φ values put in the memo: 1, then 7/8 and 3/4 of the
+        # working unit 2^-105; the last is left uncomputed, below one unit
+        census = census_of([2, 1, Fraction(1, 2)], 3)
+        phi, d = PhiSpec("power", 2), census.denominator
+        for v, scaled in ((2, (1, 1, 0)), (1, (7, 7, -108)), (Fraction(1, 2), (3, 3, -107))):
+            phi._memo["enclosure", int(v * d), d, 96] = scaled
+        lo, hi = scaled_enclosure(strong_mean_bounds(census, phi, 3))
+        assert lo <= (1 + Fraction(13, 8 << 105)) / 3 <= hi
 
 
 class TestExceedDensity:
@@ -286,8 +335,8 @@ class TestExceedDensity:
             for phi in (PhiSpec("power", 2), PhiSpec("exp_linear", 1)):
                 census = census_of(sums, n)
                 density = exceed_density(census, tau, n)
-                _, mean_hi = strong_mean_bounds(census, phi, n)
-                tau_lo, _ = phi.enclosure(tau)
+                _, mean_hi = scaled_enclosure(strong_mean_bounds(census, phi, n))
+                tau_lo, _ = scaled_enclosure(phi.enclosure(tau))
                 assert density * tau_lo <= mean_hi
 
 
@@ -303,13 +352,15 @@ def mean_by_counter(sums, phi, N, s, dps=30):
             if mpmath.isinf(term):
                 return mpmath.mpf("+inf")
             total += count * term
-        return _cap_overflow(total / N)
+        return total / N
 
 
 def bounds_by_counter(sums, phi, N, s):
+    """The exact Fraction mean of the low ends and of the high ends."""
     magnitudes = Counter(abs(Fraction(v) - s) for v in sums[:N])
-    lo = sum(count * phi.enclosure(m)[0] for m, count in magnitudes.items())
-    hi = sum(count * phi.enclosure(m)[1] for m, count in magnitudes.items())
+    ends = {m: scaled_enclosure(phi.enclosure(m)) for m in magnitudes}
+    lo = sum(count * ends[m][0] for m, count in magnitudes.items())
+    hi = sum(count * ends[m][1] for m, count in magnitudes.items())
     return (Fraction(lo) / N, Fraction(hi) / N)
 
 
@@ -361,6 +412,18 @@ class TestExactSeries:
         for phi in (PhiSpec("power", 2), PhiSpec("power", Fraction(3, 2)),
                     PhiSpec("exp_linear", 1)):
             assert strong_mean(census, phi, N, s=s) == mean_by_counter(xs, phi, N, s)
-        square = PhiSpec("power", 2)
-        assert strong_mean_bounds(census, square, N, s=s) == bounds_by_counter(xs, square, N, s)
         assert exceed_density(census, threshold, N) == density_by_count(xs, threshold, N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_and_cut(), st.sampled_from(PHIS))
+def test_scaled_sum_contains_the_fraction_sum(case, phi):
+    # scaled by 2^-64 to |v| <= 64, so that every Φ stays under the exp cap
+    xs, N, s = case
+    xs = [v / (1 << 64) for v in xs]
+    s = s / (1 << 64)
+    census = census_of(series_of(xs), N)
+    lo, hi = scaled_enclosure(strong_mean_bounds(census, phi, N, s=s))
+    ref_lo, ref_hi = bounds_by_counter(xs, phi, N, s)
+    assert lo <= ref_lo and ref_hi <= hi
+    assert hi - lo <= ref_hi - ref_lo + ref_hi / 2**96
