@@ -10,7 +10,10 @@ Kernels
 - the exhaustive cell scan behind the sign-change-set verification:
   membership, descent selector, and the exact (scaled) kernel integral for
   every level-(n+2) cell with x_1 = 0 at once; the top digit x_1 enters none
-  of them, so these 2^(n+1) cells stand for all 2^(n+2).
+  of them, so these 2^(n+1) cells stand for all 2^(n+2);
+- decimal text rows: a newline, an index in decimal and a suffix, for a
+  whole ascending index array, written as ASCII bytes in one grid and
+  decoded once.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ __all__ = [
     "walsh_sign_row",
     "dirichlet_row",
     "cell_scan",
+    "decimal_rows",
 ]
 
 
@@ -131,3 +135,35 @@ def cell_scan(n: int):
             integral_num[half:size] += np.arange(half, size, dtype=np.int64) << k
     member = (3 * np.abs(n - 2 * np.arange(n + 1)) < n)[c]
     return member, m_vals, nu, integral_num
+
+
+def decimal_rows(numbers: np.ndarray, suffixes: list[bytes], which: np.ndarray) -> str:
+    """A newline, m in decimal and ``suffixes[j]``, for each m, j of
+    ``numbers``, ``which``, joined into one string.
+
+    ``numbers`` is an ascending array of nonnegative integers and ``which``
+    indexes ``suffixes``, ASCII texts without NUL bytes.  Every row is one
+    line of a uint8 grid as wide as the longest: a newline, the decimal
+    digits right-aligned, then the suffix left-aligned, with NUL filling the
+    gaps.  Each digit column costs one scalar ``% 10`` and ``//= 10`` over
+    the whole array, and a column's leading zeros are a prefix of the rows,
+    since the numbers ascend; the units column stays, so m = 0 prints ``0``.
+    Dropping the NULs leaves the text.
+    """
+    if not numbers.size:
+        return ""
+    digits = len(str(int(numbers[-1])))
+    tail = max(map(len, suffixes))
+    grid = np.zeros((numbers.size, 1 + digits + tail), dtype=np.uint8)
+    grid[:, 0] = ord("\n")
+    rest = numbers.astype(np.min_scalar_type(numbers[-1]))
+    for col in range(digits, 0, -1):
+        grid[:, col] = rest % 10 + ord("0")
+        rest //= 10
+    for col in range(1, digits):
+        grid[: np.searchsorted(numbers, 10 ** (digits - col)), col] = 0
+    table = np.zeros((len(suffixes), tail), dtype=np.uint8)
+    for row, text in zip(table, suffixes):
+        row[: len(text)] = np.frombuffer(text, dtype=np.uint8)
+    grid[:, 1 + digits :] = table[which]
+    return grid[grid != 0].tobytes().decode("ascii")

@@ -120,7 +120,7 @@ def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     """Enclosure of e**x for rational x.
 
     On -64 < x <= 2**20 this is :func:`exp_scaled` at prec + 8 bits rounded
-    outward to denominators 2**prec, so each end lies within
+    outward to denominators 2**prec by shifts, so each end lies within
     2**-prec + 2**-(prec+8)·e**x of e**x.
 
     For x <= -64 a deliberately crude enclosure [0, 2**-min(floor(-x), prec)]
@@ -139,7 +139,11 @@ def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
         )
     if x <= -64:
         return Fraction(0), Fraction(1, 1 << min((-x).numerator // (-x).denominator, prec))
-    return outward(*scaled_enclosure(exp_scaled(x, x, prec + 8)), prec)
+    a, b, e = _exp_point(x, prec + 8)
+    s = -e - prec  # a·2**e = (a·2**-s)/2**prec: round a down and b up
+    if s < 0:
+        return Fraction(a << -s, 1 << prec), Fraction(b << -s, 1 << prec)
+    return Fraction(a >> s, 1 << prec), Fraction(-(-b >> s), 1 << prec)
 
 
 def exp_scaled(lo: Fraction, hi: Fraction, prec: int = _DEFAULT_PREC) -> Scaled:

@@ -36,6 +36,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 
+from ._kernels import decimal_rows
 from .bounds import scaled_le
 from .counterexample import (
     EXHAUSTIVE_CAP,
@@ -110,18 +111,21 @@ def _float_scaled(m: int, e: int, den: int) -> str:
         return "0" if top < 0 or not m else mpmath.nstr(mpmath.ldexp(m, e) / den, 12)
 
 
-def _coefficient_rows(co: GridVector) -> list[str]:
-    """``m,exact,float`` for every nonzero coefficient m, in index order.
+def _coefficient_rows(co: GridVector) -> str:
+    """A newline and ``m,exact,float`` for every nonzero coefficient m, in
+    index order, as one string.
 
     The construction's spectrum takes few distinct values (4 at n = 2, c = 3;
     10 at n = 3, c = 2), so each distinct value is formatted once, exactly as
-    _frac and _float format it, and each row only joins an index to its text.
+    _frac and _float format it, and :func:`~walshdiv._kernels.decimal_rows`
+    writes every row's index and that text as bytes in one numpy grid.
     """
     index = np.nonzero(co.numerators)[0]
-    values, which = np.unique(co.numerators[index], return_inverse=True)
+    nonzero = co.numerators[index]
+    values = np.unique(nonzero)
     fracs = (Fraction(int(v), co.denominator) for v in values)
-    text = [f"{_frac(v)},{_float(v)}" for v in fracs]
-    return [f"{m},{text[j]}" for m, j in zip(index.tolist(), which.tolist())]
+    text = [f",{_frac(v)},{_float(v)}".encode("ascii") for v in fracs]
+    return decimal_rows(index, text, np.searchsorted(values, nonzero))
 
 
 def _mean_str(v: mpmath.mpf) -> str:
@@ -209,7 +213,8 @@ def _cmd_build_fn(ns: SimpleNamespace) -> int:
     lines = []
     if ns.dump_coefficients:
         co = fwht(fn.render(params.q_exponent))
-        lines = ["index,value_exact,value_float", *_coefficient_rows(co)]
+        # the rows arrive as one string, each row led by its newline
+        lines = ["index,value_exact,value_float" + _coefficient_rows(co)]
     elif ns.out:
         lines = ["lo,hi,owners"]
         for b in fn.spectral_blocks:
@@ -288,7 +293,7 @@ def _cmd_strong_mean(ns: SimpleNamespace) -> int:
         tau_lo, tau_hi, tau_e = phi.enclosure(threshold)
         for N in n_list:
             mean = strong_mean(censuses[N], phi, N, s=center)
-            density = exceed_density(censuses[N], threshold, N)
+            density = exceed_density(censuses[N], threshold, N, s=center)
             # density·Φ(τ) ≤ mean, multiplied through by N
             exceed = (density * N).numerator
             mean_lo, mean_hi, mean_e = strong_mean_bounds(censuses[N], phi, N, s=center)

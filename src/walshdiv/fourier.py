@@ -47,8 +47,9 @@ _EXPONENT_CAP = 10**15
 #: Most Φ values one PhiSpec remembers; a full memo starts over.
 _MEMO_CAP = 1 << 16
 
-#: Largest p·(bits of t) at which value_mpf rounds t^p, p an integer, from the
-#: exact rational; larger powers go through e^{p ln t}.
+#: Largest p·(bits of t) at which t^p, p an integer, is computed exactly (for
+#: value_mpf's powers and the exponent of exp_power); larger powers go
+#: through e^{p ln t}.
 _EXACT_BITS = 1 << 16
 
 
@@ -95,13 +96,12 @@ class PhiSpec:
 
     def exponent(self, t: Rat, prec: int = 96) -> bounds.Enclosure:
         """Enclosure of X with Φ(t) = e^X − 1 at t > 0, for the two exponential
-        kinds: c·t, or t^α (exact at integer α, else to prec significant bits)."""
+        kinds: c·t, or t^α (exact while :func:`_exact_power` allows, else to
+        prec significant bits)."""
         if self.kind == "power":
             raise ValueError("a power Phi has no exponent")
-        if self.kind == "exp_power" and self.parameter.denominator > 1:
-            return bounds.scaled_enclosure(self._power(t, prec))
-        X = self.parameter * t if self.kind == "exp_linear" else t**self.parameter.numerator
-        return (X, X)
+        X = self._exact_exponent(t)
+        return (X, X) if X is not None else bounds.scaled_enclosure(self._power(t, prec))
 
     def value_mpf(self, t: Rat) -> mpmath.mpf:
         """Φ(t) rounded to nearest at the working precision (t ≥ 0 exact rational).
@@ -114,10 +114,8 @@ class PhiSpec:
         if t == 0:
             return mpmath.mpf(0)
         prec = mpmath.mp.prec
-        p = self.parameter
-        if self.kind == "power" and p.denominator == 1 and p.numerator * max(
-                t.numerator.bit_length(), t.denominator.bit_length()) <= _EXACT_BITS:
-            v = t**p.numerator
+        v = _exact_power(t, self.parameter) if self.kind == "power" else None
+        if v is not None:
             return mpmath.mp.make_mpf(from_rational(v.numerator, v.denominator, prec, "n"))
         guard = 16
         while guard <= 1 << 16:
@@ -150,6 +148,12 @@ class PhiSpec:
             raise ArithmeticError(f"Phi({t}) = {what} is too large for direct enclosure")
         return scaled
 
+    def _exact_exponent(self, t: Fraction) -> Fraction | None:
+        """X = c·t, or t^α while :func:`_exact_power` allows; else None."""
+        if self.kind == "exp_linear":
+            return self.parameter * t
+        return _exact_power(t, self.parameter)
+
     def _power(self, t: Fraction, prec: int) -> bounds.Scaled:
         """t^p = e^{p ln t} for the parameter p, to prec significant bits."""
         p = self.parameter
@@ -168,9 +172,18 @@ class PhiSpec:
             return self._power(t, prec + 4)
         if self.kind == "exp_power" and a * (size - 1) >= b * limit.bit_length():
             return None  # X = t^α ≥ 2^(α(size - 1)) > limit
-        # e^X − 1 needs X to prec + log2 X bits
-        xlo, xhi = self.exponent(t, prec + 8 + max(a * (size + 1) // b, 0))
-        if xhi.numerator > limit * xhi.denominator:
+        xlo = xhi = self._exact_exponent(t)
+        if xlo is None:
+            # e^X − 1 needs X to prec + log2 X bits, and log2 X ≤ log2 limit
+            # wherever X is used
+            extra = min(max(a * (size + 1) // b, 0), limit.bit_length())
+            lo, hi, e = self._power(t, prec + 8 + extra)
+            if hi.bit_length() + e < -(prec + 8):
+                # X < 2^-(prec+8), and X ≤ e^X − 1 ≤ X(1 + X) for 0 < X ≤ 1;
+                # X² ≤ hi²·2^(2e) is rounded up to a whole unit 2^e
+                return lo, hi - (-hi * hi >> -e), e
+            xlo, xhi = bounds.scaled_enclosure((lo, hi, e))
+        if xhi > limit:
             return None
         # e^X − 1 cancels about log2(1/X) leading bits at small X
         tiny = xhi.denominator.bit_length() - xhi.numerator.bit_length()
@@ -178,6 +191,14 @@ class PhiSpec:
         if e >= 0:
             return lo - 1, hi, e
         return lo - (1 << -e), hi - (1 << -e), e
+
+
+def _exact_power(t: Fraction, p: Fraction) -> Fraction | None:
+    """t^p exactly at integer p while p·(bits of t) is within _EXACT_BITS, else None."""
+    if p.denominator == 1 and p.numerator * max(
+            t.numerator.bit_length(), t.denominator.bit_length()) <= _EXACT_BITS:
+        return t**p.numerator
+    return None
 
 
 def _nonnegative(t: Rat) -> Fraction:
@@ -318,10 +339,10 @@ def strong_mean_bounds(
     return ((lo_sum << g) // N, -((-hi_sum << g) // N), f - g)
 
 
-def exceed_density(census: Census, threshold: Rat, N: int) -> Fraction:
-    """Exact #{k ≤ N : |S_k| > threshold} / N."""
+def exceed_density(census: Census, threshold: Rat, N: int, s: Rat = 0) -> Fraction:
+    """Exact #{k ≤ N : |S_k − s| > threshold} / N (``s`` as in :func:`strong_mean`)."""
     threshold = Fraction(threshold)
-    magnitudes, den = _magnitudes(census, N, 0)
+    magnitudes, den = _magnitudes(census, N, s)
     bar = threshold.numerator * den
     count = sum(c for m, c in magnitudes.items() if m * threshold.denominator > bar)
     return Fraction(count, N)

@@ -39,6 +39,11 @@ and a scan of every cell:
   from the digit formulas one descent position at a time;
   :func:`lemma2_exhaustive_rows` reduces those full arrays to the exhaustive
   Lemma 2 rows, witnesses included.
+
+The ``build-fn --dump-coefficients`` text is held against one f-string per
+row: :func:`coefficient_rows` formats each nonzero coefficient of a grid,
+and :func:`decimal_rows` joins an index to a suffix as
+:func:`walshdiv._kernels.decimal_rows` does.
 """
 
 from __future__ import annotations
@@ -400,3 +405,27 @@ def lemma2_exhaustive_rows(n: int) -> tuple[AssertionRecord, ...]:
         "fail" if bad or empty.size else "pass", witness,
     ))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient dump
+# ---------------------------------------------------------------------------
+
+
+def coefficient_rows(co: GridVector) -> str:
+    """A newline and ``m,exact,float`` per nonzero coefficient m of ``co``;
+    each distinct value's text is formatted by _frac and _float once."""
+    texts: dict[int, str] = {}
+    rows = []
+    for m in co.nonzero_indices():
+        v = int(co.numerators[m])
+        if v not in texts:
+            texts[v] = f"{_frac(co[m])},{_float(co[m])}"
+        rows.append(f"\n{m},{texts[v]}")
+    return "".join(rows)
+
+
+def decimal_rows(numbers: np.ndarray, suffixes: Sequence[bytes], which: np.ndarray) -> str:
+    """A newline, m and ``suffixes[j]`` for each m, j of ``numbers``, ``which``."""
+    texts = [suffix.decode("ascii") for suffix in suffixes]
+    return "".join(f"\n{m}{texts[j]}" for m, j in zip(numbers.tolist(), which.tolist()))

@@ -10,6 +10,8 @@ Run with ``pytest -m slow``.
   verdict.
 - A strong mean over 2^20 cuts with 352,520 distinct magnitudes, whose Φ
   values reach e^392835: it ends in a verdict within a bounded peak memory.
+- The 3.76 M-row coefficient dump at n = 3, c = 2, byte for byte against the
+  row oracle, with the command's own peak memory.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from pathlib import Path
 
 import pytest
 
-from walshdiv.counterexample import verify_lemma2
+from walshdiv.counterexample import ConstructionParams, build_fn, verify_lemma2
+from walshdiv.walsh import fwht
 
+from oracles import coefficient_rows
 from test_cli import checkout_env
 
 
@@ -75,3 +79,21 @@ def test_strong_mean_over_a_million_cuts_ends_in_bounded_memory(capsys) -> None:
     assert [(r[1], r[-1]) for r in rows] == [
         ("16", "pass"), ("1024", "pass"), ("1048576", "pass")]
     assert peak_mib < 300
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_coefficient_dump_at_n3_c2_matches_the_row_oracle(capsys) -> None:
+    argv = ["build-fn", "--n", "3", "--c", "2", "--dump-coefficients"]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True,
+                          text=True, env=checkout_env(), timeout=600)
+    elapsed = time.perf_counter() - t0
+    status, peak_mib = map(int, proc.stderr.split())
+    with capsys.disabled():
+        print(f"\nbuild-fn dump at n = 3, c = 2: {elapsed:.1f}s, peak {peak_mib} MiB")
+    assert status == 0
+    head, sep, rows = proc.stdout.partition("\nindex,value_exact,value_float")
+    assert head.endswith("# grid=22\n# n=3") and sep
+    params = ConstructionParams(3, 2)
+    assert rows == coefficient_rows(fwht(build_fn(params).render(params.q_exponent))) + "\n"

@@ -21,6 +21,7 @@ from walshdiv.bounds import (
     outward,
     round_down,
     round_up,
+    scaled_enclosure,
     scaled_le,
 )
 
@@ -162,6 +163,13 @@ class TestEnclosures:
     )
     def test_exp_is_close_to_fraction_reference_at_fixed_points(self, x, prec):
         assert_close_to_reference(x, prec)
+
+    @given(st.one_of(exp_arguments, st.just(Fraction(10**6))), st.sampled_from(PRECISIONS))
+    @settings(max_examples=200, deadline=None)
+    def test_exp_rounds_the_scaled_kernel_outward(self, x, prec):
+        # the shifts give what Fraction rounding of the same triple gives
+        scaled = exp_scaled(x, x, prec + 8)
+        assert exp_enclosure(x, prec) == outward(*scaled_enclosure(scaled), prec)
 
     def test_exp_far_negative_is_crude_but_sound(self):
         lo, hi = exp_enclosure(Fraction(-100))

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, headers, tables, and option parsing."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -13,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from walshdiv.cli import _SUBCOMMANDS, _coefficient_rows, _float, _frac, main
 from walshdiv.counterexample import ConstructionParams, build_fn, verify_lemma2
 from walshdiv.walsh import GridVector, fwht
 
-from oracles import measure_En, measure_en_output, symbolic_census
+from oracles import coefficient_rows, measure_En, measure_en_output, symbolic_census
 
 
 def run_main(argv):
@@ -174,9 +177,25 @@ class TestBuildFnCommand:
     ], ids=["transform", "integers", "past-2^53", "big-denominator", "big-int"])
     def test_coefficient_rows_match_fraction_formatting(self, make):
         co = make()
-        expected = [f"{m},{_frac(co[m])},{_float(co[m])}"
-                    for m in co.nonzero_indices()]
+        expected = "".join(f"\n{m},{_frac(co[m])},{_float(co[m])}"
+                           for m in co.nonzero_indices())
         assert _coefficient_rows(co) == expected
+
+    @given(
+        st.integers(0, 5).flatmap(lambda k: st.lists(
+            st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(1 << 80), 1 << 80)),
+            min_size=1 << k, max_size=1 << k)),
+        st.one_of(st.integers(1, 100), st.just(3**40), st.integers(1, 1 << 90)),
+    )
+    @example([0, 0, 0, 0], 7)
+    @example([-(1 << 70), 3, 0, 1 << 70], 3**40)
+    @settings(max_examples=150, deadline=None)
+    def test_coefficient_rows_match_the_row_oracle(self, numerators, denominator):
+        # no nonzero entry, negative numerators, numerators past int64 (object
+        # dtype) and denominators past 2^64
+        co = GridVector(len(numerators).bit_length() - 1,
+                        np.array(numerators, dtype=object), denominator)
+        assert _coefficient_rows(co) == coefficient_rows(co)
 
     def test_dump_requires_renderable_spectrum(self, capsys):
         # q = 2^30 at c = 5 is past the grid cap 2^26
@@ -359,6 +378,35 @@ class TestStrongMeanCommand:
         assert proc.returncode == 0
         rows = [l for l in proc.stdout.splitlines() if l.startswith("pow:")]
         assert rows == ["pow:10000000000000000,16,0.0,5/8,0.625,0,pass"]
+
+    def test_a_large_integer_exppow_is_quick(self):
+        # Φ(1/20) = e^(20^(-10^8)) - 1: t^α past the exact-power budget goes
+        # through e^(α ln t), and X < 2^-104 encloses e^X - 1 by [X, X(1 + X)]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "walshdiv.cli", *self.TINY[:-1],
+                               "exppow:100000000"], capture_output=True, text=True,
+                              env=checkout_env(), timeout=60)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 0
+        rows = [l for l in proc.stdout.splitlines() if l.startswith("exppow:")]
+        assert len(rows) == 1 and rows[0].endswith(",pass")
+
+    @given(st.sampled_from(["3/2^5", "7/2^5", "13/2^5", "29/2^5"]),
+           st.fractions(-3, 3, max_denominator=16), st.fractions(0, 3, max_denominator=16),
+           st.sampled_from(["pow:2", "pow:3/2", "exp:1", "exppow:2", "exppow:3/2"]))
+    @example("7/2^5", Fraction(-1, 2), Fraction(2, 5), "pow:2")
+    @settings(max_examples=40, deadline=None)
+    def test_centered_rows_never_fail(self, x, center, threshold, phi):
+        # Markov: density(|S_k - s| > τ)·Φ(τ) ≤ mean Φ(|S_k - s|) is a theorem,
+        # so a row may be reported but never fail
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["strong-mean", "--x", x, "--N-list", "16,256", "--phi", phi,
+                         f"--center={center}", f"--threshold={threshold}"])
+        rows = [l.split(",") for l in out.getvalue().splitlines()
+                if l.startswith(phi + ",")]
+        assert code == 0
+        assert len(rows) == 2 and all(r[-1] in ("pass", "reported") for r in rows)
 
     def test_a_power_past_2_to_the_10_to_the_15_ends_in_one_line(self, capsys):
         # |S - s| = 4 at the first cuts with s = -4: Φ = 4^(10^16) = 2^(2·10^16)

@@ -364,8 +364,8 @@ def bounds_by_counter(sums, phi, N, s):
     return (Fraction(lo) / N, Fraction(hi) / N)
 
 
-def density_by_count(sums, threshold, N):
-    return Fraction(sum(1 for v in sums[:N] if abs(Fraction(v)) > threshold), N)
+def density_by_count(sums, threshold, N, s=0):
+    return Fraction(sum(1 for v in sums[:N] if abs(Fraction(v) - s) > threshold), N)
 
 
 # numerators up to 2^70 (past int64), denominators up to 48; few distinct
@@ -413,6 +413,8 @@ class TestExactSeries:
                     PhiSpec("exp_linear", 1)):
             assert strong_mean(census, phi, N, s=s) == mean_by_counter(xs, phi, N, s)
         assert exceed_density(census, threshold, N) == density_by_count(xs, threshold, N)
+        assert exceed_density(census, threshold, N, s=s) == density_by_count(
+            xs, threshold, N, s)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
-"""The integer kernels: butterflies, bit reversal, sign rows, cell scan.
+"""The integer kernels: butterflies, bit reversal, sign rows, cell scan, and
+the decimal rows of the coefficient dump.
 
 The cell scan is checked against an independent oracle that works from the
 definitions: Rademacher products for membership, digit descents for the
@@ -11,17 +12,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from walshdiv._kernels import (
     bit_reversal_table,
     cell_scan,
+    decimal_rows,
     hadamard_inplace,
     walsh_sign_row,
 )
 from walshdiv.dyadic import DyadicPoint, xor_add
 from walshdiv.walsh import dirichlet_star, rademacher, walsh
 
-from oracles import cell_scan_by_position
+from oracles import cell_scan_by_position, decimal_rows as decimal_rows_oracle
 
 
 class TestHadamard:
@@ -127,3 +130,27 @@ class TestCellScan:
         assert all(m % 2 == 0 for m in m_vals)
         assert all(m < (1 << n) for m in m_vals)
         assert all(int(c) == m.bit_count() for c, m in zip(nu, m_vals))
+
+
+# 0, both sides of every power of ten below 2^26, and 2^26 itself
+_DECIMAL_EDGES = [0, *(v for k in range(1, 8) for v in (10**k - 1, 10**k)), 1 << 26]
+
+
+class TestDecimalRows:
+    @given(
+        st.sets(st.one_of(st.sampled_from(_DECIMAL_EDGES), st.integers(0, 1 << 26)),
+                max_size=30),
+        st.lists(st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=12),
+                 min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), min_size=30, max_size=30),
+    )
+    @example(set(), [",1"], [])
+    @example({0}, [",1/2,0.5"], [0])
+    @example(set(_DECIMAL_EDGES), ["", ",-3/4,-0.75"], [1, 0] * 8)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_row_oracle(self, numbers, texts, picks):
+        numbers = np.array(sorted(numbers), dtype=np.int64)
+        suffixes = [text.encode("ascii") for text in texts]
+        which = np.array(picks[: len(numbers)], dtype=np.int64) % len(texts)
+        assert decimal_rows(numbers, suffixes, which) == decimal_rows_oracle(
+            numbers, suffixes, which)
