@@ -15,7 +15,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .dyadic import DyadicInterval, DyadicPoint, Rat
+from .dyadic import DyadicPoint, Rat
 from .walsh import GridVector
 
-__all__ = ["DyadicInterval", "DyadicPoint", "GridVector", "Rat", "__version__"]
+__all__ = ["DyadicPoint", "GridVector", "Rat", "__version__"]

@@ -74,10 +74,10 @@ def dirichlet_row(rx: int, z: int, orders: np.ndarray) -> np.ndarray:
     """D_r(y) for every r in ``orders`` (int64, below 2**62), as int64.
 
     Here y = a/2**e with a odd, ``rx`` is the e-bit reversal of a and
-    z = e - bitlen(a) counts the zero digits of y before its first 1.  So
-    D_{2**k}(y) is 2**k for k <= z and 0 beyond, while r_k(y) is 1 for k < z
-    and -1 at k = z, which gives D*_r(y) = (r mod 2**z) - (r & 2**z); and
-    D_r = w_r · D*_r with w_r(y) = (-1)**popcount(r & rx).
+    z = e - bitlen(a) counts the zero digits of y before its first 1.  Each
+    entry is w_r(y) = (-1)**popcount(r & rx) times the closed form
+    D*_r(y) = (r mod 2**z) - (r & 2**z) that
+    :func:`walshdiv.walsh.dirichlet_star` derives; order 0 gives 0.
     """
     parity = (np.bitwise_count(orders & np.int64(rx)) & 1).astype(np.int64)
     star = (orders & np.int64((1 << z) - 1)) - (orders & np.int64(1 << z))

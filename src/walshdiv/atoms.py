@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dyadic import DyadicPoint, containing_interval, xor_add
+from .dyadic import DyadicPoint, cell_index, xor_add
 from .walsh import GRID_CAP, ExactSeries, GridVector, dirichlet, fwht, walsh
 
 __all__ = [
@@ -88,11 +88,8 @@ class IndicatorAtom:
 
     # -- pointwise -----------------------------------------------------------
 
-    def cell_index(self, x: DyadicPoint) -> int:
-        return containing_interval(x, self.level).index
-
     def value(self, x: DyadicPoint) -> Fraction:
-        if not self.mask[self.cell_index(x)]:
+        if not self.mask[cell_index(x, self.level)]:
             return Fraction(0)
         return self.coefficient * walsh(self.character, x)
 
@@ -189,7 +186,7 @@ class KernelAtom:
         scale = self.coefficient * self.order * den
         if scale.denominator != 1:
             raise ValueError("common denominator does not clear the coefficient")
-        start = containing_interval(self.shift, s).index << (resolution - s)
+        start = cell_index(self.shift, s) << (resolution - s)
         nums[start : start + (1 << (resolution - s))] += scale.numerator
 
 

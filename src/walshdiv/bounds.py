@@ -29,7 +29,7 @@ Implementation notes:
   precision, up to a fixed 2**16 bits, until the intervals separate the
   operands.  That terminates because no caller compares equal values: the
   growth condition (c3) in ``counterexample.c3_holds`` decides its exact
-  ties by a rational test before it calls :func:`decide_less`, after which
+  ties by an exact test before it calls :func:`decide_less`, after which
   it sets the transcendental ln(1 + e^{2n}) against an algebraic exponent.
 """
 
@@ -264,7 +264,7 @@ def decide_less(
     first try is at 96 bits, and each further one doubles the precision up to
     a fixed 2**16 bits.  Equal values never separate, so callers compare only
     values known to differ; ``counterexample.c3_holds`` settles its exact ties
-    (X = 2n) rationally first.  Raises if the two stay inseparable at the cap.
+    (X = 2n) exactly first.  Raises if the two stay inseparable at the cap.
     """
     prec = _DEFAULT_PREC
     while prec <= 1 << 16:

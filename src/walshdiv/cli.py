@@ -46,6 +46,7 @@ from .counterexample import (
     LemmaReport,
     WindowSums,
     _dyadic,
+    _float,
     _frac,
     chain_check,
     measure_bound,
@@ -90,15 +91,6 @@ def _emit(ns: SimpleNamespace, shown: str, text: str) -> None:
         text = f"wrote {ns.out}\n"
     sys.stdout.write(shown)
     sys.stdout.write(text)
-
-
-def _float(v) -> str:
-    try:
-        return f"{float(v):.12g}"
-    except OverflowError:  # finite, but beyond double range
-        v = Fraction(v)
-        with mpmath.workdps(20):
-            return mpmath.nstr(mpmath.mpf(v.numerator) / v.denominator, 12)
 
 
 def _float_scaled(m: int, e: int, den: int) -> str:

@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar, Iterator, NamedTuple
+from typing import Callable, ClassVar, Iterator, NamedTuple
 
 import mpmath
 import numpy as np
@@ -53,8 +53,8 @@ import numpy as np
 from . import bounds
 from ._kernels import cell_scan, dirichlet_row, walsh_sign_row
 from .atoms import AtomSum, IndicatorAtom, KernelAtom, SpectralBlock
-from .dyadic import DyadicPoint, bit, containing_interval, xor_add
-from .fourier import Census, PhiSpec
+from .dyadic import DyadicPoint, bit, cell_index, xor_add
+from .fourier import _EXACT_BITS, Census, PhiSpec
 from .walsh import (
     GRID_CAP,
     ExactSeries,
@@ -193,7 +193,7 @@ class ConstructionParams:
         if not 1 <= k <= (1 << self.n):
             raise ValueError(f"translation index {k} outside [1, {1 << self.n}]")
         point = DyadicPoint((k - 1) * ((1 << self.n) + 1), 2 * self.n)
-        if containing_interval(point, self.n).index != k - 1:
+        if cell_index(point, self.n) != k - 1:
             raise AssertionError(f"theta_{k} left its base cell")
         return point
 
@@ -400,6 +400,17 @@ def _frac(v: Fraction) -> str:
     """Exact text of a rational: ``a`` or ``a/b``."""
     v = Fraction(v)
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def _float(v, digits: int = 12) -> str:
+    """A rational to ``digits`` significant digits, as ``%g`` prints a float;
+    past double range mpmath rounds it instead."""
+    try:
+        return f"{float(v):.{digits}g}"
+    except OverflowError:  # finite, but beyond double range
+        v = Fraction(v)
+        with mpmath.workdps(20):
+            return mpmath.nstr(mpmath.mpf(v.numerator) / v.denominator, digits)
 
 
 #: Digits past which :func:`readable` shows a value approximately.
@@ -719,7 +730,7 @@ class WindowSums:
             if hi <= lo:
                 break
             h = hi.bit_length()  # every w_m with m < hi reads h digits
-            ys = [DyadicPoint(containing_interval(xor_add(x, t), h).index, h) for t in thetas[:k]]
+            ys = [DyadicPoint(cell_index(xor_add(x, t), h), h) for t in thetas[:k]]
             period_exp = max(y.exponent for y in ys)
             if period_exp > 62:
                 raise ValueError(
@@ -734,7 +745,7 @@ class WindowSums:
                 f"entries, past the grid cap 2^{GRID_CAP}"
             )
 
-        rx = bit_reverse(containing_interval(x, level).index, level)
+        rx = bit_reverse(cell_index(x, level), level)
         low = np.cumsum(table.numerators * walsh_sign_row(rx, 1 << level))
         flat = np.zeros(1, dtype=np.int64)
         at_x = int(indicator.value(x) * den)
@@ -750,7 +761,7 @@ class WindowSums:
             values = np.zeros(m, dtype=np.int64 if fits else object)
             const, slope = at_x, 0
             for j, y in enumerate(ys, start=1):
-                const -= weight * int(dirichlet(params.u(j), y))
+                const -= weight * dirichlet(params.u(j), y)
                 if y.numerator:
                     z = y.exponent - y.numerator.bit_length()
                     row = dirichlet_row(bit_reverse(y.numerator, y.exponent), z, residues)
@@ -947,7 +958,7 @@ def verify_lemma1(params: ConstructionParams, x: DyadicPoint) -> LemmaReport:
         return LemmaReport("lemma1", tuple(rows), tuple(parameters))
 
     # ---- branch 2: x outside the support --------------------------------
-    member = _cell_member(n, containing_interval(x, n + 2).index)
+    member = _cell_member(n, cell_index(x, n + 2))
     rows.append(
         AssertionRecord(
             "f(x) = 0 implies x in E_n",
@@ -970,7 +981,7 @@ def verify_lemma1(params: ConstructionParams, x: DyadicPoint) -> LemmaReport:
         )
         return LemmaReport("lemma1", tuple(rows), tuple(parameters))
 
-    k = containing_interval(x, n).index + 1
+    k = cell_index(x, n) + 1
     window_lo, window_hi = params.u(k - 1), params.u(k)
     cuts = progression_L(sel, n, window_lo, window_hi)
     n_cuts = -(-(cuts.stop - cuts.start) // cuts.step)  # len(cuts), also past 2^63
@@ -1074,9 +1085,9 @@ def c3_holds(phi: PhiSpec, n: int, k: int) -> bool:
     """Certified decision of Φ(n / (50·2^k)) > e^{2n}.
 
     For exponential Φ = e^X - 1 the comparison is X > ln(1 + e^{2n}).  Since
-    ln(1 + e^{2n}) > 2n always, an exact rational test of X ≤ 2n decides
-    falsity, ties included: c·t ≤ 2n for exp_linear, t^a ≤ (2n)^b for
-    exp_power at α = a/b.  Past that test X is algebraic and ln(1 + e^{2n})
+    ln(1 + e^{2n}) > 2n always, an exact test of X ≤ 2n decides falsity,
+    ties included: c·t ≤ 2n for exp_linear, and :func:`_power_at_most` for
+    exp_power.  Past that test X is algebraic and ln(1 + e^{2n})
     transcendental, so the two differ and their enclosures separate.
     """
     t = Fraction(n, 50 << k)
@@ -1091,13 +1102,47 @@ def c3_holds(phi: PhiSpec, n: int, k: int) -> bool:
     if phi.kind == "exp_linear":
         at_most_2n = phi.parameter * t <= 2 * n
     else:
-        at_most_2n = t**phi.parameter.numerator <= (2 * n) ** phi.parameter.denominator
+        at_most_2n = _power_at_most(t, phi.parameter, 2 * n)
     if at_most_2n:
         return False
     return bounds.decide_less(
         lambda prec: bounds.log1p_exp_enclosure(Fraction(2 * n), prec),
         lambda prec: phi.exponent(t, prec),
     )
+
+
+def _power_at_most(t: Fraction, alpha: Fraction, bound: int) -> bool:
+    """Exact t^α ≤ bound for rational t > 0, α = a/b > 0 and an integer bound ≥ 2.
+
+    The comparison is t^a ≤ bound^b.  Bit lengths settle it first: log2 t
+    lies within 1 of s = bitlen(num) − bitlen(den), and log2 bound in
+    [m − 1, m) for m = bitlen(bound).  Past that, t^a is built exactly only
+    while a·bitlen(t) stays within ``fourier._EXACT_BITS``.  Beyond it a tie
+    needs t an integer r^b with bound = r^a (a and b are coprime), which one
+    integer root tests, and any other pair differs, so enclosures of a·ln t
+    and b·ln bound separate.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    s = t.numerator.bit_length() - t.denominator.bit_length()
+    m = bound.bit_length()
+    if a * (s - 1) >= b * m:
+        return False
+    if a * (s + 1) <= b * (m - 1):
+        return True
+    if a * max(t.numerator.bit_length(), t.denominator.bit_length()) <= _EXACT_BITS:
+        return t**a <= bound**b
+    if t.denominator == 1 and a < m:  # a ≥ m leaves r = 1 < bound^(1/a)
+        r = _iroot(bound, a)
+        if r**a == bound and r**b == t.numerator:
+            return True
+
+    def times_ln(factor: int, v: Fraction) -> Callable[[int], bounds.Enclosure]:
+        def enclosure(prec: int) -> bounds.Enclosure:
+            lo, hi = bounds.ln_enclosure(v, prec + factor.bit_length())
+            return factor * lo, factor * hi
+        return enclosure
+
+    return not bounds.decide_less(times_ln(b, Fraction(bound)), times_ln(a, t))
 
 
 def _iroot(x: int, m: int) -> int:
@@ -1108,6 +1153,17 @@ def _iroot(x: int, m: int) -> int:
         if s >= r:
             return r
         r = s
+
+
+#: decimal digits of the longest integer a report prints: CPython's default
+#: limit on int-to-str conversion
+_PRINT_DIGITS = 4300
+
+
+def _digit_count(v: int) -> int:
+    """Decimal digits of v ≥ 1, without ``str(v)``, which CPython caps."""
+    d = int(math.log10(v)) + 1
+    return d - (v < 10 ** (d - 1)) + (v >= 10**d)
 
 
 def minimal_n_for_c3(phi: PhiSpec, k: int) -> int:
@@ -1123,6 +1179,10 @@ def minimal_n_for_c3(phi: PhiSpec, k: int) -> int:
     n0 = ⌊(2^b·(50·2^k)^a)^(1/(a-b))⌋ + 1; for exp_linear n0 = 1.  From n0 on,
     X - 2n grows and ln(1 + e^{2n}) - 2n shrinks, so the first n ≥ n0 where
     (c3) holds is the least.
+
+    A candidate n of more than _PRINT_DIGITS decimal digits raises
+    OverflowError before (c3) is decided at it: no report prints it, and
+    past the exact-power budget the decision there can take minutes.
     """
     if phi.kind == "exp_power":
         if phi.parameter <= 1:
@@ -1137,20 +1197,15 @@ def minimal_n_for_c3(phi: PhiSpec, k: int) -> int:
         n = 1
     else:
         raise ValueError(f"(c3) does not eventually hold for kind {phi.kind!r}")
-    while not c3_holds(phi, n, k):
+    while True:
+        if n >= 10**_PRINT_DIGITS:
+            raise OverflowError(
+                f"the least n with Phi(n/(50*2^k)) > exp(2n) at k={k} has "
+                f"{_digit_count(n)} digits, more than the {_PRINT_DIGITS} a report prints"
+            )
+        if c3_holds(phi, n, k):
+            return n
         n += 1
-    return n
-
-
-#: decimal digits of the longest integer a report prints: CPython's default
-#: limit on int-to-str conversion
-_PRINT_DIGITS = 4300
-
-
-def _digit_count(v: int) -> int:
-    """Decimal digits of v ≥ 1, without ``str(v)``, which CPython caps."""
-    d = int(math.log10(v)) + 1
-    return d - (v < 10 ** (d - 1)) + (v >= 10**d)
 
 
 def _ln_phi_enclosure(phi: PhiSpec, t: Fraction, prec: int) -> bounds.Enclosure:
@@ -1188,8 +1243,8 @@ def _final_display_row(phi: PhiSpec, n: int, k: int) -> AssertionRecord:
     rlo, rhi = rhs(96)
     return AssertionRecord(
         assertion,
-        f"log in [{float(lo):.6g}, {float(hi):.6g}]",
-        f"log in [{float(rlo):.6g}, {float(rhi):.6g}]",
+        f"log in [{_float(lo, 6)}, {_float(hi, 6)}]",
+        f"log in [{_float(rlo, 6)}, {_float(rhi, 6)}]",
         "pass" if holds else "fail",
     )
 
@@ -1215,21 +1270,15 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
             minimal = minimal_n_for_c3(phi, k)
         except ValueError as err:
             why_none = str(err)
-        else:
-            if minimal >= 10**_PRINT_DIGITS:
-                raise ValueError(
-                    f"the least n with Phi(n/(50*2^k)) > exp(2n) at k={k} has "
-                    f"{_digit_count(minimal)} digits, more than the "
-                    f"{_PRINT_DIGITS} a report prints"
-                )
     rows = [
         AssertionRecord(
             "gamma = floor(log2 exp(n/36))", str(gamma), "", "reported"
         )
     ]
+    # exp(n/36) < 2^(γ+1) as n/36 < (γ+1)·ln 2, so 2^(γ+1) is never built
     holds = bounds.decide_less(
-        lambda prec: bounds.exp_enclosure(Fraction(n, 36), prec),
-        lambda prec: (Fraction(2 << gamma), Fraction(2 << gamma)),
+        lambda prec: (Fraction(n, 36), Fraction(n, 36)),
+        lambda prec: tuple((gamma + 1) * end for end in bounds.ln2_enclosure(prec)),
     )
     rows.append(
         AssertionRecord(
@@ -1244,7 +1293,7 @@ def chain_check(n: int, k: int, phi: PhiSpec) -> LemmaReport:
             "2^gamma > n/40",
             f"2^{gamma}",
             _frac(Fraction(n, 40)),
-            "pass" if (1 << gamma) * 40 > n else "fail",
+            "pass" if gamma >= n.bit_length() or 40 << gamma > n else "fail",
         )
     )
     rows.append(

@@ -4,13 +4,13 @@ Every evaluation point in this package is a dyadic rational a / 2**e with a
 finite binary expansion.  This module provides:
 
 - :class:`DyadicPoint` — canonical exact point, with digit access;
-- :class:`DyadicInterval` — half-open interval [k/2**j, (k+1)/2**j);
 - the group operation :func:`xor_add` (digitwise XOR, no carries);
-- :func:`containing_interval`, the level-j cell of a point.
+- :func:`cell_index`, the index k of the level-j cell [k/2**j, (k+1)/2**j)
+  that holds a point, as a plain integer.
 
 Conventions
 -----------
-Intervals are half-open [a, b).  Digits use the *terminating* expansion
+Cells are half-open [a, b).  Digits use the *terminating* expansion
 (x_i eventually 0), so 1/2 has digits (1, 0, 0, ...): this makes every
 digit-driven function right-continuous and keeps the half-open convention
 consistent (a boundary point belongs to the cell on its right).
@@ -27,15 +27,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 __all__ = [
     "Rat",
     "DyadicPoint",
-    "DyadicInterval",
     "bit",
     "xor_add",
-    "containing_interval",
+    "cell_index",
     "parse_point",
 ]
 
@@ -45,7 +43,6 @@ Rat = Fraction
 _POINT_RE = re.compile(r"^\s*(\d+)\s*/\s*2\^(\d+)\s*$")
 
 
-@total_ordering
 @dataclass(frozen=True)
 class DyadicPoint:
     """Exact point ``numerator / 2**exponent`` in [0, 1).
@@ -82,14 +79,7 @@ class DyadicPoint:
     def zero(cls) -> "DyadicPoint":
         return cls(0, 0)
 
-    # -- order -------------------------------------------------------------
-
-    def __lt__(self, other: "DyadicPoint") -> bool:
-        """Numeric order (canonical form makes equality structural)."""
-        if not isinstance(other, DyadicPoint):
-            return NotImplemented
-        e = max(self.exponent, other.exponent)
-        return self.scaled_numerator(e) < other.scaled_numerator(e)
+    # -- rescaling ---------------------------------------------------------
 
     def scaled_numerator(self, e: int) -> int:
         """Numerator of the point written over denominator 2**e (e >= exponent)."""
@@ -105,22 +95,6 @@ class DyadicPoint:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """Half-open dyadic interval [index/2**level, (index+1)/2**level)."""
-
-    level: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
-        if not 0 <= self.index < (1 << self.level):
-            raise ValueError(
-                f"index {self.index} out of range at level {self.level}"
-            )
 
 
 # -- operations ------------------------------------------------------------
@@ -146,15 +120,13 @@ def xor_add(x: DyadicPoint, y: DyadicPoint) -> DyadicPoint:
     return DyadicPoint(num, e)
 
 
-def containing_interval(x: DyadicPoint, level: int) -> DyadicInterval:
-    """The unique level-``level`` dyadic interval containing x (half-open)."""
+def cell_index(x: DyadicPoint, level: int) -> int:
+    """The index k of the level-``level`` cell [k/2**level, (k+1)/2**level) holding x."""
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     if level >= x.exponent:
-        index = x.numerator << (level - x.exponent)
-    else:
-        index = x.numerator >> (x.exponent - level)
-    return DyadicInterval(level, index)
+        return x.numerator << (level - x.exponent)
+    return x.numerator >> (x.exponent - level)
 
 
 # -- parsing ---------------------------------------------------------------

@@ -4,11 +4,9 @@ The Walsh functions are indexed by the binary digits of n: with
 n = Σ_{j} ε_j 2**j, w_n = Π_j r_j**ε_j where r_j is the j-th Rademacher
 function (sign of binary digit j+1).  w_0 ≡ 1.
 
-Kernels:
-
-- D_{2**k}: equals 2**k on [0, 2**-k) and 0 elsewhere;
-- the modified kernel D*_n = Σ_j ε_j r_j D_{2**j};
-- the Dirichlet kernel D_n = w_n · D*_n = Σ_{k<n} w_k.
+Kernels, as exact integers: the modified kernel D*_n = Σ_j ε_j r_j D_{2**j}
+in closed form (:func:`dirichlet_star` derives it from Paley's lemma), and
+the Dirichlet kernel D_n = w_n · D*_n = Σ_{k<n} w_k.
 
 :class:`ExactSeries` is the one exact carrier: integer numerators over a
 single common denominator.  Its constructor picks the array dtype by one
@@ -32,14 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .dyadic import DyadicPoint, Rat, bit
+from .dyadic import DyadicPoint
 
 __all__ = [
     "ExactSeries",
     "GridVector",
-    "rademacher",
     "walsh",
-    "dirichlet_pow2",
     "dirichlet_star",
     "dirichlet",
     "fwht",
@@ -62,13 +58,6 @@ def bit_reverse(i: int, width: int) -> int:
 # -- pointwise Walsh system ---------------------------------------------------
 
 
-def rademacher(j: int, x: DyadicPoint) -> int:
-    """r_j(x) = 1 - 2·x_{j+1}: +1 while digit j+1 is 0, -1 while it is 1."""
-    if j < 0:
-        raise ValueError(f"Rademacher index must be nonnegative, got {j}")
-    return 1 - 2 * bit(x, j + 1)
-
-
 def walsh(n: int, x: DyadicPoint) -> int:
     """w_n(x) = Π r_j(x)**ε_j over the binary digits ε_j of n; w_0 ≡ 1.
 
@@ -81,36 +70,24 @@ def walsh(n: int, x: DyadicPoint) -> int:
     return 1 - 2 * ((n & rx).bit_count() & 1)
 
 
-def dirichlet_pow2(k: int, x: DyadicPoint) -> Rat:
-    """D_{2**k}(x): 2**k on [0, 2**-k), else 0."""
-    if k < 0:
-        raise ValueError(f"kernel exponent must be nonnegative, got {k}")
-    if (x.numerator << k) < (1 << x.exponent):
-        return Fraction(1 << k)
-    return Fraction(0)
+def dirichlet_star(n: int, x: DyadicPoint) -> int:
+    """Modified kernel D*_n(x) = Σ_j ε_j · r_j(x) · D_{2**j}(x), n >= 1, in closed form.
 
-
-def dirichlet_star(n: int, x: DyadicPoint) -> Rat:
-    """Modified kernel D*_n(x) = Σ_j ε_j · r_j(x) · D_{2**j}(x), n >= 1."""
+    Paley's lemma gives D_{2**j} = 2**j·1_{[0, 2**-j)}.  At x = 0 every term
+    is 2**j, so D*_n(0) = n.  Otherwise let z = e - bitlen(a) count the zero
+    digits of x = a/2**e before its first 1: D_{2**j}(x) is 2**j for j <= z
+    and 0 beyond, while r_j(x) is 1 for j < z and -1 at j = z.  So
+    D*_n(x) = (n mod 2**z) - (n & 2**z), at a cost independent of n.
+    """
     if n < 1:
         raise ValueError(f"kernel order must be >= 1, got {n}")
-    total = Fraction(0)
-    # walk set bits directly: orders like 2**32796 must cost O(1) terms,
-    # not a full digit expansion
-    remaining = n
-    while remaining:
-        low = remaining & -remaining
-        j = low.bit_length() - 1
-        term = dirichlet_pow2(j, x)
-        if term:
-            total += rademacher(j, x) * term
-        elif x.numerator:
-            break  # x >= 2**-j, so every higher-order term vanishes too
-        remaining ^= low
-    return total
+    if not x.numerator:
+        return n
+    z = x.exponent - x.numerator.bit_length()
+    return (n & ((1 << z) - 1)) - (n & (1 << z))
 
 
-def dirichlet(n: int, x: DyadicPoint) -> Rat:
+def dirichlet(n: int, x: DyadicPoint) -> int:
     """Dirichlet kernel D_n(x) = w_n(x) · D*_n(x) = Σ_{k<n} w_k(x), n >= 1."""
     return walsh(n, x) * dirichlet_star(n, x)
 

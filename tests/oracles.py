@@ -1,5 +1,11 @@
 """Reference paths the library's fast paths are checked against.
 
+The Walsh kernels by their per-digit definitions: :func:`rademacher` reads
+one digit, :func:`dirichlet_pow2` is Paley's box D_{2**k} = 2**k on
+[0, 2**-k), and :func:`dirichlet_star` and :func:`dirichlet` sum
+ε_j r_j D_{2**j} over the set bits j of n in Fractions, the reference for
+the closed form of :func:`walshdiv.walsh.dirichlet_star`.
+
 Exact series and grids, built and read one Fraction at a time:
 
 - :func:`series_of` and :func:`grid_of` convert Fractions to an
@@ -65,9 +71,9 @@ from walshdiv.counterexample import (
     _member_counts,
     build_fn,
 )
-from walshdiv.dyadic import DyadicPoint, containing_interval
+from walshdiv.dyadic import DyadicPoint, bit, cell_index
 from walshdiv.fourier import Census, PhiSpec
-from walshdiv.walsh import ExactSeries, GridVector, _normalized, bit_reverse, fwht
+from walshdiv.walsh import ExactSeries, GridVector, _normalized, bit_reverse, fwht, walsh
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +98,39 @@ def power_enclosure(t: Fraction, alpha: Fraction, prec: int) -> bounds.Enclosure
     from the ln and exp enclosures alone."""
     lo, hi = (alpha * end for end in bounds.ln_enclosure(t, prec + 16))
     return bounds.exp_enclosure(lo, prec)[0], bounds.exp_enclosure(hi, prec)[1]
+
+
+# ---------------------------------------------------------------------------
+# the Walsh kernels, digit by digit
+# ---------------------------------------------------------------------------
+
+
+def rademacher(j: int, x: DyadicPoint) -> int:
+    """r_j(x) = 1 - 2·x_{j+1}: +1 while digit j+1 is 0, -1 while it is 1."""
+    return 1 - 2 * bit(x, j + 1)
+
+
+def dirichlet_pow2(k: int, x: DyadicPoint) -> Fraction:
+    """D_{2**k}(x): 2**k on [0, 2**-k), else 0."""
+    if (x.numerator << k) < (1 << x.exponent):
+        return Fraction(1 << k)
+    return Fraction(0)
+
+
+def dirichlet_star(n: int, x: DyadicPoint) -> Fraction:
+    """D*_n(x) = Σ_j ε_j · r_j(x) · D_{2**j}(x), one set bit j of n at a time."""
+    total = Fraction(0)
+    while n:
+        low = n & -n
+        j = low.bit_length() - 1
+        total += rademacher(j, x) * dirichlet_pow2(j, x)
+        n ^= low
+    return total
+
+
+def dirichlet(n: int, x: DyadicPoint) -> Fraction:
+    """D_n(x) = w_n(x) · D*_n(x) from the per-digit D*_n."""
+    return walsh(n, x) * dirichlet_star(n, x)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +170,7 @@ def sample_dirichlet_star(n: int, resolution: int) -> GridVector:
         raise ValueError(f"kernel of order {n} would alias on a 2^-{resolution} grid")
     nums = np.zeros(1 << resolution, dtype=np.int64)
     remaining = n
-    while remaining:  # walk set bits j of n, as dirichlet_star does
+    while remaining:  # walk set bits j of n, as the per-digit dirichlet_star does
         low = remaining & -remaining
         # r_j D_{2**j}: ±2**j on the cells of [0, 2**-j), sign = digit j+1.
         block = (1 << resolution) // low
@@ -192,7 +231,7 @@ def low_pass(s: AtomSum, level: int) -> AtomSum:
     """
     return AtomSum(
         (KernelAtom(a.coefficient, min(a.order, 1 << level),
-                    DyadicPoint(containing_interval(a.shift, level).index, level))
+                    DyadicPoint(cell_index(a.shift, level), level))
          if isinstance(a, KernelAtom) else a
          for a in s.atoms),
         (SpectralBlock(b.lo, min(b.hi, 1 << level), b.owners)

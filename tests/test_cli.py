@@ -472,13 +472,54 @@ class TestChainCheckCommand:
         assert "REPORTED minimal n with Phi(n/(50*2^k)) > exp(2n)" in capsys.readouterr().out
 
     def test_gamma_rows_at_an_exp_argument_of_a_million(self, capsys):
-        # n/36 = 10^6 is the largest argument any command gives exp_enclosure
+        # exp(n/36) against 2^(γ+1) is decided as n/36 < (γ+1)·ln 2, so no
+        # exp enclosure is built, here or at any larger n
         assert main(["chain-check", "--n", "36000000", "--k", "1"]) == 0
         out = capsys.readouterr().out
         assert ("  REPORTED gamma = floor(log2 exp(n/36))            lhs=1442695 rhs="
                 in out)
         assert ("  PASS     2^(gamma+1) >= exp(n/36)                 lhs=2^1442696 "
                 "rhs=exp(36000000/36)" in out)
+
+    @pytest.mark.parametrize("n, holds", [
+        (5629499534213120001, True), (5629499534213120000, False)])
+    def test_gamma_rows_at_the_least_n_of_k_25(self, n, holds, capsys):
+        # 5000·4^25 + 1, the least n that chain-check --k 25 reports: the γ
+        # rows need neither exp(n/36) nor 2^γ, whose γ is about 2.3·10^17
+        start = time.perf_counter()
+        assert main(["chain-check", "--k", "25", "--n", str(n)]) == 0
+        assert time.perf_counter() - start < 5
+        out = capsys.readouterr().out
+        assert "  PASS     2^(gamma+1) >= exp(n/36)" in out
+        assert "  PASS     2^gamma > n/40" in out
+        assert ("[holds]" if holds else "[does not hold]") in out
+        if not holds:
+            assert "minimal n with Phi(n/(50*2^k)) > exp(2n)  lhs=5629499534213120001 " in out
+        assert out.endswith("  => OK\n")
+
+    @pytest.mark.parametrize("phi, log_lo", [
+        # α·ln t past the exact-power budget: (c3) is settled in log space, and
+        # the final row's logs, past double range, print as mpmath rounds them
+        ("exppow:100000000", "5.36188e+17897694"),
+        ("exppow:100000", "4.95141e+17897"),
+    ])
+    def test_a_huge_integer_alpha_ends_quickly(self, phi, log_lo, capsys):
+        start = time.perf_counter()
+        assert main(["chain-check", "--k", "1", "--phi", phi]) == 0
+        assert time.perf_counter() - start < 5
+        out = capsys.readouterr().out
+        assert f"  PASS     2^(-2n-1)*Phi(t) >= (e/2)^(2n)           lhs=log in [{log_lo}, " in out
+
+    def test_an_exact_tie_past_the_exact_power_budget(self, tmp_path):
+        # t = 200^100 and X = t^(101/100) = 200^101 = 2n: a tie that one
+        # integer root settles, so (c3) does not hold and the least n is n + 1
+        n = 100 * 200**100
+        out_file = tmp_path / "chains.csv"
+        argv = ["chain-check", "--k", "1", "--phi", "exppow:101/100", "--n", str(n)]
+        assert main(argv + ["--out", str(out_file)]) == 0
+        rows = out_file.read_text().splitlines()
+        assert rows[-2].endswith(",reported,does not hold")
+        assert rows[-1] == f"chains,minimal n with Phi(n/(50*2^k)) > exp(2n),{n + 1},,reported,"
 
     def test_pass_and_fail_codes(self, capsys):
         assert main(["chain-check", "--n", "151"]) == 0
@@ -551,6 +592,10 @@ class TestDeterminism:
     ["lemma2", "--samples", "5"],
     ["chain-check", "--seed", "3"],
     ["lemma2", "--config", "missing.cfg"],
+    # least n past the digits a report prints: rejected before (c3) is
+    # decided at it, which past the exact-power budget would take minutes
+    ["chain-check", "--k", "17000"],
+    ["chain-check", "--k", "100000"],
 ])
 def test_rejected_parameters_end_in_one_stderr_line(args, tmp_path):
     # run in an empty directory, so the missing files really are missing

@@ -24,6 +24,7 @@ from walshdiv.counterexample import (
     LemmaReport,
     _frac,
     _nu_min,
+    _power_at_most,
     build_fn,
     c3_holds,
     chain_check,
@@ -38,7 +39,7 @@ from walshdiv.counterexample import (
     verify_lemma1,
     verify_lemma2,
 )
-from walshdiv.dyadic import DyadicPoint, containing_interval, xor_add
+from walshdiv.dyadic import DyadicPoint, cell_index, xor_add
 from walshdiv.fourier import PhiSpec
 from walshdiv.walsh import GridVector, bit_reverse, dirichlet, walsh
 
@@ -110,7 +111,7 @@ class TestConstructionParams:
             Fraction(15, 16),
         ]
         for k in range(1, 5):
-            assert containing_interval(p.theta(k), 2).index == k - 1  # in Δ_k
+            assert cell_index(p.theta(k), 2) == k - 1  # in Δ_k
         with pytest.raises(ValueError):
             p.theta(0)
         with pytest.raises(ValueError):
@@ -678,6 +679,19 @@ class TestGrowthThreshold:
         n = 4 * (50 << k) ** 3
         assert not c3_holds(phi, n, k)
         assert c3_holds(phi, n + 1, k)
+
+    @pytest.mark.parametrize("t, bound, at_most", [
+        # t^(101/100) against bound, past the exact-power budget: 101·765 bits
+        (Fraction(200**100), 200**101, True),  # the tie, by one integer root
+        (Fraction(200**100), 200**101 + 1, True),
+        (Fraction(200**100), 200**101 - 1, False),
+        (Fraction(200**100 + 1), 200**101, False),
+        (Fraction(3 * 200**100 + 1, 3), 200**101, False),
+        (Fraction(3 * 200**100 - 1, 3), 200**101, True),
+    ], ids=["tie", "bound+1", "bound-1", "t+1", "t+1/3", "t-1/3"])
+    def test_power_comparison_past_the_exact_budget(self, t, bound, at_most):
+        assert t**101 <= bound**100 if at_most else t**101 > bound**100
+        assert _power_at_most(t, Fraction(101, 100), bound) == at_most
 
     @settings(max_examples=150, deadline=None)
     @given(

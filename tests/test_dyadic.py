@@ -5,14 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from walshdiv.dyadic import (
-    DyadicInterval,
-    DyadicPoint,
-    bit,
-    containing_interval,
-    parse_point,
-    xor_add,
-)
+from walshdiv.dyadic import DyadicPoint, bit, cell_index, parse_point, xor_add
 
 
 def value(x: DyadicPoint) -> Fraction:
@@ -59,11 +52,6 @@ class TestDyadicPoint:
     def test_rejects_points_outside_unit_interval(self, num, exp):
         with pytest.raises(ValueError):
             DyadicPoint(num, exp)
-
-    def test_ordering_matches_values(self):
-        pts = [DyadicPoint(i, 5) for i in range(32)]
-        assert sorted(pts) == pts
-        assert DyadicPoint(1, 2) < DyadicPoint(1, 1)
 
     def test_scaled_numerator(self):
         p = DyadicPoint(3, 2)
@@ -114,38 +102,33 @@ class TestXorAdd:
         assert xor_add(DyadicPoint(3, 2), DyadicPoint(1, 1)) == DyadicPoint(1, 2)
 
 
-# -- intervals --------------------------------------------------------------
+# -- cells ------------------------------------------------------------------
 
 
-class TestDyadicInterval:
-    def test_contains_is_half_open(self):
-        iv = DyadicInterval(2, 1)  # [1/4, 1/2)
-        assert containing_interval(DyadicPoint(1, 2), 2) == iv
-        assert containing_interval(DyadicPoint(7, 4), 2) == iv
-        assert containing_interval(DyadicPoint(1, 1), 2) != iv
-        assert containing_interval(DyadicPoint.zero(), 2) != iv
+class TestCellIndex:
+    def test_cells_are_half_open(self):
+        # [1/4, 1/2) is cell 1 at level 2: its left end belongs, its right does not
+        assert cell_index(DyadicPoint(1, 2), 2) == 1
+        assert cell_index(DyadicPoint(7, 4), 2) == 1
+        assert cell_index(DyadicPoint(1, 1), 2) == 2
+        assert cell_index(DyadicPoint.zero(), 2) == 0
 
-    def test_containing_interval(self):
+    def test_cell_index(self):
         x = DyadicPoint(5, 4)  # 0.0101
-        assert containing_interval(x, 0) == DyadicInterval(0, 0)
-        assert containing_interval(x, 2) == DyadicInterval(2, 1)
-        assert containing_interval(x, 4) == DyadicInterval(4, 5)
-        assert containing_interval(x, 7) == DyadicInterval(7, 40)
+        assert [cell_index(x, level) for level in (0, 2, 4, 7)] == [0, 1, 5, 40]
 
     @given(points, st.integers(min_value=0, max_value=14))
-    def test_containing_interval_contains_its_point(self, x, level):
-        iv = containing_interval(x, level)
-        assert iv.level == level
-        assert Fraction(iv.index, 1 << level) <= value(x) < Fraction(iv.index + 1, 1 << level)
+    def test_cell_contains_its_point(self, x, level):
+        index = cell_index(x, level)
+        assert Fraction(index, 1 << level) <= value(x) < Fraction(index + 1, 1 << level)
 
     def test_plus_half_membership_is_a_digit_test(self):
         # x lies in the plus-half of its level-j cell iff digit j+1 is 0
         for i in range(1 << 8):
             x = DyadicPoint(i, 8)
             for j in range(0, 6):
-                cell = containing_interval(x, j)
-                # the plus half is the left child, index 2·cell.index
-                in_plus = containing_interval(x, j + 1).index == 2 * cell.index
+                # the plus half is the left child, index 2·cell
+                in_plus = cell_index(x, j + 1) == 2 * cell_index(x, j)
                 assert in_plus == (bit(x, j + 1) == 0)
 
     def test_descent_quarter_is_a_two_digit_test(self):
@@ -154,13 +137,10 @@ class TestDyadicInterval:
         for i in range(1 << 8):
             x = DyadicPoint(i, 8)
             for k in range(0, 5):
-                cell = containing_interval(x, k)
-                # the right child of the left child: index 4·cell.index + 1
-                in_quarter = containing_interval(x, k + 2).index == 4 * cell.index + 1
+                # the right child of the left child: index 4·cell + 1
+                in_quarter = cell_index(x, k + 2) == 4 * cell_index(x, k) + 1
                 assert in_quarter == (bit(x, k + 1) == 0 and bit(x, k + 2) == 1)
 
-    def test_rejects_bad_indices(self):
+    def test_rejects_negative_levels(self):
         with pytest.raises(ValueError):
-            DyadicInterval(2, 4)
-        with pytest.raises(ValueError):
-            DyadicInterval(-1, 0)
+            cell_index(DyadicPoint(1, 2), -1)

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from walshdiv.atoms import AtomSum, KernelAtom, SpectralBlock
 from walshdiv.bounds import scaled_enclosure, scaled_le
 from walshdiv.counterexample import ConstructionParams, partial_sum_series
-from walshdiv.dyadic import DyadicPoint, containing_interval, xor_add
+from walshdiv.dyadic import DyadicPoint, cell_index, xor_add
 from walshdiv.fourier import (
     PhiSpec,
     exceed_density,
@@ -69,7 +69,7 @@ class TestPartialSums:
     def test_full_inversion(self):
         f = random_step_function(random.Random(2), 4)
         for x in (DyadicPoint(5, 4), DyadicPoint(3, 2), DyadicPoint.zero()):
-            assert grid_partial_sums(f, x)[-1] == f[containing_interval(x, 4).index]
+            assert grid_partial_sums(f, x)[-1] == f[cell_index(x, 4)]
 
     def test_rejects_unrepresentable_cuts(self):
         # the series holds every cut up to count, so count is bounded first

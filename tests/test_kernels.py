@@ -1,5 +1,8 @@
-"""The integer kernels: butterflies, bit reversal, sign rows, cell scan, and
-the decimal rows of the coefficient dump.
+"""The integer kernels: butterflies, bit reversal, sign rows, Dirichlet rows,
+cell scan, and the decimal rows of the coefficient dump.
+
+Dirichlet rows are checked against the scalar closed form and against the
+per-digit definition of D*_n in the oracles.
 
 The cell scan is checked against an independent oracle that works from the
 definitions: Rademacher products for membership, digit descents for the
@@ -18,13 +21,19 @@ from walshdiv._kernels import (
     bit_reversal_table,
     cell_scan,
     decimal_rows,
+    dirichlet_row,
     hadamard_inplace,
     walsh_sign_row,
 )
 from walshdiv.dyadic import DyadicPoint, xor_add
-from walshdiv.walsh import dirichlet_star, rademacher, walsh
+from walshdiv.walsh import bit_reverse, dirichlet, dirichlet_star, walsh
 
-from oracles import cell_scan_by_position, decimal_rows as decimal_rows_oracle
+from oracles import (
+    cell_scan_by_position,
+    decimal_rows as decimal_rows_oracle,
+    dirichlet as dirichlet_oracle,
+    rademacher,
+)
 
 
 class TestHadamard:
@@ -73,6 +82,30 @@ class TestWalshSignRow:
             row = walsh_sign_row(int(rev[i]), 1 << k)
             x = DyadicPoint(i, k)
             assert all(row[m] == walsh(m, x) for m in range(1 << k))
+
+
+class TestDirichletRow:
+    @given(
+        # y = a/2^e, a odd: z = e - bitlen(a) leading zero digits, e <= 62
+        st.integers(0, 61).flatmap(lambda z: st.tuples(
+            st.just(z),
+            st.integers(1, 62 - z).flatmap(
+                lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)),
+        )),
+        st.lists(st.integers(1, (1 << 62) - 1), min_size=1, max_size=12),
+    )
+    @example((0, 1), [1, 2, 3])  # y = 1/2
+    @example((61, 1), [1 << 61, (1 << 62) - 1, 1 << 60])  # y = 2^-62
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_scalar_and_the_digit_oracle(self, za, orders):
+        z, a = za
+        a |= 1
+        e = z + a.bit_length()
+        y = DyadicPoint(a, e)
+        row = dirichlet_row(bit_reverse(a, e), z, np.array([0, *orders], dtype=np.int64))
+        assert row[0] == 0  # D_0 is the empty sum
+        assert [int(v) for v in row[1:]] == [dirichlet(r, y) for r in orders]
+        assert [int(v) for v in row[1:]] == [dirichlet_oracle(r, y) for r in orders]
 
 
 def cell_scan_oracle(n: int):

@@ -1,5 +1,6 @@
-"""The README quick start runs as written against the current API, and its
-command lines parse with the current command line."""
+"""The README quick start runs as written against the current API, its
+command lines parse with the current command line, and its rejected-parameter
+examples are rejected as it says."""
 
 import re
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from walshdiv.cli import _SUBCOMMANDS, _parse
+from walshdiv.cli import _SUBCOMMANDS, _parse, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,3 +44,26 @@ def test_command_line_parses(line):
     argv = shlex.split(line, comments=True)[3:]
     handler, _ = _parse(argv)
     assert handler is _SUBCOMMANDS[argv[0]][1]
+
+
+def rejected_examples() -> list[str]:
+    """The backticked commands of the paragraph on rejected parameters, up to
+    the exit status it promises them."""
+    paragraph = next(p for p in README.read_text().split("\n\n")
+                     if p.startswith("Parameters the library rejects"))
+    examples = paragraph.split("end with exit status 2", 1)[0]
+    spans = re.findall(r"`([^`]+)`", examples.replace("\n", " "))
+    return [span for span in spans if span.split()[0] in _SUBCOMMANDS]
+
+
+def test_rejected_examples_are_found():
+    assert len(rejected_examples()) == 14
+
+
+@pytest.mark.parametrize("command", rejected_examples())
+def test_rejected_example_ends_in_one_stderr_line(command, capsys):
+    assert main(shlex.split(command)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("walshdiv: error: ")

@@ -6,7 +6,8 @@ Oracles are deliberately independent of the implementation:
   repeated doubling, and from a Sylvester-Hadamard matrix built by Kronecker
   squaring with string-reversed column indices;
 - the naive transform is a full matrix application;
-- kernels are checked against term-by-term character sums.
+- kernels are checked against term-by-term character sums, and the closed
+  form of D*_n against its per-digit definition.
 """
 
 import math
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from walshdiv.dyadic import DyadicPoint, xor_add
 from walshdiv.walsh import (
@@ -22,17 +24,18 @@ from walshdiv.walsh import (
     _normalized,
     bit_reverse,
     dirichlet,
-    dirichlet_pow2,
     dirichlet_star,
     fwht,
-    rademacher,
     walsh,
 )
 
 from oracles import (
+    dirichlet as dirichlet_oracle,
+    dirichlet_star as dirichlet_star_oracle,
     fwht_inverse,
     grid_of,
     norm1,
+    rademacher,
     sample_dirichlet,
     sample_dirichlet_star,
     values_of,
@@ -88,6 +91,7 @@ def random_fraction(rng: random.Random) -> Fraction:
 
 class TestPointwise:
     def test_rademacher_is_a_digit_sign(self):
+        # the oracle's r_j, the factor the closed-form kernels fold together
         x = DyadicPoint(5, 4)  # digits 0101
         assert [rademacher(j, x) for j in range(6)] == [1, -1, 1, -1, 1, 1]
 
@@ -129,11 +133,11 @@ class TestPointwise:
 
 class TestKernels:
     def test_pow2_kernel_is_a_box(self):
-        # D_4 = 4 on [0, 1/4), 0 elsewhere
-        assert dirichlet_pow2(2, DyadicPoint.zero()) == 4
-        assert dirichlet_pow2(2, DyadicPoint(1, 3)) == 4
-        assert dirichlet_pow2(2, DyadicPoint(1, 2)) == 0
-        assert dirichlet_pow2(2, DyadicPoint(7, 3)) == 0
+        # Paley's lemma: D_4 = 4 on [0, 1/4), 0 elsewhere
+        assert dirichlet(4, DyadicPoint.zero()) == 4
+        assert dirichlet(4, DyadicPoint(1, 3)) == 4
+        assert dirichlet(4, DyadicPoint(1, 2)) == 0
+        assert dirichlet(4, DyadicPoint(7, 3)) == 0
 
     def test_dirichlet_equals_character_sum(self):
         p = paley_sign_matrix(6)
@@ -164,6 +168,19 @@ class TestKernels:
         assert dirichlet_star(3, quarter) == -1
         assert walsh(3, quarter) == -1
         assert dirichlet(3, quarter) == 1
+
+    @given(
+        st.integers(0, 300).flatmap(lambda e: st.builds(
+            DyadicPoint, st.integers(0, (1 << e) - 1), st.just(e))),
+        st.integers(1, 1 << 4000),
+    )
+    @example(DyadicPoint(1, 300), (1 << 4000) - 1)
+    @example(DyadicPoint(1, 300), 1 << 299)
+    @example(DyadicPoint.zero(), 1 << 4000)
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_matches_the_digit_definition(self, x, n):
+        assert dirichlet_star(n, x) == dirichlet_star_oracle(n, x)
+        assert dirichlet(n, x) == dirichlet_oracle(n, x)
 
     def test_huge_single_bit_orders_stay_cheap(self):
         # orders like 2^32796 must evaluate through their set bits only
