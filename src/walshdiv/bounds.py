@@ -1,7 +1,7 @@
 """Certified rational bounds for exponentials and logarithms.
 
 Every inequality verdict in this package that involves a transcendental
-quantity (e**x, ln 2, ln(1 + e**x), the growth functions Φ, ...) is decided
+quantity (e**x, ln 2, the growth functions Φ, ...) is decided
 through the directed-rounding enclosures in this module: a check passes only
 if it holds at the unfavorable end of an interval [lo, hi] that provably
 contains the true value.
@@ -28,9 +28,10 @@ Implementation notes:
 - Callers that need a strict decision use :func:`decide_less`, which refines
   precision, up to a fixed 2**16 bits, until the intervals separate the
   operands.  That terminates because no caller compares equal values: the
-  growth condition (c3) in ``counterexample.c3_holds`` decides its exact
-  ties by an exact test before it calls :func:`decide_less`, after which
-  it sets the transcendental ln(1 + e^{2n}) against an algebraic exponent.
+  growth condition (c3) in ``counterexample.c3_holds`` settles X ≤ 2n for
+  Φ = e^X − 1 exactly before it calls :func:`decide_less`, and past that
+  ln Φ(t) ≠ 2n, since e^X − e^{2n} = 1 has no solution with X ≠ 2n
+  algebraic (Lindemann–Weierstrass).
 """
 
 from __future__ import annotations
@@ -41,16 +42,12 @@ from typing import Callable
 
 __all__ = [
     "Enclosure",
-    "round_down",
-    "round_up",
-    "outward",
     "ln2_enclosure",
     "exp_enclosure",
     "exp_scaled",
     "scaled_enclosure",
     "scaled_le",
     "ln_enclosure",
-    "log1p_exp_enclosure",
     "decide_less",
     "floor_enclosed",
 ]
@@ -63,23 +60,10 @@ Scaled = tuple[int, int, int]
 
 _DEFAULT_PREC = 96
 
-#: Largest exp argument :func:`exp_enclosure` and the enclosures of the
-#: exponential Φ kinds accept; :func:`exp_scaled` has no limit.
+#: Largest argument :func:`exp_enclosure` accepts: its rational ends are
+#: e**x written out in full.  :func:`exp_scaled`, which the Φ values use, has
+#: no limit.
 EXP_ARGUMENT_CAP = 1 << 20
-
-
-def round_down(x: Fraction, prec: int) -> Fraction:
-    """Largest multiple of 2**-prec that is <= x."""
-    scaled = x * (1 << prec)
-    return Fraction(scaled.numerator // scaled.denominator, 1 << prec)
-
-def round_up(x: Fraction, prec: int) -> Fraction:
-    """Smallest multiple of 2**-prec that is >= x."""
-    scaled = x * (1 << prec)
-    return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << prec)
-
-def outward(lo: Fraction, hi: Fraction, prec: int) -> Enclosure:
-    return round_down(lo, prec), round_up(hi, prec)
 
 
 def _atanh_fixed(a: int, b: int, w: int) -> tuple[int, int]:
@@ -226,6 +210,10 @@ def ln_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     elif 3 * num < 2 * den:
         num <<= 1
         j -= 1
+    # the shifts can leave num and den both even (x = 50·2^k does): halving
+    # them out keeps the series' integers short
+    zeros = ((num | den) & -(num | den)).bit_length() - 1
+    num, den = num >> zeros, den >> zeros
     # ln m = 2 atanh(u), u = (m-1)/(m+1), |u| <= 1/5.
     w = prec + abs(j).bit_length() + 4
     lo, hi = _atanh_fixed(abs(num - den), num + den, w + 1)  # 2·atanh over 2**w
@@ -240,21 +228,6 @@ def ln_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
     return Fraction(lo >> shift, 1 << prec), Fraction(-(-hi >> shift), 1 << prec)
 
 
-def log1p_exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
-    """Enclosure of ln(1 + e**x), stable for very large positive x.
-
-    For x >= 1 uses ln(1 + e**x) = x + ln(1 + e**-x), so the logarithm is
-    only ever taken of a number in (1, 1 + e].
-    """
-    if x >= 1:
-        lo, hi = log1p_exp_enclosure(-x, prec + 8)
-        return outward(x + lo, x + hi, prec)
-    elo, ehi = exp_enclosure(x, prec + 8)
-    lo = ln_enclosure(1 + elo, prec + 8)[0]
-    hi = ln_enclosure(1 + ehi, prec + 8)[1]
-    return outward(lo, hi, prec)
-
-
 def decide_less(
     lhs: Callable[[int], Enclosure], rhs: Callable[[int], Enclosure]
 ) -> bool:
@@ -263,8 +236,8 @@ def decide_less(
     ``lhs`` and ``rhs`` map a precision to an enclosure of their value; the
     first try is at 96 bits, and each further one doubles the precision up to
     a fixed 2**16 bits.  Equal values never separate, so callers compare only
-    values known to differ; ``counterexample.c3_holds`` settles its exact ties
-    (X = 2n) exactly first.  Raises if the two stay inseparable at the cap.
+    values known to differ; ``counterexample.c3_holds`` settles X ≤ 2n
+    exactly first.  Raises if the two stay inseparable at the cap.
     """
     prec = _DEFAULT_PREC
     while prec <= 1 << 16:

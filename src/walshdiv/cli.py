@@ -94,8 +94,8 @@ def _emit(ns: SimpleNamespace, shown: str, text: str) -> None:
 
 
 def _float_scaled(m: int, e: int, den: int) -> str:
-    """_float of m·2^e/den, which is built exactly only within 2^(±2^21), the
-    range of every exponential Φ under the exp argument cap."""
+    """_float of m·2^e/den, built exactly within 2^(±2^21) and rounded by
+    mpmath past it, where a Φ value such as e^(4096·385) lies."""
     top = m.bit_length() + e
     if abs(top) <= 1 << 21:
         return _float(Fraction(m) * Fraction(2) ** e / den)

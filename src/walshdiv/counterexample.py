@@ -1082,32 +1082,25 @@ def verify_lemma1(params: ConstructionParams, x: DyadicPoint) -> LemmaReport:
 
 
 def c3_holds(phi: PhiSpec, n: int, k: int) -> bool:
-    """Certified decision of Φ(n / (50·2^k)) > e^{2n}.
+    """Certified decision of Φ(n / (50·2^k)) > e^{2n}, that is ln Φ(t) > 2n.
 
-    For exponential Φ = e^X - 1 the comparison is X > ln(1 + e^{2n}).  Since
-    ln(1 + e^{2n}) > 2n always, an exact test of X ≤ 2n decides falsity,
-    ties included: c·t ≤ 2n for exp_linear, and :func:`_power_at_most` for
-    exp_power.  Past that test X is algebraic and ln(1 + e^{2n})
-    transcendental, so the two differ and their enclosures separate.
+    Exact tests decide falsity first, ties included: t ≤ 1 for a power, and
+    for Φ = e^X - 1, whose ln Φ is below X, X ≤ 2n: c·t ≤ 2n for exp_linear
+    and :func:`_power_at_most` for exp_power.  Past them ln Φ(t) differs from
+    2n, so enclosures of :func:`_ln_phi_enclosure` separate the two.
     """
     t = Fraction(n, 50 << k)
     if phi.kind == "power":
-        # t^p > e^{2n}  <=>  p ln t > 2n
-        if t <= 1:
-            return False
-        return bounds.decide_less(
-            lambda prec: (Fraction(2 * n), Fraction(2 * n)),
-            lambda prec: _ln_phi_enclosure(phi, t, prec),
-        )
-    if phi.kind == "exp_linear":
+        at_most_2n = t <= 1
+    elif phi.kind == "exp_linear":
         at_most_2n = phi.parameter * t <= 2 * n
     else:
         at_most_2n = _power_at_most(t, phi.parameter, 2 * n)
     if at_most_2n:
         return False
     return bounds.decide_less(
-        lambda prec: bounds.log1p_exp_enclosure(Fraction(2 * n), prec),
-        lambda prec: phi.exponent(t, prec),
+        lambda prec: (Fraction(2 * n), Fraction(2 * n)),
+        lambda prec: _ln_phi_enclosure(phi, t, prec),
     )
 
 
@@ -1146,13 +1139,16 @@ def _power_at_most(t: Fraction, alpha: Fraction, bound: int) -> bool:
 
 
 def _iroot(x: int, m: int) -> int:
-    """⌊x^(1/m)⌋ for integers x ≥ 1 and m ≥ 1, by Newton steps from above."""
-    r = 1 << -(-x.bit_length() // m)
-    while True:
-        s = ((m - 1) * r + x // r ** (m - 1)) // m
-        if s >= r:
-            return r
-        r = s
+    """⌊x^(1/m)⌋ for integers x ≥ 1 and m ≥ 1, by bisection between the powers
+    of two that the bit length of x puts around it."""
+    lo, hi = 1 << (x.bit_length() - 1) // m, 1 << -(-x.bit_length() // m)
+    while hi - lo > 1:  # lo^m ≤ x < hi^m
+        mid = (lo + hi) // 2
+        if mid**m <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 #: decimal digits of the longest integer a report prints: CPython's default
@@ -1173,22 +1169,15 @@ def minimal_n_for_c3(phi: PhiSpec, k: int) -> int:
     α > 1, or exp_linear with c > 100·2^k.  Other kinds either never exceed
     e^{2n} or do so only on a bounded window, and are rejected.
 
-    Let n0 be the least n with X > 2n; below it (c3) is false by the exact
-    test of :func:`c3_holds`.  For exp_power at α = a/b, t^a > (2n)^b reads
-    n^(a-b) > 2^b·(50·2^k)^a, so
-    n0 = ⌊(2^b·(50·2^k)^a)^(1/(a-b))⌋ + 1; for exp_linear n0 = 1.  From n0 on,
-    X - 2n grows and ln(1 + e^{2n}) - 2n shrinks, so the first n ≥ n0 where
-    (c3) holds is the least.
-
-    A candidate n of more than _PRINT_DIGITS decimal digits raises
-    OverflowError before (c3) is decided at it: no report prints it, and
-    past the exact-power budget the decision there can take minutes.
+    Let n0 be the least n with X > 2n (:func:`_least_above_2n` for
+    exp_power, 1 for exp_linear); below it (c3) is false by the exact test of
+    :func:`c3_holds`.  From n0 on, X - 2n grows and ln(1 + e^{2n}) - 2n
+    shrinks, so the first n ≥ n0 where (c3) holds is the least.
     """
     if phi.kind == "exp_power":
         if phi.parameter <= 1:
             raise ValueError("exp_power needs alpha > 1 for (c3) to eventually hold")
-        a, b = phi.parameter.numerator, phi.parameter.denominator
-        n = _iroot((1 << b) * (50 << k) ** a, a - b) + 1
+        n = _least_above_2n(phi.parameter, k)
     elif phi.kind == "exp_linear":
         if phi.parameter <= 100 << k:
             raise ValueError(
@@ -1197,28 +1186,63 @@ def minimal_n_for_c3(phi: PhiSpec, k: int) -> int:
         n = 1
     else:
         raise ValueError(f"(c3) does not eventually hold for kind {phi.kind!r}")
-    while True:
-        if n >= 10**_PRINT_DIGITS:
-            raise OverflowError(
-                f"the least n with Phi(n/(50*2^k)) > exp(2n) at k={k} has "
-                f"{_digit_count(n)} digits, more than the {_PRINT_DIGITS} a report prints"
-            )
-        if c3_holds(phi, n, k):
-            return n
+    while not c3_holds(phi, n, k):
         n += 1
+    return n
+
+
+def _least_above_2n(alpha: Fraction, k: int) -> int:
+    """Least n with t^α > 2n at t = n/D, D = 50·2^k, for α = a/b > 1.
+
+    The inequality reads n^(a-b) > 2^b·D^a, so it holds for exactly the n
+    above r = e^((b ln 2 + a ln D)/(a-b)).  r is enclosed, to more precision
+    until at most two integers are left, and :func:`_power_at_most` decides
+    those; the radicand 2^b·D^a, about a·(k + 6) bits, is never built.
+
+    An n of more than _PRINT_DIGITS decimal digits raises OverflowError as
+    soon as the enclosure settles its digit count: no report prints it, and
+    past the exact-power budget (c3) there can take minutes.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    den = 50 << k
+    prec = 64
+    while True:
+        g = prec + a.bit_length() + 8
+        l2lo, l2hi = bounds.ln2_enclosure(g)
+        llo, lhi = bounds.ln_enclosure(Fraction(den), g)
+        p, q, e = bounds.exp_scaled(
+            (b * l2lo + a * llo) / (a - b), (b * l2hi + a * lhi) / (a - b), prec)
+        # lo ≤ r < hi, so the least n lies in (lo, hi]
+        lo, hi = (p << e, (q << e) + 1) if e >= 0 else (p >> -e, (q >> -e) + 1)
+        too_long = lo >= 10**_PRINT_DIGITS
+        if hi - lo <= 2 or too_long and _digit_count(lo + 1) == _digit_count(hi):
+            break
+        # the width is about r·2^-prec: while the digit count is open, double
+        # prec, else add what makes it under 1
+        prec = 2 * prec if too_long else prec + (hi - lo).bit_length() + 4
+    n = hi
+    if hi - lo == 2 and not _power_at_most(Fraction(lo + 1, den), alpha, 2 * lo + 2):
+        n = lo + 1
+    if n >= 10**_PRINT_DIGITS:
+        raise OverflowError(
+            f"the least n with Phi(n/(50*2^k)) > exp(2n) at k={k} has "
+            f"{_digit_count(n)} digits, more than the {_PRINT_DIGITS} a report prints"
+        )
+    return n
 
 
 def _ln_phi_enclosure(phi: PhiSpec, t: Fraction, prec: int) -> bounds.Enclosure:
-    """Enclosure of ln Φ(t), requiring Φ(t) comfortably above 1."""
+    """Enclosure of ln Φ(t): p·ln t for a power, and for Φ = e^X − 1, X > 1,
+    X + ln(1 − e^{-X}), which increases with X.  It narrows as prec grows,
+    down to about 2^-⌊X⌋ once X ≥ 64, where e^{-X} is enclosed crudely."""
     if phi.kind == "power":
         lo, hi = bounds.ln_enclosure(t, prec)
         return (phi.parameter * lo, phi.parameter * hi)
     X_lo, X_hi = phi.exponent(t, prec)
-    if X_lo < 1:
-        raise ArithmeticError("ln Phi enclosure needs the exponent to exceed 1")
-    # ln(e^X - 1) = X + ln(1 - e^-X), and 0 > ln(1 - u) >= -2u for u <= 1/2
-    drop = 2 * Fraction(1, 1 << min(int(X_lo), 64))
-    return (X_lo - drop, X_hi)
+    u_hi = bounds.exp_enclosure(-X_lo, prec)[1]
+    u_lo = bounds.exp_enclosure(-X_hi, prec)[0]
+    return (X_lo + bounds.ln_enclosure(1 - u_hi, prec)[0],
+            X_hi + bounds.ln_enclosure(1 - u_lo, prec)[1])
 
 
 def _final_display_row(phi: PhiSpec, n: int, k: int) -> AssertionRecord:

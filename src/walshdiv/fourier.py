@@ -41,7 +41,8 @@ __all__ = [
 ]
 
 #: Φ values past 2^_EXPONENT_CAP display as +inf, and those below
-#: 2^-_EXPONENT_CAP as 0; a power Φ past it has no enclosure.
+#: 2^-_EXPONENT_CAP as 0.  Past it, or past an exponent X > _EXPONENT_CAP for
+#: Φ = e^X − 1, Φ has no enclosure.
 _EXPONENT_CAP = 10**15
 
 #: Most Φ values one PhiSpec remembers; a full memo starts over.
@@ -119,7 +120,7 @@ class PhiSpec:
             return mpmath.mp.make_mpf(from_rational(v.numerator, v.denominator, prec, "n"))
         guard = 16
         while guard <= 1 << 16:
-            scaled = self._scaled(t, prec + guard, _EXPONENT_CAP)
+            scaled = self._scaled(t, prec + guard)
             if scaled is None:
                 return mpmath.mpf("+inf")
             lo, hi, e = scaled
@@ -135,16 +136,16 @@ class PhiSpec:
     def enclosure(self, t: Rat, prec: int = 96) -> bounds.Scaled:
         """(lo, hi, e) with lo·2^e ≤ Φ(t) ≤ hi·2^e to about prec significant bits.
 
-        Raises ArithmeticError when Φ(t) is too large to evaluate directly: an
-        exponent X > 2^20 for the exponential kinds, a binary exponent surely
-        past _EXPONENT_CAP for powers.
+        Its range is the one :meth:`value_mpf` shows: ArithmeticError past an
+        exponent X > _EXPONENT_CAP for the exponential kinds, and past a binary
+        exponent surely above _EXPONENT_CAP for powers.
         """
         t = _nonnegative(t)
         if t == 0:
             return (0, 0, 0)
-        scaled = self._scaled(t, prec, bounds.EXP_ARGUMENT_CAP)
+        scaled = self._scaled(t, prec)
         if scaled is None:
-            what = "t^p past 2^(10^15)" if self.kind == "power" else "exp(X) - 1 with X > 2^20"
+            what = "t^p past 2^(10^15)" if self.kind == "power" else "exp(X) - 1 with X > 10^15"
             raise ArithmeticError(f"Phi({t}) = {what} is too large for direct enclosure")
         return scaled
 
@@ -160,30 +161,30 @@ class PhiSpec:
         llo, lhi = bounds.ln_enclosure(t, prec + 8 + math.ceil(p).bit_length())
         return bounds.exp_scaled(p * llo, p * lhi, prec)
 
-    def _scaled(self, t: Fraction, prec: int, limit: int) -> bounds.Scaled | None:
+    def _scaled(self, t: Fraction, prec: int) -> bounds.Scaled | None:
         """(lo, hi, e) with lo·2^e ≤ Φ(t) ≤ hi·2^e to about prec bits, t > 0;
-        None past an exponent X > ``limit`` for the exponential kinds, and for
-        powers past a binary exponent surely above _EXPONENT_CAP."""
+        None past an exponent X > _EXPONENT_CAP for the exponential kinds, and
+        for powers past a binary exponent surely above _EXPONENT_CAP."""
         a, b = self.parameter.numerator, self.parameter.denominator
         size = t.numerator.bit_length() - t.denominator.bit_length()  # log2 t ± 1
         if self.kind == "power":
             if a * (size - 1) > b * _EXPONENT_CAP:
                 return None
             return self._power(t, prec + 4)
-        if self.kind == "exp_power" and a * (size - 1) >= b * limit.bit_length():
-            return None  # X = t^α ≥ 2^(α(size - 1)) > limit
+        if self.kind == "exp_power" and a * (size - 1) >= b * _EXPONENT_CAP.bit_length():
+            return None  # X = t^α ≥ 2^(α(size - 1)) > _EXPONENT_CAP
         xlo = xhi = self._exact_exponent(t)
         if xlo is None:
-            # e^X − 1 needs X to prec + log2 X bits, and log2 X ≤ log2 limit
-            # wherever X is used
-            extra = min(max(a * (size + 1) // b, 0), limit.bit_length())
+            # e^X − 1 needs X to prec + log2 X bits, and log2 X is at most
+            # log2 _EXPONENT_CAP wherever X is used
+            extra = min(max(a * (size + 1) // b, 0), _EXPONENT_CAP.bit_length())
             lo, hi, e = self._power(t, prec + 8 + extra)
             if hi.bit_length() + e < -(prec + 8):
                 # X < 2^-(prec+8), and X ≤ e^X − 1 ≤ X(1 + X) for 0 < X ≤ 1;
                 # X² ≤ hi²·2^(2e) is rounded up to a whole unit 2^e
                 return lo, hi - (-hi * hi >> -e), e
             xlo, xhi = bounds.scaled_enclosure((lo, hi, e))
-        if xhi > limit:
+        if xhi > _EXPONENT_CAP:
             return None
         # e^X − 1 cancels about log2(1/X) leading bits at small X
         tiny = xhi.denominator.bit_length() - xhi.numerator.bit_length()

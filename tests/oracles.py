@@ -32,7 +32,9 @@ The window census of f_n's partial sums:
 
 The growth condition (c3), Φ(n/(50·2^k)) > e^{2n} at Φ = e^X - 1, is held
 against :func:`c3_by_enclosures`, which decides it by enclosures alone: no
-exact test of X ≤ 2n, so it cannot settle an exact tie.
+exact test of X ≤ 2n, so it cannot settle an exact tie.  It sets X against
+its own :func:`log1p_exp_enclosure` of ln(1 + e^{2n}), where the library
+encloses ln Φ(t) = X + ln(1 - e^{-X}) instead.
 
 The sign-change set E_n and its checks are held against Fraction arithmetic
 and a scan of every cell:
@@ -89,8 +91,26 @@ def c3_by_enclosures(phi: PhiSpec, n: int, k: int) -> bool:
     else:
         exponent = lambda prec: power_enclosure(t, phi.parameter, prec)
     return bounds.decide_less(
-        lambda prec: bounds.log1p_exp_enclosure(Fraction(2 * n), prec), exponent
+        lambda prec: log1p_exp_enclosure(Fraction(2 * n), prec), exponent
     )
+
+
+def outward(lo: Fraction, hi: Fraction, prec: int) -> bounds.Enclosure:
+    """[lo, hi] widened to the nearest multiples of 2**-prec outside it."""
+    scale = 1 << prec
+    return Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale)
+
+
+def log1p_exp_enclosure(x: Fraction, prec: int) -> bounds.Enclosure:
+    """Enclosure of ln(1 + e**x); for x >= 1 as x + ln(1 + e**-x), so the
+    logarithm is only ever taken of a number in (1, 1 + e]."""
+    if x >= 1:
+        lo, hi = log1p_exp_enclosure(-x, prec + 8)
+        return outward(x + lo, x + hi, prec)
+    elo, ehi = bounds.exp_enclosure(x, prec + 8)
+    lo = bounds.ln_enclosure(1 + elo, prec + 8)[0]
+    hi = bounds.ln_enclosure(1 + ehi, prec + 8)[1]
+    return outward(lo, hi, prec)
 
 
 def power_enclosure(t: Fraction, alpha: Fraction, prec: int) -> bounds.Enclosure:

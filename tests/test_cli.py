@@ -350,11 +350,18 @@ class TestStrongMeanCommand:
         )
 
     def test_a_phi_past_the_exp_cap_fails_fast(self, capsys):
-        # e^{4096·385}: the largest magnitude is enclosed first, so the one
-        # error line comes before any other enclosure is computed
+        # e^{4096·385} is enclosed like any Φ value below 2^(10^15) ...
+        assert main(["strong-mean", "--n", "3", "--c", "2", "--x", "9/2^6",
+                     "--N-list", "4096", "--phi", "exp:4096"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "exp:4096,4096,2.5931175475106774e+684861,511/512,0.998046875,"
+            "2.59666413684e+133,pass"
+        )
+        # ... and X = 10^13·385 is past it: the largest magnitude is enclosed
+        # first, so the one error line comes before any other enclosure
         start = time.perf_counter()
         assert main(["strong-mean", "--n", "3", "--c", "2", "--x", "9/2^6",
-                     "--N-list", "4096", "--phi", "exp:4096"]) == 2
+                     "--N-list", "4096", "--phi", "exp:10000000000000"]) == 2
         assert time.perf_counter() - start < 5
         assert "too large for direct enclosure" in one_error_line(capsys)
 
@@ -509,6 +516,22 @@ class TestChainCheckCommand:
         assert time.perf_counter() - start < 5
         out = capsys.readouterr().out
         assert f"  PASS     2^(-2n-1)*Phi(t) >= (e/2)^(2n)           lhs=log in [{log_lo}, " in out
+
+    @pytest.mark.parametrize("phi", ["exppow:1000000", "exppow:100000000"])
+    def test_the_least_n_of_a_huge_alpha_needs_no_radicand(self, phi, capsys):
+        # (50·2^k)^α would take 6.6·10^8 bits at α = 10^8; the n > 120
+        # margins fail at n = 2, so the exit status is 1
+        start = time.perf_counter()
+        assert main(["chain-check", "--k", "1", "--phi", phi, "--n", "2"]) == 1
+        assert time.perf_counter() - start < 2
+        assert "minimal n with Phi(n/(50*2^k)) > exp(2n)  lhs=101 " in capsys.readouterr().out
+
+    def test_the_display_row_beside_its_threshold_is_decided(self, capsys):
+        # X = 2.76 against ln(1 + 2e^2) = 2.7586...; the n > 120 margins fail
+        assert main(["chain-check", "--n", "1", "--k", "1", "--phi", "exp:276"]) == 1
+        out = capsys.readouterr().out
+        assert "  PASS     2^(-2n-1)*Phi(t) >= (e/2)^(2n)           lhs=log in [" in out
+        assert "undecided" not in out
 
     def test_an_exact_tie_past_the_exact_power_budget(self, tmp_path):
         # t = 200^100 and X = t^(101/100) = 200^101 = 2n: a tie that one

@@ -10,6 +10,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -23,6 +24,8 @@ from walshdiv.counterexample import (
     EmptySelectionError,
     LemmaReport,
     _frac,
+    _least_above_2n,
+    _ln_phi_enclosure,
     _nu_min,
     _power_at_most,
     build_fn,
@@ -594,6 +597,19 @@ class TestVerifyLemma1:
                 verify_lemma1(ConstructionParams(n), DyadicPoint.zero())
 
 
+@st.composite
+def exponents(draw):
+    """(Φ, t) with X in (1, 200] for Φ = e^X - 1, X = t or t^α."""
+    phi, top = draw(st.sampled_from([
+        (PhiSpec("exp_linear", 1), 200),
+        (PhiSpec("exp_power", 2), 14),
+        (PhiSpec("exp_power", Fraction(3, 2)), 34),
+    ]))
+    t = draw(st.fractions(min_value=1, max_value=top, max_denominator=10**9))
+    assume(t > 1)
+    return phi, t
+
+
 class TestChainCheck:
     def test_main_scale_passes(self):
         report = chain_check(151, 1, EXP_POW_2)
@@ -625,6 +641,39 @@ class TestChainCheck:
         rows = row_map(report)
         assert rows["Phi(n/(50*2^k)) > exp(2n)"].witness == "holds"
         assert rows["2^(-2n-1)*Phi(t) >= (e/2)^(2n)"].verdict == "fail"
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 20])
+    def test_display_row_is_decided_beside_its_threshold(self, n):
+        # at k = 1, X = c·n/100, and the display reads X ≥ ln(1 + 2e^{2n}):
+        # c a millionth above and below 100·ln(1 + 2e^{2n})/n
+        with mpmath.workdps(40):
+            c = int(mpmath.nint(mpmath.log(1 + 2 * mpmath.exp(2 * n)) * 10**8 / n))
+        for numerator, verdict in ((c + 1, "pass"), (c - 1, "fail")):
+            rows = row_map(chain_check(n, 1, PhiSpec("exp_linear", Fraction(numerator, 10**6))))
+            assert rows["Phi(n/(50*2^k)) > exp(2n)"].witness == "holds"
+            row = rows["2^(-2n-1)*Phi(t) >= (e/2)^(2n)"]
+            assert (row.verdict, row.lhs_exact[:8]) == (verdict, "log in [")
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponents(), st.sampled_from([32, 64, 100]))
+    def test_ln_phi_enclosure_contains_reference(self, case, prec):
+        phi, t = case
+        with mpmath.workdps(200):
+            X = mpmath.mpf(t.numerator) / t.denominator
+            if phi.kind == "exp_power":
+                X **= mpmath.mpf(phi.parameter.numerator) / phi.parameter.denominator
+            sign, man, exp, _ = mpmath.log(mpmath.expm1(X))._mpf_
+            ref = Fraction(man) * Fraction(2) ** exp
+            floor_X = int(mpmath.floor(X))
+        widths = []
+        for p in (prec, 2 * prec):
+            lo, hi = _ln_phi_enclosure(phi, t, p)
+            assert not sign and lo <= ref <= hi
+            # past X = 64, e^-X is enclosed crudely, to 2^-floor(X)
+            assert hi - lo <= Fraction(8, 1 << p) + Fraction(2, 1 << floor_X)
+            widths.append(hi - lo)
+        if floor_X < 64:
+            assert widths[1] < widths[0]
 
     def test_never_attaining_kinds_report_none(self):
         report = chain_check(200, 1, PhiSpec("power", 2))
@@ -663,6 +712,20 @@ class TestGrowthThreshold:
     def test_minimal_n_at_fractional_alpha(self, alpha, minima):
         phi = PhiSpec("exp_power", alpha)
         assert [minimal_n_for_c3(phi, k) for k in range(1, len(minima) + 1)] == minima
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda b: st.tuples(st.integers(b + 1, 4 * b), st.just(b))
+        ),
+        st.integers(0, 40),
+    )
+    def test_least_n_above_2n_against_the_radicand(self, ab, k):
+        # t^(a/b) > 2n at t = n/(50·2^k) reads n^(a-b) > 2^b·(50·2^k)^a
+        a, b = ab
+        radicand = 2**b * (50 << k) ** a
+        n = _least_above_2n(Fraction(a, b), k)
+        assert (n - 1) ** (a - b) <= radicand < n ** (a - b)
 
     @pytest.mark.parametrize("c, k, n", [
         (300, 1, 1), (201, 1, 2), (101, 0, 2), (1001, 3, 1),

@@ -182,8 +182,11 @@ class TestPhiSpec:
                 assert 0 <= lo <= v <= hi
 
     def test_enclosure_rejects_huge_arguments(self):
-        with pytest.raises(ArithmeticError):
-            PhiSpec("exp_power", 2).enclosure(Fraction(10**6))
+        # the range of value_mpf: X = 10^12 is enclosed, X = 10^16 is not
+        lo, hi, e = PhiSpec("exp_power", 2).enclosure(Fraction(10**6))
+        assert hi.bit_length() < 200 and e > 10**12
+        with pytest.raises(ArithmeticError, match="X > 10"):
+            PhiSpec("exp_power", 2).enclosure(Fraction(10**8))
         # a power is refused only past 2^(10^15), and kept far below 2^(-10^15)
         with pytest.raises(ArithmeticError, match="past 2"):
             PhiSpec("power", 10**16).enclosure(Fraction(4))

@@ -57,7 +57,7 @@ def rejected_examples() -> list[str]:
 
 
 def test_rejected_examples_are_found():
-    assert len(rejected_examples()) == 14
+    assert len(rejected_examples()) == 15
 
 
 @pytest.mark.parametrize("command", rejected_examples())
