@@ -28,10 +28,10 @@ Implementation notes:
 - Callers that need a strict decision use :func:`decide_less`, which refines
   precision, up to a fixed 2**16 bits, until the intervals separate the
   operands.  That terminates because no caller compares equal values: the
-  growth condition (c3) in ``counterexample.c3_holds`` settles X ≤ 2n for
-  Φ = e^X − 1 exactly before it calls :func:`decide_less`, and past that
-  ln Φ(t) ≠ 2n, since e^X − e^{2n} = 1 has no solution with X ≠ 2n
-  algebraic (Lindemann–Weierstrass).
+  growth condition (c3) settles X ≤ 2n for Φ = e^X − 1 exactly, by
+  ``fourier.PhiSpec.exponent_at_most``, before it calls :func:`decide_less`,
+  and past that ln Φ(t) ≠ 2n, since e^X − e^{2n} = 1 has no solution with
+  X ≠ 2n algebraic (Lindemann–Weierstrass).
 """
 
 from __future__ import annotations
@@ -109,13 +109,13 @@ def exp_enclosure(x: Fraction, prec: int = _DEFAULT_PREC) -> Enclosure:
 
     For x <= -64 a deliberately crude enclosure [0, 2**-min(floor(-x), prec)]
     is returned (e > 2 makes it valid); capping the exponent at ``prec`` keeps
-    its denominator at most 2**prec however far negative x is.  Log-space
-    comparisons, whose gaps dwarf that width, are not its only consumers:
-    ``counterexample.measure_bound`` asks for e^{-n/36}, and from n = 2304 on
-    the lower end 0 puts the upper end of 1 - 2e^{-n/36} at 1, so every such
-    order prints a false FAIL (ROADMAP item 1a gives the fix).  Arguments
-    above 2**20 are rejected: their values are astronomically large and every
-    caller is expected to compare in log space instead.
+    its denominator at most 2**prec however far negative x is.  Its one
+    library caller, ``counterexample.measure_bound``, asks for e^{-n/36}, and
+    from n = 2304 on the lower end 0 puts the upper end of 1 - 2e^{-n/36} at
+    1, so every such order prints a false FAIL (ROADMAP item 1a gives the
+    fix).  Callers that need relative precision use :func:`exp_scaled`.
+    Arguments above 2**20 are rejected: their values are astronomically large
+    and every caller is expected to compare in log space instead.
     """
     if x > EXP_ARGUMENT_CAP:
         raise ArithmeticError(
@@ -236,8 +236,8 @@ def decide_less(
     ``lhs`` and ``rhs`` map a precision to an enclosure of their value; the
     first try is at 96 bits, and each further one doubles the precision up to
     a fixed 2**16 bits.  Equal values never separate, so callers compare only
-    values known to differ; ``counterexample.c3_holds`` settles X ≤ 2n
-    exactly first.  Raises if the two stay inseparable at the cap.
+    values known to differ; (c3) settles X ≤ 2n first, exactly, by
+    ``PhiSpec.exponent_at_most``.  Raises if they stay inseparable at the cap.
     """
     prec = _DEFAULT_PREC
     while prec <= 1 << 16:

@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, ClassVar, Iterator, NamedTuple
+from typing import ClassVar, Iterator, NamedTuple
 
 import mpmath
 import numpy as np
@@ -54,7 +54,7 @@ from . import bounds
 from ._kernels import cell_scan, dirichlet_row, walsh_sign_row
 from .atoms import AtomSum, IndicatorAtom, KernelAtom, SpectralBlock
 from .dyadic import DyadicPoint, bit, cell_index, xor_add
-from .fourier import _EXACT_BITS, Census, PhiSpec
+from .fourier import Census, PhiSpec
 from .walsh import (
     GRID_CAP,
     ExactSeries,
@@ -889,10 +889,10 @@ def verify_lemma1(params: ConstructionParams, x: DyadicPoint) -> LemmaReport:
     f_n is ``params.fn``, which those tables are read from too, so the points
     of one parameter set share one build.
     """
+    fn = params.fn  # rejects an unbuildable order before q = 2^(c(2^n+n)) exists
     n = params.n
     q = params.q
     sums = WindowSums(params, x, 2 * q)
-    fn = params.fn
     rows: list[AssertionRecord] = []
     parameters = [
         ("lemma", "1"),
@@ -1084,71 +1084,18 @@ def verify_lemma1(params: ConstructionParams, x: DyadicPoint) -> LemmaReport:
 def c3_holds(phi: PhiSpec, n: int, k: int) -> bool:
     """Certified decision of Φ(n / (50·2^k)) > e^{2n}, that is ln Φ(t) > 2n.
 
-    Exact tests decide falsity first, ties included: t ≤ 1 for a power, and
-    for Φ = e^X - 1, whose ln Φ is below X, X ≤ 2n: c·t ≤ 2n for exp_linear
-    and :func:`_power_at_most` for exp_power.  Past them ln Φ(t) differs from
-    2n, so enclosures of :func:`_ln_phi_enclosure` separate the two.
+    For Φ = e^X - 1, whose ln Φ is below X, the exact test X ≤ 2n of
+    :meth:`PhiSpec.exponent_at_most` decides falsity first, ties included.
+    Past it ln Φ(t) differs from 2n, for a power at any t, so enclosures of
+    :meth:`PhiSpec.ln_enclosure` separate the two.
     """
     t = Fraction(n, 50 << k)
-    if phi.kind == "power":
-        at_most_2n = t <= 1
-    elif phi.kind == "exp_linear":
-        at_most_2n = phi.parameter * t <= 2 * n
-    else:
-        at_most_2n = _power_at_most(t, phi.parameter, 2 * n)
-    if at_most_2n:
+    if phi.exponent_at_most(t, 2 * n):
         return False
     return bounds.decide_less(
         lambda prec: (Fraction(2 * n), Fraction(2 * n)),
-        lambda prec: _ln_phi_enclosure(phi, t, prec),
+        lambda prec: phi.ln_enclosure(t, prec),
     )
-
-
-def _power_at_most(t: Fraction, alpha: Fraction, bound: int) -> bool:
-    """Exact t^α ≤ bound for rational t > 0, α = a/b > 0 and an integer bound ≥ 2.
-
-    The comparison is t^a ≤ bound^b.  Bit lengths settle it first: log2 t
-    lies within 1 of s = bitlen(num) − bitlen(den), and log2 bound in
-    [m − 1, m) for m = bitlen(bound).  Past that, t^a is built exactly only
-    while a·bitlen(t) stays within ``fourier._EXACT_BITS``.  Beyond it a tie
-    needs t an integer r^b with bound = r^a (a and b are coprime), which one
-    integer root tests, and any other pair differs, so enclosures of a·ln t
-    and b·ln bound separate.
-    """
-    a, b = alpha.numerator, alpha.denominator
-    s = t.numerator.bit_length() - t.denominator.bit_length()
-    m = bound.bit_length()
-    if a * (s - 1) >= b * m:
-        return False
-    if a * (s + 1) <= b * (m - 1):
-        return True
-    if a * max(t.numerator.bit_length(), t.denominator.bit_length()) <= _EXACT_BITS:
-        return t**a <= bound**b
-    if t.denominator == 1 and a < m:  # a ≥ m leaves r = 1 < bound^(1/a)
-        r = _iroot(bound, a)
-        if r**a == bound and r**b == t.numerator:
-            return True
-
-    def times_ln(factor: int, v: Fraction) -> Callable[[int], bounds.Enclosure]:
-        def enclosure(prec: int) -> bounds.Enclosure:
-            lo, hi = bounds.ln_enclosure(v, prec + factor.bit_length())
-            return factor * lo, factor * hi
-        return enclosure
-
-    return not bounds.decide_less(times_ln(b, Fraction(bound)), times_ln(a, t))
-
-
-def _iroot(x: int, m: int) -> int:
-    """⌊x^(1/m)⌋ for integers x ≥ 1 and m ≥ 1, by bisection between the powers
-    of two that the bit length of x puts around it."""
-    lo, hi = 1 << (x.bit_length() - 1) // m, 1 << -(-x.bit_length() // m)
-    while hi - lo > 1:  # lo^m ≤ x < hi^m
-        mid = (lo + hi) // 2
-        if mid**m <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 #: decimal digits of the longest integer a report prints: CPython's default
@@ -1177,7 +1124,7 @@ def minimal_n_for_c3(phi: PhiSpec, k: int) -> int:
     if phi.kind == "exp_power":
         if phi.parameter <= 1:
             raise ValueError("exp_power needs alpha > 1 for (c3) to eventually hold")
-        n = _least_above_2n(phi.parameter, k)
+        n = _least_above_2n(phi, k)
     elif phi.kind == "exp_linear":
         if phi.parameter <= 100 << k:
             raise ValueError(
@@ -1191,19 +1138,19 @@ def minimal_n_for_c3(phi: PhiSpec, k: int) -> int:
     return n
 
 
-def _least_above_2n(alpha: Fraction, k: int) -> int:
-    """Least n with t^α > 2n at t = n/D, D = 50·2^k, for α = a/b > 1.
+def _least_above_2n(phi: PhiSpec, k: int) -> int:
+    """Least n with t^α > 2n at t = n/D, D = 50·2^k, for exp_power α = a/b > 1.
 
     The inequality reads n^(a-b) > 2^b·D^a, so it holds for exactly the n
     above r = e^((b ln 2 + a ln D)/(a-b)).  r is enclosed, to more precision
-    until at most two integers are left, and :func:`_power_at_most` decides
-    those; the radicand 2^b·D^a, about a·(k + 6) bits, is never built.
+    until at most two integers are left, and :meth:`PhiSpec.exponent_at_most`
+    decides those; the radicand 2^b·D^a, about a·(k + 6) bits, is never built.
 
     An n of more than _PRINT_DIGITS decimal digits raises OverflowError as
     soon as the enclosure settles its digit count: no report prints it, and
     past the exact-power budget (c3) there can take minutes.
     """
-    a, b = alpha.numerator, alpha.denominator
+    a, b = phi.parameter.numerator, phi.parameter.denominator
     den = 50 << k
     prec = 64
     while True:
@@ -1221,7 +1168,7 @@ def _least_above_2n(alpha: Fraction, k: int) -> int:
         # prec, else add what makes it under 1
         prec = 2 * prec if too_long else prec + (hi - lo).bit_length() + 4
     n = hi
-    if hi - lo == 2 and not _power_at_most(Fraction(lo + 1, den), alpha, 2 * lo + 2):
+    if hi - lo == 2 and not phi.exponent_at_most(Fraction(lo + 1, den), 2 * lo + 2):
         n = lo + 1
     if n >= 10**_PRINT_DIGITS:
         raise OverflowError(
@@ -1231,27 +1178,13 @@ def _least_above_2n(alpha: Fraction, k: int) -> int:
     return n
 
 
-def _ln_phi_enclosure(phi: PhiSpec, t: Fraction, prec: int) -> bounds.Enclosure:
-    """Enclosure of ln Φ(t): p·ln t for a power, and for Φ = e^X − 1, X > 1,
-    X + ln(1 − e^{-X}), which increases with X.  It narrows as prec grows,
-    down to about 2^-⌊X⌋ once X ≥ 64, where e^{-X} is enclosed crudely."""
-    if phi.kind == "power":
-        lo, hi = bounds.ln_enclosure(t, prec)
-        return (phi.parameter * lo, phi.parameter * hi)
-    X_lo, X_hi = phi.exponent(t, prec)
-    u_hi = bounds.exp_enclosure(-X_lo, prec)[1]
-    u_lo = bounds.exp_enclosure(-X_hi, prec)[0]
-    return (X_lo + bounds.ln_enclosure(1 - u_hi, prec)[0],
-            X_hi + bounds.ln_enclosure(1 - u_lo, prec)[1])
-
-
 def _final_display_row(phi: PhiSpec, n: int, k: int) -> AssertionRecord:
     """2^{-2n-1}·Φ(t) ≥ (e/2)^{2n} at t = n/(50·2^k), decided in log space."""
     t = Fraction(n, 50 << k)
     assertion = "2^(-2n-1)*Phi(t) >= (e/2)^(2n)"
 
     def lhs(prec: int) -> bounds.Enclosure:
-        lo, hi = _ln_phi_enclosure(phi, t, prec)
+        lo, hi = phi.ln_enclosure(t, prec)
         l2lo, l2hi = bounds.ln2_enclosure(prec)
         return (lo - (2 * n + 1) * l2hi, hi - (2 * n + 1) * l2lo)
 

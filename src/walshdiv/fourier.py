@@ -13,7 +13,9 @@ relative precision: :func:`~walshdiv.bounds.exp_scaled` after an exact or
 enclosed exponent, t^p as e^{p ln t}, so it stays about 100 bits wide at any
 size.  :func:`strong_mean_bounds` sums the triples into one triple that the
 verdicts compare exactly; :meth:`PhiSpec.value_mpf` rounds each value for the
-display mean of :func:`strong_mean`, which mpmath sums.  Each
+display mean of :func:`strong_mean`, which mpmath sums.  ln Φ, for the
+log-space growth condition, and the exact test X ≤ bound for Φ = e^X − 1 are
+:class:`PhiSpec` methods too, on the same kernel.  Each
 :class:`PhiSpec` remembers the values it computes, so a table over several N
 evaluates Φ once per distinct magnitude and precision.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import mpmath
 from mpmath.libmp import from_man_exp, from_rational
@@ -49,8 +51,8 @@ _EXPONENT_CAP = 10**15
 _MEMO_CAP = 1 << 16
 
 #: Largest p·(bits of t) at which t^p, p an integer, is computed exactly (for
-#: value_mpf's powers and the exponent of exp_power); larger powers go
-#: through e^{p ln t}.
+#: value_mpf's powers, the exponent of exp_power and its exact test); larger
+#: powers go through e^{p ln t}.
 _EXACT_BITS = 1 << 16
 
 
@@ -94,15 +96,6 @@ class PhiSpec:
         return f"{tag}:{arg}"
 
     # -- evaluation ------------------------------------------------------------
-
-    def exponent(self, t: Rat, prec: int = 96) -> bounds.Enclosure:
-        """Enclosure of X with Φ(t) = e^X − 1 at t > 0, for the two exponential
-        kinds: c·t, or t^α (exact while :func:`_exact_power` allows, else to
-        prec significant bits)."""
-        if self.kind == "power":
-            raise ValueError("a power Phi has no exponent")
-        X = self._exact_exponent(t)
-        return (X, X) if X is not None else bounds.scaled_enclosure(self._power(t, prec))
 
     def value_mpf(self, t: Rat) -> mpmath.mpf:
         """Φ(t) rounded to nearest at the working precision (t ≥ 0 exact rational).
@@ -148,6 +141,31 @@ class PhiSpec:
             what = "t^p past 2^(10^15)" if self.kind == "power" else "exp(X) - 1 with X > 10^15"
             raise ArithmeticError(f"Phi({t}) = {what} is too large for direct enclosure")
         return scaled
+
+    def ln_enclosure(self, t: Fraction, prec: int = 96) -> bounds.Enclosure:
+        """Enclosure of ln Φ(t) to about 2^-prec beside the width of X or ln t:
+        p·ln t for a power at t > 0, and X + ln(1 − e^-X) for Φ = e^X − 1 at
+        X ≥ 1, with e^-X from :func:`~walshdiv.bounds.exp_scaled` while X ≤ prec
+        and −2^(1−prec) < ln(1 − e^-X) < 0 past that, so a huge X costs no exp."""
+        if self.kind == "power":
+            lo, hi = bounds.ln_enclosure(t, prec)
+            return self.parameter * lo, self.parameter * hi
+        X = self._exact_exponent(t)
+        xlo, xhi = (X, X) if X is not None else bounds.scaled_enclosure(self._power(t, prec))
+        if xlo > prec:
+            return xlo - Fraction(2, 1 << prec), xhi
+        ulo, uhi = bounds.scaled_enclosure(bounds.exp_scaled(-xhi, -xlo, prec))
+        return (xlo + bounds.ln_enclosure(1 - uhi, prec)[0],
+                xhi + bounds.ln_enclosure(1 - ulo, prec)[1])
+
+    def exponent_at_most(self, t: Fraction, bound: int) -> bool:
+        """Exact X ≤ bound for Φ(t) = e^X − 1, at t > 0 and an integer bound ≥ 2;
+        False for a power, whose ln Φ(t) = p·ln t is never such a bound."""
+        if self.kind == "power":
+            return False
+        if self.kind == "exp_linear":
+            return self.parameter * t <= bound
+        return _power_at_most(t, self.parameter, bound)
 
     def _exact_exponent(self, t: Fraction) -> Fraction | None:
         """X = c·t, or t^α while :func:`_exact_power` allows; else None."""
@@ -200,6 +218,53 @@ def _exact_power(t: Fraction, p: Fraction) -> Fraction | None:
             t.numerator.bit_length(), t.denominator.bit_length()) <= _EXACT_BITS:
         return t**p.numerator
     return None
+
+
+def _power_at_most(t: Fraction, alpha: Fraction, bound: int) -> bool:
+    """Exact t^α ≤ bound for rational t > 0, α = a/b > 0 and an integer bound ≥ 2.
+
+    The comparison is t^a ≤ bound^b.  Bit lengths settle it first: log2 t
+    lies within 1 of s = bitlen(num) − bitlen(den), and log2 bound in
+    [m − 1, m) for m = bitlen(bound).  Past that, t^a is built exactly only
+    while a·bitlen(t) stays within _EXACT_BITS.  Beyond it a tie needs t an
+    integer r^b with bound = r^a (a and b are coprime), which one integer
+    root tests, and any other pair differs, so enclosures of a·ln t and
+    b·ln bound separate.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    s = t.numerator.bit_length() - t.denominator.bit_length()
+    m = bound.bit_length()
+    if a * (s - 1) >= b * m:
+        return False
+    if a * (s + 1) <= b * (m - 1):
+        return True
+    if a * max(t.numerator.bit_length(), t.denominator.bit_length()) <= _EXACT_BITS:
+        return t**a <= bound**b
+    if t.denominator == 1 and a < m:  # a ≥ m leaves r = 1 < bound^(1/a)
+        r = _iroot(bound, a)
+        if r**a == bound and r**b == t.numerator:
+            return True
+
+    def times_ln(factor: int, v: Fraction) -> Callable[[int], bounds.Enclosure]:
+        def enclosure(prec: int) -> bounds.Enclosure:
+            lo, hi = bounds.ln_enclosure(v, prec + factor.bit_length())
+            return factor * lo, factor * hi
+        return enclosure
+
+    return not bounds.decide_less(times_ln(b, Fraction(bound)), times_ln(a, t))
+
+
+def _iroot(x: int, m: int) -> int:
+    """⌊x^(1/m)⌋ for integers x ≥ 1 and m ≥ 1, by bisection between the powers
+    of two that the bit length of x puts around it."""
+    lo, hi = 1 << (x.bit_length() - 1) // m, 1 << -(-x.bit_length() // m)
+    while hi - lo > 1:  # lo^m ≤ x < hi^m
+        mid = (lo + hi) // 2
+        if mid**m <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _nonnegative(t: Rat) -> Fraction:

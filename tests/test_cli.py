@@ -533,6 +533,32 @@ class TestChainCheckCommand:
         assert "  PASS     2^(-2n-1)*Phi(t) >= (e/2)^(2n)           lhs=log in [" in out
         assert "undecided" not in out
 
+    @pytest.mark.parametrize("c, verdict", [
+        ("201732867951399863273543080303646", "PASS"),
+        ("201732867951399863273543080303645", "FAIL"),
+    ])
+    def test_the_display_row_past_an_exponent_of_64_is_decided(self, c, verdict, capsys):
+        # X = 2c/5 ≈ 80.69 against ln(1 + 2e^80): the threshold c·10^30 lies
+        # between these two numerators, 2^-101 from either; e^-X must be
+        # enclosed to relative precision for the row to decide
+        argv = ["chain-check", "--n", "40", "--k", "1", "--phi", f"exp:{c}/{10**30}"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "[holds]" in out
+        assert f"  {verdict:<8} 2^(-2n-1)*Phi(t) >= (e/2)^(2n)           lhs=log in [" in out
+        assert "undecided" not in out
+
+    @pytest.mark.parametrize("shift, holds", [(85, True), (115, True), (116, False)])
+    def test_c3_just_above_2n_is_decided(self, shift, holds, capsys):
+        # X = 2c/5 = 80 + 2^-shift against ln(1 + e^80) = 80 + 2^-115.42...:
+        # the exact test X <= 2n cannot settle it, and e^-80 is about 2^-115
+        c = Fraction(200) + Fraction(5, 2 << shift)
+        argv = ["chain-check", "--n", "40", "--k", "1", "--phi", f"exp:{c}"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert ("[holds]" if holds else "[does not hold]") in out
+        assert "undecided" not in out
+
     def test_an_exact_tie_past_the_exact_power_budget(self, tmp_path):
         # t = 200^100 and X = t^(101/100) = 200^101 = 2n: a tie that one
         # integer root settles, so (c3) does not hold and the least n is n + 1
@@ -897,3 +923,40 @@ def test_stdout_matches_the_benchmark_digest(command, capsys):
     main(command.split())
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == DIGESTS[command]
+
+
+#: stdout SHA-256 of chain-check commands, recorded before ln Φ moved into
+#: PhiSpec; each runs in well under a second
+CHAIN_CHECK_DIGESTS = {
+    "": "fd3324111b9479f49c6d9b82bea9165cd08124e167b126d13224b126c61d646d",
+    "--k 24": "53d2ab9a3896a08f09a1daaf80c9c026bf8c3b94e2cbe647e2bfd44f9f10dcdf",
+    "--k 7000": "45ed12f56a2c9b4dd4ebaacf3394d2738b4b7be2baa840b9296de235bd344d1a",
+    "--phi exppow:3/2": "597f239dfebc68c4eee88811a6324a728e5e8c5859ad6f85199097b87b2d34ac",
+    "--phi exppow:100000": "4414952b05b48b16c5a127ee28fdbe517929265c3f8508111d1206ead7a64242",
+    "--phi pow:5000": "2c85267e8b9781354d0cc2a9ce17cc119188d71519b83b94ce7228f4db3a7424",
+    "--n 400 --phi exp:300": "e8c8f511aafd828b4874703d68be3249c7b72d3f05ccfb764b99ca0be4e81a27",
+    "--k 1 --phi exppow:101/100":
+        "9852d38abe6ef2e2d18b198d424cb00896a0e1cb44688d9b00025966281294e3",
+    "--phi exppow:5/3 --k 2": "bdabce09d2f94ebb54bf0dda7dedb65ee6e3f7788d5f83d9b81001425679f286",
+    "--k 15000 --phi pow:2": "386084ece20730a3e0998c4dd41f1036c9e8a400a419f7a9aecafb54b343f19c",
+    "--n 1 --k 1 --phi exp:276": "cc377913a6fabc8f16fcd1a51570edd6d89cf6297b4fc829c9f7916dddc4c133",
+    "--n 1 --k 1 --phi exp:250": "18ac9c0cea767dbfc24cad25668cbd922aad849dd4384b01638b17d101610a7e",
+    "--k 25 --n 5629499534213120001":
+        "d916a1e48df60f27674b6c66596ee1ae18f0265675dbf3c5f02badb321f0df81",
+    "--k 1 --phi exppow:1000000 --n 2":
+        "5518f9bbadf2523c10e6f2bec39eb44606fbf1f57a50acbd2e213a7ade352d65",
+    "--k 1 --phi exppow:100000000 --n 2":
+        "44ddb2ca95d06712d5309ff4ccda097a21c37feb87e28cd7b46aff90d99d63f3",
+    "--n 10 --k 1 --phi exp:1000": "326de38789fda5c282b037ae56ce84b3a7e756878dda535be4612c122bf68eb0",
+    "--k 2 --phi exp:100000": "af6f2489c6e401d138a6a64e6b017dec37df8766c56095a0e9e6cc87c32a91ee",
+    "--n 3 --k 1 --phi pow:2": "7a5184e4c3ddce6d59eedb9be1b84bb936e092182e50b5affd7727735e45b2fb",
+    "--n 100 --k 1 --phi exppow:3": "6f4308403a818d9d4dd5a90429af8521b2929bf9d9055528cdd2dce5208a85fb",
+    "--n 60 --k 1 --phi exp:220": "41991e4894497ab6c52a68c48f9324c0882c932d9902ed4bc0b10d0ef4cc8e13",
+}
+
+
+@pytest.mark.parametrize("options", list(CHAIN_CHECK_DIGESTS))
+def test_chain_check_prints_the_recorded_bytes(options, capsys):
+    main(["chain-check", *options.split()])
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CHAIN_CHECK_DIGESTS[options]

@@ -25,9 +25,7 @@ from walshdiv.counterexample import (
     LemmaReport,
     _frac,
     _least_above_2n,
-    _ln_phi_enclosure,
     _nu_min,
-    _power_at_most,
     build_fn,
     c3_holds,
     chain_check,
@@ -43,7 +41,7 @@ from walshdiv.counterexample import (
     verify_lemma2,
 )
 from walshdiv.dyadic import DyadicPoint, cell_index, xor_add
-from walshdiv.fourier import PhiSpec
+from walshdiv.fourier import PhiSpec, _power_at_most
 from walshdiv.walsh import GridVector, bit_reverse, dirichlet, walsh
 
 from oracles import (
@@ -596,14 +594,26 @@ class TestVerifyLemma1:
             with pytest.raises(ValueError, match="too large to build"):
                 verify_lemma1(ConstructionParams(n), DyadicPoint.zero())
 
+    def test_an_unbuildable_order_is_rejected_before_allocating(self):
+        # q = 2^(10·(2^30 + 30)) alone would take 1.3 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large to build"):
+                verify_lemma1(ConstructionParams(30), DyadicPoint.zero())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 @st.composite
 def exponents(draw):
-    """(Φ, t) with X in (1, 200] for Φ = e^X - 1, X = t or t^α."""
+    """(Φ, t) with X in (1, 1024] for Φ = e^X - 1, X = c·t or t^α."""
     phi, top = draw(st.sampled_from([
-        (PhiSpec("exp_linear", 1), 200),
-        (PhiSpec("exp_power", 2), 14),
-        (PhiSpec("exp_power", Fraction(3, 2)), 34),
+        (PhiSpec("exp_linear", 1), 1024),
+        (PhiSpec("exp_linear", Fraction(7, 3)), 438),
+        (PhiSpec("exp_power", 2), 32),
+        (PhiSpec("exp_power", Fraction(3, 2)), 101),
     ]))
     t = draw(st.fractions(min_value=1, max_value=top, max_denominator=10**9))
     assume(t > 1)
@@ -656,24 +666,24 @@ class TestChainCheck:
 
     @settings(max_examples=100, deadline=None)
     @given(exponents(), st.sampled_from([32, 64, 100]))
-    def test_ln_phi_enclosure_contains_reference(self, case, prec):
+    def test_ln_enclosure_contains_reference(self, case, prec):
         phi, t = case
-        with mpmath.workdps(200):
-            X = mpmath.mpf(t.numerator) / t.denominator
-            if phi.kind == "exp_power":
-                X **= mpmath.mpf(phi.parameter.numerator) / phi.parameter.denominator
+        with mpmath.workdps(500):  # e^-X is above 10^-450 at X ≤ 1024
+            u = mpmath.mpf(t.numerator) / t.denominator
+            v = mpmath.mpf(phi.parameter.numerator) / phi.parameter.denominator
+            X = u * v if phi.kind == "exp_linear" else u**v
             sign, man, exp, _ = mpmath.log(mpmath.expm1(X))._mpf_
             ref = Fraction(man) * Fraction(2) ** exp
             floor_X = int(mpmath.floor(X))
         widths = []
         for p in (prec, 2 * prec):
-            lo, hi = _ln_phi_enclosure(phi, t, p)
+            lo, hi = phi.ln_enclosure(t, p)
             assert not sign and lo <= ref <= hi
-            # past X = 64, e^-X is enclosed crudely, to 2^-floor(X)
-            assert hi - lo <= Fraction(8, 1 << p) + Fraction(2, 1 << floor_X)
+            assert hi - lo <= Fraction(2 * floor_X + 4, 1 << p)
             widths.append(hi - lo)
-        if floor_X < 64:
-            assert widths[1] < widths[0]
+        # e^-X is enclosed to relative precision at every X, so the width
+        # shrinks with the precision past X = 64 as well
+        assert widths[1] < widths[0]
 
     def test_never_attaining_kinds_report_none(self):
         report = chain_check(200, 1, PhiSpec("power", 2))
@@ -724,7 +734,7 @@ class TestGrowthThreshold:
         # t^(a/b) > 2n at t = n/(50·2^k) reads n^(a-b) > 2^b·(50·2^k)^a
         a, b = ab
         radicand = 2**b * (50 << k) ** a
-        n = _least_above_2n(Fraction(a, b), k)
+        n = _least_above_2n(PhiSpec("exp_power", Fraction(a, b)), k)
         assert (n - 1) ** (a - b) <= radicand < n ** (a - b)
 
     @pytest.mark.parametrize("c, k, n", [

@@ -216,25 +216,39 @@ class TestPhiSpec:
         assert lo <= ref <= hi
         assert hi - lo <= ref / 2**90  # to about 96 significant bits
 
-    @pytest.mark.parametrize("t, alpha", [
-        (Fraction(2), Fraction(1, 2)),
-        (Fraction(5, 4), Fraction(7, 3)),
-        (Fraction(1, 3), Fraction(2, 3)),
-        (Fraction(151, 100), Fraction(5, 2)),
-        (Fraction(3, 1 << 40), Fraction(101, 100)),
-    ])
+    @pytest.mark.parametrize("phi, t", [
+        (PhiSpec("exp_power", Fraction(1, 2)), Fraction(2)),
+        (PhiSpec("exp_power", Fraction(7, 3)), Fraction(5, 4)),
+        (PhiSpec("exp_power", Fraction(5, 2)), Fraction(151, 100)),
+        (PhiSpec("exp_power", Fraction(101, 100)), Fraction(3 << 40)),  # X > prec
+        (PhiSpec("exp_linear", 1), Fraction(1 << 20)),
+        (PhiSpec("power", Fraction(7, 3)), Fraction(3, 1 << 40)),
+    ], ids=["sqrt", "7/3", "5/2", "X>prec", "exp", "pow"])
     @pytest.mark.parametrize("prec", [96, 192, 1024])
-    def test_exponent_at_fractional_alpha_contains_the_power(self, t, alpha, prec):
-        lo, hi = PhiSpec("exp_power", alpha).exponent(t, prec)
+    def test_ln_enclosure_contains_the_reference(self, phi, t, prec):
         with mpmath.workprec(2 * prec + 64):
-            ref = exact_fraction(mpmath.power(
-                mpmath.mpf(t.numerator) / t.denominator,
-                mpmath.mpf(alpha.numerator) / alpha.denominator))
+            u = mpmath.mpf(t.numerator) / t.denominator
+            v = mpmath.mpf(phi.parameter.numerator) / phi.parameter.denominator
+            if phi.kind == "power":
+                ref = v * mpmath.log(u)
+            else:
+                ref = mpmath.log(mpmath.expm1(u * v if phi.kind == "exp_linear" else u**v))
+            ref = exact_fraction(ref)
+        lo, hi = phi.ln_enclosure(t, prec)
         assert lo <= ref <= hi
-        assert hi - lo <= ref / 2 ** (prec - 4)
+        assert hi - lo <= (abs(ref) + 2) / 2 ** (prec - 1)
 
-    def test_exponent_at_integer_alpha_is_exact(self):
-        assert PhiSpec("exp_power", 3).exponent(Fraction(3, 2)) == (Fraction(27, 8),) * 2
+    @pytest.mark.parametrize("phi, t, bound, at_most", [
+        (PhiSpec("exp_power", 3), Fraction(2), 8, True),  # X = 8, the tie
+        (PhiSpec("exp_power", 3), Fraction(2), 7, False),
+        (PhiSpec("exp_power", 3), Fraction(3, 2), 3, False),  # X = 27/8
+        (PhiSpec("exp_power", 3), Fraction(3, 2), 4, True),
+        (PhiSpec("exp_linear", Fraction(5, 2)), Fraction(4, 5), 2, True),  # X = 2
+        (PhiSpec("exp_linear", Fraction(5, 2)), Fraction(41, 50), 2, False),
+        (PhiSpec("power", 2), Fraction(1, 2), 2, False),  # a power has no exponent
+    ])
+    def test_exponent_at_most_is_exact(self, phi, t, bound, at_most):
+        assert phi.exponent_at_most(t, bound) == at_most
 
 
 class TestStrongMean:

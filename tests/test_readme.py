@@ -1,6 +1,6 @@
 """The README quick start runs as written against the current API, its
-command lines parse with the current command line, and its rejected-parameter
-examples are rejected as it says."""
+command lines parse and run with the current command line, and its
+rejected-parameter examples are rejected as it says."""
 
 import re
 import shlex
@@ -44,6 +44,18 @@ def test_command_line_parses(line):
     argv = shlex.split(line, comments=True)[3:]
     handler, _ = _parse(argv)
     assert handler is _SUBCOMMANDS[argv[0]][1]
+
+
+@pytest.mark.parametrize("line", command_lines())
+def test_command_line_runs(line, tmp_path, monkeypatch, capsys):
+    # in tmp_path, since one line writes its table to a file with --out
+    argv = shlex.split(line, comments=True)[3:]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if "--out" in argv:
+        out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
+    assert out.startswith(f"# walshdiv {argv[0]}\n")
 
 
 def rejected_examples() -> list[str]:
